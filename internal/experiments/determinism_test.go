@@ -117,8 +117,8 @@ func TestParScaleWorkerCountInvariant(t *testing.T) {
 	if testing.Short() {
 		t.Skip("several mid-size simulations; skipped in -short")
 	}
-	render := func(workers int) []byte {
-		res, err := Run("parscale", RunRequest{
+	render := func(name string, workers int) []byte {
+		res, err := Run(name, RunRequest{
 			Config: RunConfig{Servers: 150, Horizon: time.Hour, Seed: 7, Workers: workers},
 			Scale:  0.1,
 		})
@@ -133,9 +133,17 @@ func TestParScaleWorkerCountInvariant(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	w1, w8 := render(1), render(8)
+	w1, w8 := render("parscale", 1), render("parscale", 8)
 	if !bytes.Equal(w1, w8) {
 		t.Errorf("parscale CSV depends on the worker sweep: first divergence at byte %d", firstDiff(w1, w8))
+	}
+	// protocolday's migration scan runs on the pool at every worker count
+	// (inline for 0), so its CSV must not move either.
+	p0 := render("protocolday", 0)
+	for _, workers := range []int{1, 8} {
+		if pw := render("protocolday", workers); !bytes.Equal(p0, pw) {
+			t.Errorf("protocolday CSV at Workers=%d diverges from Workers=0 at byte %d", workers, firstDiff(p0, pw))
+		}
 	}
 }
 
