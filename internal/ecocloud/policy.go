@@ -13,14 +13,12 @@ import (
 )
 
 // Policy is the ecoCloud consolidation algorithm (assignment + migration
-// procedures) in the shape the cluster driver runs. It is not safe for
-// concurrent use; the driver invokes callbacks sequentially.
+// procedures) in the shape the cluster driver runs: every decision goes
+// through the Core, and Policy keeps only the sequencing of the control
+// round. It is not safe for concurrent use; the driver invokes callbacks
+// sequentially.
 type Policy struct {
-	cfg Config
-	fa  AssignProbFunc
-	// faRAM is the memory assignment function of the §V extension (zero
-	// value when cfg.RAM is nil).
-	faRAM AssignProbFunc
+	core Core
 
 	// mgr is the data-center manager's stream: choosing among available
 	// servers, picking which hibernated server to wake, sampling invitation
@@ -47,22 +45,13 @@ func New(cfg Config, seed uint64) (*Policy, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	fa, err := NewAssignProb(cfg.Ta, cfg.P)
+	core, err := NewCore(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var faRAM AssignProbFunc
-	if cfg.RAM != nil {
-		faRAM, err = NewAssignProb(cfg.RAM.Ta, cfg.RAM.P)
-		if err != nil {
-			return nil, err
-		}
-	}
 	master := rng.New(seed)
 	return &Policy{
-		cfg:     cfg,
-		fa:      fa,
-		faRAM:   faRAM,
+		core:    core,
 		mgr:     master.Split("manager"),
 		servers: make(map[int]*rng.Source),
 		master:  master,
@@ -74,7 +63,7 @@ func New(cfg Config, seed uint64) (*Policy, error) {
 func (p *Policy) Name() string { return "ecocloud" }
 
 // Config returns the policy's configuration.
-func (p *Policy) Config() Config { return p.cfg }
+func (p *Policy) Config() Config { return p.core.Config }
 
 // serverSrc returns server id's private stream, creating it on first use.
 func (p *Policy) serverSrc(id int) *rng.Source {
@@ -86,10 +75,10 @@ func (p *Policy) serverSrc(id int) *rng.Source {
 	return s
 }
 
-// inGrace reports whether server s is inside its post-activation grace
-// period at time now.
+// inGrace reports whether active server s is inside its post-activation
+// grace period at time now.
 func (p *Policy) inGrace(s *dc.Server, now time.Duration) bool {
-	return s.State() == dc.Active && now-s.ActivatedAt() < p.cfg.Grace
+	return p.core.InGrace(now, s.ActivatedAt())
 }
 
 // OnArrival implements the assignment procedure (§II): the manager invites
@@ -97,19 +86,20 @@ func (p *Policy) inGrace(s *dc.Server, now time.Duration) bool {
 // utilization; the manager assigns the VM to one of the available servers
 // uniformly at random; if none is available it wakes a hibernated server.
 func (p *Policy) OnArrival(env cluster.Env, vm *trace.VM) {
-	dest := p.selectDestination(env, p.fa, -1, true, vm.DemandAt(env.Now), vm.RAMMB)
+	dest := p.selectDestination(env, p.core.Ta, -1, true, vm.DemandAt(env.Now), vm.RAMMB)
 	if dest == nil {
 		// Total saturation: every server active and none accepting. The VM
 		// still has to run somewhere; degrade gracefully onto the least
 		// utilized active server and record the event (the paper: frequent
 		// occurrences mean the company should buy servers).
 		env.Rec.Saturations++
-		dest = leastUtilized(env.DC.Servers, env.Now)
-		if dest == nil {
+		i, _ := LeastUtilized(env.DC.Servers, env.Now)
+		if i < 0 {
 			// No active server at all and nothing to wake: the fleet is
 			// empty, which indicates a mis-sized experiment.
 			panic(fmt.Sprintf("ecocloud: no server available for VM %d in an empty fleet", vm.ID))
 		}
+		dest = env.DC.Servers[i]
 	}
 	if err := env.DC.Place(vm, dest); err != nil {
 		panic(fmt.Sprintf("ecocloud: placing VM %d: %v", vm.ID, err))
@@ -128,7 +118,7 @@ func (p *Policy) OnControl(env cluster.Env) {
 			}
 		}
 	}
-	if p.cfg.DisableMigration {
+	if p.core.DisableMigration {
 		return
 	}
 	for _, s := range env.DC.Servers {
@@ -136,21 +126,11 @@ func (p *Policy) OnControl(env cluster.Env) {
 			continue
 		}
 		u := s.UtilizationAt(env.Now)
-		src := p.serverSrc(s.ID)
-		switch {
-		case u < p.cfg.Tl && !p.inGrace(s, env.Now):
-			// The cooldown paces only consolidation (low) migrations;
-			// overload relief must never wait.
-			if env.Now-p.lastMig[s.ID] < p.cfg.Cooldown && p.lastMig[s.ID] != 0 {
-				continue
-			}
-			if src.Bernoulli(MigrateLowProb(u, p.cfg.Tl, p.cfg.Alpha)) {
-				p.migrateLow(env, s)
-			}
-		case u > p.cfg.Th:
-			if src.Bernoulli(MigrateHighProb(u, p.cfg.Th, p.cfg.Beta)) {
-				p.migrateHigh(env, s, u)
-			}
+		switch p.core.Scan(p.serverSrc(s.ID), s.NumVMs(), u, env.Now, s.ActivatedAt(), p.lastMig[s.ID]) {
+		case ScanLow:
+			p.migrateLow(env, s, u)
+		case ScanHigh:
+			p.migrateHigh(env, s, u)
 		}
 	}
 }
@@ -158,13 +138,12 @@ func (p *Policy) OnControl(env cluster.Env) {
 // migrateLow relocates one VM off an under-utilized server. Low migrations
 // never wake a server: activating one machine to hibernate another is a net
 // loss (§II), so if nobody accepts, the VM stays.
-func (p *Policy) migrateLow(env cluster.Env, s *dc.Server) {
-	vms := sortedVMs(s)
-	if len(vms) == 0 {
+func (p *Policy) migrateLow(env cluster.Env, s *dc.Server, u float64) {
+	vm := p.core.MigrationVM(p.serverSrc(s.ID), s.VMs(), env.Now, u, s.CapacityMHz(), false)
+	if vm == nil {
 		return
 	}
-	vm := vms[p.serverSrc(s.ID).Intn(len(vms))]
-	dest := p.selectDestination(env, p.fa, s.ID, false, vm.DemandAt(env.Now), vm.RAMMB)
+	dest := p.selectDestination(env, p.core.Ta, s.ID, false, vm.DemandAt(env.Now), vm.RAMMB)
 	if dest == nil {
 		return
 	}
@@ -183,45 +162,17 @@ func (p *Policy) migrateLow(env cluster.Env, s *dc.Server) {
 	}
 }
 
-// migrateHigh relocates one VM off an overloaded server. The candidate set
-// is the VMs big enough that removing one brings utilization back under Th;
-// if none qualifies, the largest VM goes (and later trials migrate more).
-// Destination selection runs with the tightened threshold Ta' = 0.9·u so the
-// VM provably lands on a less-loaded server (no ping-pong), and may wake a
-// hibernated server: relieving overload justifies the power.
+// migrateHigh relocates one VM off an overloaded server (Core.MigrationVM
+// picks which). Destination selection runs with the tightened threshold
+// Ta' (Core.HighMigTa) so the VM provably lands on a less-loaded server (no
+// ping-pong), and may wake a hibernated server: relieving overload
+// justifies the power.
 func (p *Policy) migrateHigh(env cluster.Env, s *dc.Server, u float64) {
-	vms := sortedVMs(s)
-	if len(vms) == 0 {
+	vm := p.core.MigrationVM(p.serverSrc(s.ID), s.VMs(), env.Now, u, s.CapacityMHz(), true)
+	if vm == nil {
 		return
 	}
-	needMHz := (u - p.cfg.Th) * s.CapacityMHz()
-	var candidates []*trace.VM
-	for _, vm := range vms {
-		if vm.DemandAt(env.Now) >= needMHz {
-			candidates = append(candidates, vm)
-		}
-	}
-	var vm *trace.VM
-	if len(candidates) > 0 {
-		vm = candidates[p.serverSrc(s.ID).Intn(len(candidates))]
-	} else {
-		vm = vms[0]
-		for _, v := range vms[1:] {
-			if v.DemandAt(env.Now) > vm.DemandAt(env.Now) {
-				vm = v
-			}
-		}
-	}
-	taPrime := p.cfg.HighMigTaFactor * u
-	if taPrime > p.cfg.Ta {
-		taPrime = p.cfg.Ta
-	}
-	fa, err := p.fa.WithThreshold(taPrime)
-	if err != nil {
-		// taPrime <= 0 can only happen with u ~ 0, unreachable above Th.
-		panic(fmt.Sprintf("ecocloud: tightened threshold %v: %v", taPrime, err))
-	}
-	dest := p.selectDestination(env, fa, s.ID, true, vm.DemandAt(env.Now), vm.RAMMB)
+	dest := p.selectDestination(env, p.core.HighMigTa(u), s.ID, true, vm.DemandAt(env.Now), vm.RAMMB)
 	if dest == nil {
 		return
 	}
@@ -231,20 +182,21 @@ func (p *Policy) migrateHigh(env cluster.Env, s *dc.Server, u float64) {
 	env.Rec.Migration(env.Now, cluster.MigrationHigh)
 }
 
-// selectDestination runs one invitation round: collect the active servers
-// (minus exclude), possibly sample an invitation subset, let each run its
-// Bernoulli trial on fa, and pick uniformly among the accepting ones. With
-// no acceptor and allowWake set, a hibernated server is woken and returned
-// (its grace period starts now). Returns nil when no destination exists.
+// selectDestination runs one invitation round under the acceptance
+// threshold ta: collect the active servers (minus exclude), possibly sample
+// an invitation subset, let each run its accept trial, and pick uniformly
+// among the accepting ones. With no acceptor and allowWake set, a
+// hibernated server is woken and returned (its grace period starts now).
+// Returns nil when no destination exists.
 //
 // The invitation carries the VM's CPU demand (the manager knows the
 // application's resource requirements, §I), and availability includes the
-// feasibility check u + demand/capacity <= Ta: a server never volunteers for
+// feasibility check u + demand/capacity <= ta: a server never volunteers for
 // a VM that would push it past the threshold, which matters for the heavy
 // tail of CPU-hungry VMs.
-func (p *Policy) selectDestination(env cluster.Env, fa AssignProbFunc, exclude int, allowWake bool, demandMHz, ramMB float64) *dc.Server {
+func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, allowWake bool, demandMHz, ramMB float64) *dc.Server {
 	group := -1
-	if g := p.cfg.InviteGroups; g > 1 {
+	if g := p.core.InviteGroups; g > 1 {
 		group = p.nextGroup % g
 		p.nextGroup++
 	}
@@ -253,12 +205,12 @@ func (p *Policy) selectDestination(env cluster.Env, fa AssignProbFunc, exclude i
 		if s.State() != dc.Active || s.ID == exclude {
 			continue
 		}
-		if group >= 0 && s.ID%p.cfg.InviteGroups != group {
+		if group >= 0 && s.ID%p.core.InviteGroups != group {
 			continue
 		}
 		invited = append(invited, s)
 	}
-	if k := p.cfg.InviteSubset; k > 0 && len(invited) > k {
+	if k := p.core.InviteSubset; k > 0 && len(invited) > k {
 		perm := p.mgr.Perm(len(invited))
 		subset := make([]*dc.Server, k)
 		for i := 0; i < k; i++ {
@@ -272,33 +224,16 @@ func (p *Policy) selectDestination(env cluster.Env, fa AssignProbFunc, exclude i
 	utils := utilizations(env.Pool, invited, env.Now)
 	var accepted []*dc.Server
 	for i, s := range invited {
-		u := utils[i]
-		fits := u+demandMHz/s.CapacityMHz() <= fa.Ta
-		ramU := 0.0
-		if p.cfg.RAM != nil && s.Spec.RAMMB > 0 {
-			ramU = s.RAMUtilization()
-			if ramU+ramMB/s.Spec.RAMMB > p.cfg.RAM.Ta {
-				fits = false
-			}
+		inv := Invitee{U: utils[i], CapMHz: s.CapacityMHz(), Grace: p.inGrace(s, env.Now)}
+		if p.core.RAM != nil {
+			inv.RAMU, inv.RAMMB = s.RAMUtilization(), s.Spec.RAMMB
 		}
-		if p.inGrace(s, env.Now) {
-			// A newly activated server always answers invitations
-			// positively while the VM still fits under the effective
-			// thresholds (§IV).
-			if fits {
-				accepted = append(accepted, s)
-			}
-			continue
-		}
-		if !fits {
-			continue
-		}
-		if p.multiTrial(s, fa, u, ramU) {
+		if p.core.Accept(func() *rng.Source { return p.serverSrc(s.ID) }, ta, demandMHz, ramMB, inv) {
 			accepted = append(accepted, s)
 		}
 	}
 	if len(accepted) > 0 {
-		if p.cfg.PickMostLoaded {
+		if p.core.PickMostLoaded {
 			best := accepted[0]
 			bestU := best.UtilizationAt(env.Now)
 			for _, s := range accepted[1:] {
@@ -315,57 +250,26 @@ func (p *Policy) selectDestination(env cluster.Env, fa AssignProbFunc, exclude i
 	}
 	// Wake a hibernated server that can actually fit the VM; if the VM is
 	// too big for every sleeping machine, wake the largest one and degrade.
-	var sleeping, fitting []*dc.Server
+	var sleeping []*dc.Server
+	var specs []dc.Spec
 	for _, s := range env.DC.Servers {
-		if s.State() != dc.Hibernated {
-			continue
-		}
-		sleeping = append(sleeping, s)
-		fitsRAM := p.cfg.RAM == nil || s.Spec.RAMMB <= 0 || ramMB <= p.cfg.RAM.Ta*s.Spec.RAMMB
-		if demandMHz <= fa.Ta*s.CapacityMHz() && fitsRAM {
-			fitting = append(fitting, s)
+		if s.State() == dc.Hibernated {
+			sleeping = append(sleeping, s)
+			specs = append(specs, s.Spec)
 		}
 	}
-	if len(sleeping) == 0 {
+	i := p.core.Wake(p.mgr, specs, demandMHz, ramMB, ta)
+	if i < 0 {
+		i = Largest(specs)
+	}
+	if i < 0 {
 		return nil
 	}
-	var wake *dc.Server
-	if len(fitting) > 0 {
-		wake = fitting[p.mgr.Intn(len(fitting))]
-	} else {
-		wake = sleeping[0]
-		for _, s := range sleeping[1:] {
-			if s.CapacityMHz() > wake.CapacityMHz() {
-				wake = s
-			}
-		}
-	}
+	wake := sleeping[i]
 	if err := env.DC.Activate(wake, env.Now); err != nil {
 		panic(fmt.Sprintf("ecocloud: waking server %d: %v", wake.ID, err))
 	}
 	return wake
-}
-
-// multiTrial runs the availability trial(s) for a server that already
-// passed the feasibility checks: CPU-only (the paper's core algorithm) when
-// the RAM extension is off or the server does not model memory, otherwise
-// one of the two §V strategies.
-func (p *Policy) multiTrial(s *dc.Server, fa AssignProbFunc, u, ramU float64) bool {
-	src := p.serverSrc(s.ID)
-	if p.cfg.RAM == nil || s.Spec.RAMMB <= 0 {
-		return src.Bernoulli(fa.Eval(u))
-	}
-	switch p.cfg.RAM.Strategy {
-	case CriticalPlusConstraints:
-		// Single trial on the most critical resource; the other resource's
-		// threshold was already enforced as a feasibility constraint.
-		if ramU/p.faRAM.Ta > u/fa.Ta {
-			return src.Bernoulli(p.faRAM.Eval(ramU))
-		}
-		return src.Bernoulli(fa.Eval(u))
-	default: // AllTrials
-		return src.Bernoulli(fa.Eval(u)) && src.Bernoulli(p.faRAM.Eval(ramU))
-	}
 }
 
 // utilizations evaluates UtilizationAt for every server, sharding across
@@ -385,29 +289,4 @@ func utilizations(pool *par.Pool, servers []*dc.Server, now time.Duration) []flo
 	}
 	par.For(pool, len(servers), func(i int) { out[i] = servers[i].UtilizationAt(now) })
 	return out
-}
-
-// sortedVMs returns s's VMs in ID order, so random selection by a
-// deterministic stream is itself deterministic (map iteration is not).
-func sortedVMs(s *dc.Server) []*trace.VM {
-	vms := s.VMs()
-	sort.Slice(vms, func(i, j int) bool { return vms[i].ID < vms[j].ID })
-	return vms
-}
-
-// leastUtilized returns the active server with the lowest utilization, or
-// nil if none is active.
-func leastUtilized(servers []*dc.Server, now time.Duration) *dc.Server {
-	var best *dc.Server
-	bestU := 0.0
-	for _, s := range servers {
-		if s.State() != dc.Active {
-			continue
-		}
-		u := s.UtilizationAt(now)
-		if best == nil || u < bestU {
-			best, bestU = s, u
-		}
-	}
-	return best
 }

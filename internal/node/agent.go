@@ -30,7 +30,7 @@ type agent struct {
 
 	dcen   *dc.DataCenter
 	vmByID map[int]*trace.VM
-	fa     ecocloud.AssignProbFunc
+	core   ecocloud.Core
 	srcs   []*rng.Source // per local server
 	pm     dc.PowerModel
 
@@ -75,7 +75,7 @@ type agentCounters struct {
 // newAgent builds the shard for cfg.Nodes[nodeID] over transport tr.
 func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transport, stats func() (int, int64)) (*agent, error) {
 	pcfg := cfg.Proto()
-	fa, err := ecocloud.NewAssignProb(pcfg.Ta, pcfg.P)
+	core, err := pcfg.Core()
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +87,7 @@ func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transpo
 		pcfg:   pcfg,
 		dcen:   dc.New(dc.UniformFleet(span.Size(), cfg.Cores, cfg.CoreMHz)),
 		vmByID: make(map[int]*trace.VM, len(ws.VMs)),
-		fa:     fa,
+		core:   core,
 		srcs:   make([]*rng.Source, span.Size()),
 		pm:     dc.DefaultPowerModel(),
 		tr:     tr,
@@ -214,34 +214,12 @@ func (a *agent) onInvite(m inviteMsg) {
 		if globalID == m.Exclude || s.State() != dc.Active {
 			continue
 		}
-		if a.serverAccepts(s, a.srcs[i], now, m.Demand, m.Ta) {
+		inv := ecocloud.Invitee{U: s.UtilizationAt(now), CapMHz: s.CapacityMHz(), Grace: a.core.InGrace(now, s.ActivatedAt())}
+		if a.core.Accept(func() *rng.Source { return a.srcs[i] }, m.Ta, m.Demand, 0, inv) {
 			accepts = append(accepts, int32(globalID))
 		}
 	}
 	a.send(driverNode, kindReply, replyMsg{Round: m.Round, Node: a.node, Accepts: accepts}, a.pcfg.ReplySize)
-}
-
-// serverAccepts is the local availability decision, identical to the netsim
-// cluster's: feasibility under the round's effective threshold, the
-// grace-period rule, then the Bernoulli trial on fa(u).
-func (a *agent) serverAccepts(s *dc.Server, src *rng.Source, now time.Duration, demand, ta float64) bool {
-	u := s.UtilizationAt(now)
-	if u+demand/s.CapacityMHz() > ta {
-		return false
-	}
-	if now-s.ActivatedAt() < a.pcfg.Grace {
-		return true
-	}
-	fa := a.fa
-	//ecolint:allow float-eq — Ta is copied verbatim from the config, so exact inequality means a real override
-	if ta != a.fa.Ta {
-		tightened, err := a.fa.WithThreshold(ta)
-		if err != nil {
-			return false
-		}
-		fa = tightened
-	}
-	return src.Bernoulli(fa.Eval(u))
 }
 
 // onAssign places a VM on the driver-chosen server, waking it first when
@@ -304,68 +282,25 @@ func (a *agent) onScan(m scanMsg) {
 			continue
 		}
 		globalID := a.span.Lo + i
-		if s.NumVMs() == 0 {
-			if now-s.ActivatedAt() >= a.pcfg.Grace {
-				if err := a.dcen.Hibernate(s); err != nil {
-					panic(fmt.Sprintf("node %d: hibernating server %d: %v", a.node, globalID, err))
-				}
-				a.counters.Hibernates++
-				out.Hibernated = append(out.Hibernated, int32(globalID))
-			}
-			continue
+		u := 0.0
+		if s.NumVMs() > 0 {
+			u = s.UtilizationAt(now)
 		}
-		u := s.UtilizationAt(now)
-		src := a.srcs[i]
-		switch {
-		case u < a.pcfg.Tl && now-s.ActivatedAt() >= a.pcfg.Grace:
-			if src.Bernoulli(ecocloud.MigrateLowProb(u, a.pcfg.Tl, a.pcfg.Alpha)) {
-				if vmID, ok := a.pickMigrationVM(s, src, now, u, false); ok {
-					out.MigReqs = append(out.MigReqs, migReqEntry{Server: int32(globalID), VMID: int32(vmID), U: u})
-				}
+		switch act := a.core.Scan(a.srcs[i], s.NumVMs(), u, now, s.ActivatedAt(), 0); act {
+		case ecocloud.ScanHibernate:
+			if err := a.dcen.Hibernate(s); err != nil {
+				panic(fmt.Sprintf("node %d: hibernating server %d: %v", a.node, globalID, err))
 			}
-		case u > a.pcfg.Th:
-			if src.Bernoulli(ecocloud.MigrateHighProb(u, a.pcfg.Th, a.pcfg.Beta)) {
-				if vmID, ok := a.pickMigrationVM(s, src, now, u, true); ok {
-					out.MigReqs = append(out.MigReqs, migReqEntry{Server: int32(globalID), VMID: int32(vmID), High: true, U: u})
-				}
+			a.counters.Hibernates++
+			out.Hibernated = append(out.Hibernated, int32(globalID))
+		case ecocloud.ScanLow, ecocloud.ScanHigh:
+			high := act == ecocloud.ScanHigh
+			if vm := a.core.MigrationVM(a.srcs[i], s.VMs(), now, u, s.CapacityMHz(), high); vm != nil {
+				out.MigReqs = append(out.MigReqs, migReqEntry{Server: int32(globalID), VMID: int32(vm.ID), High: high, U: u})
 			}
 		}
 	}
 	a.send(driverNode, kindScandone, out, a.pcfg.ReplySize)
-}
-
-// pickMigrationVM applies the §II selection rules on the server's ID-sorted
-// VM list: high migrations prefer a uniformly chosen VM big enough to clear
-// the overload (falling back to the largest), low migrations take any VM
-// uniformly.
-func (a *agent) pickMigrationVM(s *dc.Server, src *rng.Source, now time.Duration, u float64, high bool) (int, bool) {
-	candidates := s.VMs()
-	if len(candidates) == 0 {
-		return 0, false
-	}
-	var vm *trace.VM
-	if high {
-		need := (u - a.pcfg.Th) * s.CapacityMHz()
-		var big []*trace.VM
-		for _, v := range candidates {
-			if v.DemandAt(now) >= need {
-				big = append(big, v)
-			}
-		}
-		if len(big) > 0 {
-			vm = big[src.Intn(len(big))]
-		} else {
-			vm = candidates[0]
-			for _, v := range candidates[1:] {
-				if v.DemandAt(now) > vm.DemandAt(now) {
-					vm = v
-				}
-			}
-		}
-	} else {
-		vm = candidates[src.Intn(len(candidates))]
-	}
-	return vm.ID, true
 }
 
 // onWake activates a hibernated server ahead of an incoming migration.
@@ -464,13 +399,8 @@ func (a *agent) onUtilQuery(m utilQueryMsg) {
 	now := vt(m.NowNS)
 	a.integrate(now)
 	out := utilBestMsg{Node: a.node}
-	for i, s := range a.dcen.Servers {
-		if s.State() != dc.Active {
-			continue
-		}
-		if u := s.UtilizationAt(now); !out.Has || u < out.U {
-			out = utilBestMsg{Node: a.node, Has: true, Server: a.span.Lo + i, U: u}
-		}
+	if i, u := ecocloud.LeastUtilized(a.dcen.Servers, now); i >= 0 {
+		out = utilBestMsg{Node: a.node, Has: true, Server: a.span.Lo + i, U: u}
 	}
 	a.send(driverNode, kindUtilBest, out, a.pcfg.ReplySize)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dc"
 	"repro/internal/ecocloud"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
@@ -32,11 +33,11 @@ type driver struct {
 	eng  *sim.Engine
 	tr   protocol.Transport
 	mgr  *rng.Source
-	fa   ecocloud.AssignProbFunc
+	core ecocloud.Core
 	ws   *trace.Set
 
 	n      int     // nodes
-	capMHz float64 // uniform server capacity
+	spec   dc.Spec // the uniform server model
 	active []bool  // power-state mirror, indexed by global server ID
 	loc    map[int]int
 	vmByID map[int]*trace.VM
@@ -74,7 +75,7 @@ const migWatchdog = 2 * time.Second
 
 func newDriver(cfg *ClusterConfig, ws *trace.Set, tr protocol.Transport) (*driver, error) {
 	pcfg := cfg.Proto()
-	fa, err := ecocloud.NewAssignProb(pcfg.Ta, pcfg.P)
+	core, err := pcfg.Core()
 	if err != nil {
 		return nil, err
 	}
@@ -84,10 +85,10 @@ func newDriver(cfg *ClusterConfig, ws *trace.Set, tr protocol.Transport) (*drive
 		eng:    sim.New(),
 		tr:     tr,
 		mgr:    rng.New(cfg.Seed + 1).Split("manager"),
-		fa:     fa,
+		core:   core,
 		ws:     ws,
 		n:      len(cfg.Nodes),
-		capMHz: float64(cfg.Cores) * cfg.CoreMHz,
+		spec:   dc.Spec{Cores: cfg.Cores, CoreMHz: cfg.CoreMHz},
 		active: make([]bool, cfg.Servers),
 		loc:    make(map[int]int),
 		vmByID: make(map[int]*trace.VM, len(ws.VMs)),
@@ -220,7 +221,7 @@ func (d *driver) round(now time.Duration, ta, demand float64, exclude int) []int
 func (d *driver) placeVM(vm *trace.VM) {
 	now := d.eng.Now()
 	demand := vm.DemandAt(now)
-	if accepts := d.round(now, d.fa.Ta, demand, -1); len(accepts) > 0 {
+	if accepts := d.round(now, d.core.Ta, demand, -1); len(accepts) > 0 {
 		d.assign(now, vm, accepts[d.mgr.Intn(len(accepts))], false)
 		d.stats.Placements++
 		return
@@ -250,27 +251,13 @@ func (d *driver) assign(now time.Duration, vm *trace.VM, server int, wake bool) 
 // decides — WakeReuses is structurally zero here (see DESIGN.md). The fleet
 // is uniform, so "largest hibernated" degenerates to the lowest ID.
 func (d *driver) wakeAssign(now time.Duration, vm *trace.VM, demand float64) {
-	var fitting []int
-	largest := -1
-	for id, on := range d.active {
-		if on {
-			continue
-		}
-		if largest < 0 {
-			largest = id
-		}
-		if demand <= d.fa.Ta*d.capMHz {
-			fitting = append(fitting, id)
-		}
+	sleeping, specs := d.hibernated()
+	i := d.core.Wake(d.mgr, specs, demand, 0, d.core.Ta)
+	if i < 0 {
+		i = ecocloud.Largest(specs)
 	}
-	wake := -1
-	switch {
-	case len(fitting) > 0:
-		wake = fitting[d.mgr.Intn(len(fitting))]
-	case largest >= 0:
-		wake = largest
-	}
-	if wake >= 0 {
+	if i >= 0 {
+		wake := sleeping[i]
 		d.stats.Wakes++
 		d.assign(now, vm, wake, true)
 		d.active[wake] = true
@@ -361,19 +348,18 @@ func (d *driver) serveMigReq(now time.Duration, mr migReqEntry) {
 	}
 	vm := d.vmByID[vmID]
 	demand := vm.DemandAt(now)
-	ta := d.fa.Ta
+	ta := d.core.Ta
 	if mr.High {
-		ta = d.pcfg.HighMigTaFactor * mr.U
-		if ta > d.fa.Ta {
-			ta = d.fa.Ta
-		}
+		ta = d.core.HighMigTa(mr.U)
 	}
 	if accepts := d.round(now, ta, demand, src); len(accepts) > 0 {
 		d.migrate(now, vmID, src, accepts[d.mgr.Intn(len(accepts))], mr.High)
 		return
 	}
 	if mr.High {
-		if wake := d.pickWake(demand, ta); wake >= 0 {
+		sleeping, specs := d.hibernated()
+		if i := d.core.Wake(d.mgr, specs, demand, 0, ta); i >= 0 {
+			wake := sleeping[i]
 			d.stats.Wakes++
 			d.send(d.cfg.Owner(wake), kindWake, wakeMsg{Server: wake, NowNS: int64(now)}, d.pcfg.AssignSize)
 			ack := <-d.wokenCh
@@ -388,19 +374,18 @@ func (d *driver) serveMigReq(now time.Duration, mr migReqEntry) {
 	d.stats.MigrationsAborted++
 }
 
-// pickWake selects a hibernated server that fits the demand under ta
-// (uniformly), or -1.
-func (d *driver) pickWake(demand, ta float64) int {
-	var fitting []int
+// hibernated lists the mirror-hibernated servers by global ID, with their
+// specs for the core's wake choice.
+func (d *driver) hibernated() ([]int, []dc.Spec) {
+	var ids []int
+	var specs []dc.Spec
 	for id, on := range d.active {
-		if !on && demand <= ta*d.capMHz {
-			fitting = append(fitting, id)
+		if !on {
+			ids = append(ids, id)
+			specs = append(specs, d.spec)
 		}
 	}
-	if len(fitting) == 0 {
-		return -1
-	}
-	return fitting[d.mgr.Intn(len(fitting))]
+	return ids, specs
 }
 
 // migrate runs the three-phase live migration: MIGRATE to the source shard,

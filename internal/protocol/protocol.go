@@ -122,10 +122,11 @@ type Config struct {
 
 	// Workers shards the migration scan's per-server decision phase (demand
 	// read + Bernoulli trial on the server's private stream) across an
-	// internal/par pool (0 = sequential). The hibernations and MIGREQ sends
-	// those decisions trigger are applied afterwards in server-index order,
-	// so message traffic — and therefore every downstream draw and event —
-	// is bit-identical to the sequential scan at every worker count.
+	// internal/par pool (0 = no pool: the same two phases run inline). The
+	// hibernations and MIGREQ sends those decisions trigger are applied
+	// afterwards in server-index order, so message traffic — and therefore
+	// every downstream draw and event — is bit-identical at every worker
+	// count.
 	Workers int
 
 	// Obs, when set, receives protocol telemetry: placements, wake-ups,
@@ -198,6 +199,17 @@ func (c Config) Validate() error {
 		}
 	}
 	return nil
+}
+
+// Core returns the ecoCloud decision functions for this configuration: the
+// accept trial, scan decision, migration-VM pick, Ta' and wake choice every
+// protocol server and the manager decide by.
+func (c Config) Core() (ecocloud.Core, error) {
+	return ecocloud.NewCore(ecocloud.Config{
+		Ta: c.Ta, P: c.P, Grace: c.Grace,
+		Tl: c.Tl, Th: c.Th, Alpha: c.Alpha, Beta: c.Beta,
+		HighMigTaFactor: c.HighMigTaFactor,
+	})
 }
 
 // Stats aggregates what the scalability experiment reports.
@@ -299,8 +311,8 @@ func serverNode(id int) netsim.NodeID { return netsim.NodeID(id + 1) }
 
 // Cluster wires the manager, the servers, the network and the data center.
 type Cluster struct {
-	cfg Config
-	fa  ecocloud.AssignProbFunc
+	cfg  Config
+	core ecocloud.Core
 
 	eng *sim.Engine
 	// net is the message fabric every send goes through. nsim is non-nil
@@ -336,29 +348,21 @@ type Cluster struct {
 	gate     WakeGate
 	onPlaced func(vmID int, now time.Duration)
 
-	// pool shards the migration scan's decision phase when cfg.Workers > 0;
-	// scan is its per-tick decision buffer, index-parallel to dc.Servers.
+	// pool shards the migration scan's decision phase when cfg.Workers > 0
+	// (nil runs it inline); scan is its per-tick decision buffer,
+	// index-parallel to dc.Servers.
 	pool *par.Pool
 	scan []scanDecision
 
 	Stats Stats
 }
 
-// scanDecision is one server's outcome of the migration scan's parallel
-// decision phase; the apply phase folds these in server-index order.
+// scanDecision is one server's outcome of the migration scan's decision
+// phase; the apply phase folds these in server-index order.
 type scanDecision struct {
-	act scanAction
+	act ecocloud.ScanAction
 	u   float64
 }
-
-type scanAction uint8
-
-const (
-	scanNone scanAction = iota
-	scanHibernate
-	scanLow
-	scanHigh
-)
 
 // pendingWake is the manager's book entry for one in-flight wake: how much
 // demand has been promised to the server and by how many assignments.
@@ -416,13 +420,13 @@ func NewOnTransport(cfg Config, specs []dc.Spec, seed uint64, tr Transport) (*Cl
 // newOn is the shared constructor body: wire the manager, the servers, the
 // fabric and the data center together.
 func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr Transport) (*Cluster, error) {
-	fa, err := ecocloud.NewAssignProb(cfg.Ta, cfg.P)
+	core, err := cfg.Core()
 	if err != nil {
 		return nil, err
 	}
 	c := &Cluster{
 		cfg:          cfg,
-		fa:           fa,
+		core:         core,
 		eng:          eng,
 		net:          tr,
 		dc:           dc.New(specs),
@@ -439,9 +443,9 @@ func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr 
 		s := s
 		c.net.Register(serverNode(s.ID), func(m netsim.Message) { c.onServerMessage(s, m) })
 	}
+	c.scan = make([]scanDecision, len(c.dc.Servers))
 	if cfg.Workers > 0 {
 		c.pool = par.New(cfg.Workers)
-		c.scan = make([]scanDecision, len(c.dc.Servers))
 		// Pre-derive every server's private stream: the streams are keyed by
 		// label and ID (creation order never matters), and populating the map
 		// up front means the parallel scan phase only ever reads it.
@@ -500,7 +504,7 @@ func (c *Cluster) PlaceVM(vm *trace.VM) {
 	if c.cfg.AssignRetry > 0 {
 		c.eng.After(c.cfg.AssignRetry, "assign-retry", func(*sim.Engine) { c.retryPlace(vm) })
 	}
-	opened := c.openRound(c.fa.Ta, vm.DemandAt(now), -1, func(r *round) {
+	opened := c.openRound(c.core.Ta, vm.DemandAt(now), -1, func(r *round) {
 		if len(r.accepts) > 0 {
 			id := r.accepts[c.mgr.Intn(len(r.accepts))]
 			c.net.Send(netsim.Message{
@@ -618,7 +622,8 @@ func (c *Cluster) onServerMessage(s *dc.Server, m netsim.Message) {
 			return // crashed after the invitation went out: dead servers are silent
 		}
 		req := m.Payload.(inviteReq)
-		accept := c.serverAccepts(s, now, req.demand, req.ta)
+		inv := ecocloud.Invitee{U: s.UtilizationAt(now), CapMHz: s.CapacityMHz(), Grace: c.core.InGrace(now, s.ActivatedAt())}
+		accept := c.core.Accept(func() *rng.Source { return c.serverSrc(s.ID) }, req.ta, req.demand, 0, inv)
 		if accept || !c.cfg.SilentReject {
 			c.net.Send(netsim.Message{
 				From: serverNode(s.ID), To: managerNode, Kind: "reply",
@@ -728,29 +733,6 @@ func (c *Cluster) onServerMessage(s *dc.Server, m netsim.Message) {
 	}
 }
 
-// serverAccepts runs the local availability decision: feasibility under the
-// round's effective threshold, the grace-period rule, then the Bernoulli
-// trial on fa(u) with that threshold.
-func (c *Cluster) serverAccepts(s *dc.Server, now time.Duration, demand, ta float64) bool {
-	u := s.UtilizationAt(now)
-	if u+demand/s.CapacityMHz() > ta {
-		return false
-	}
-	if now-s.ActivatedAt() < c.cfg.Grace {
-		return true
-	}
-	fa := c.fa
-	//ecolint:allow float-eq — Ta is copied verbatim from the config, so exact inequality means a real override
-	if ta != c.fa.Ta {
-		tightened, err := c.fa.WithThreshold(ta)
-		if err != nil {
-			return false
-		}
-		fa = tightened
-	}
-	return c.serverSrc(s.ID).Bernoulli(fa.Eval(u))
-}
-
 // onManagerMessage handles reply and migreq messages at the manager.
 func (c *Cluster) onManagerMessage(m netsim.Message) {
 	switch m.Kind {
@@ -799,8 +781,8 @@ func (c *Cluster) closeRound(r *round) {
 func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 	now := c.eng.Now()
 	demand := vm.DemandAt(now)
-	var fitting, reusable, pending []*dc.Server
-	var largest *dc.Server
+	var fresh, reusable, pending []*dc.Server
+	var freshSpecs []dc.Spec
 	for _, s := range c.dc.Servers {
 		if s.State() != dc.Hibernated {
 			delete(c.pendingWakes, s.ID) // lazy cleanup of stale entries
@@ -808,31 +790,26 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 		}
 		if pw, ok := c.pendingWakes[s.ID]; ok {
 			pending = append(pending, s)
-			if pw.reserved+demand <= c.fa.Ta*s.CapacityMHz() {
+			if pw.reserved+demand <= c.core.Ta*s.CapacityMHz() {
 				reusable = append(reusable, s)
 			}
 			continue
 		}
-		if largest == nil || s.CapacityMHz() > largest.CapacityMHz() {
-			largest = s
-		}
-		if demand <= c.fa.Ta*s.CapacityMHz() {
-			fitting = append(fitting, s)
-		}
+		fresh = append(fresh, s)
+		freshSpecs = append(freshSpecs, s.Spec)
 	}
 	var wake *dc.Server
-	fresh := false
-	switch {
-	case len(fitting) > 0:
+	isFresh := false
+	if i := c.core.Wake(c.mgr, freshSpecs, demand, 0, c.core.Ta); i >= 0 {
 		// A fresh server that fits under Ta.
-		wake, fresh = fitting[c.mgr.Intn(len(fitting))], true
-	case len(reusable) > 0:
+		wake, isFresh = fresh[i], true
+	} else if len(reusable) > 0 {
 		// No fresh fit, but an in-flight wake has reserved room to spare.
 		wake = reusable[c.mgr.Intn(len(reusable))]
-	case largest != nil:
+	} else if i := ecocloud.Largest(freshSpecs); i >= 0 {
 		// Nothing fits anywhere: the largest fresh server limits the damage.
-		wake, fresh = largest, true
-	case len(pending) > 0:
+		wake, isFresh = fresh[i], true
+	} else if len(pending) > 0 {
 		// Only pending wakes remain: overcommit one rather than piling onto
 		// an already-running server — the machine is coming up empty anyway.
 		wake = pending[c.mgr.Intn(len(pending))]
@@ -840,20 +817,7 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 		c.cfg.Obs.Count("protocol.saturations", 1)
 	}
 	if wake != nil {
-		pw := c.pendingWakes[wake.ID]
-		if pw == nil {
-			pw = &pendingWake{}
-			c.pendingWakes[wake.ID] = pw
-		}
-		pw.reserved += demand
-		pw.count++
-		if fresh {
-			c.Stats.Wakes++
-			c.cfg.Obs.Count("protocol.wakeups", 1)
-		} else {
-			c.Stats.WakeReuses++
-			c.cfg.Obs.Count("protocol.wake_reuses", 1)
-		}
+		c.reserveWake(wake.ID, demand, isFresh)
 		c.net.Send(netsim.Message{
 			From: managerNode, To: serverNode(wake.ID), Kind: "assign",
 			Payload: assignReq{vm: vm, wake: true, start: start}, Size: c.cfg.AssignSize,
@@ -863,23 +827,33 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 	// Total saturation: degrade onto the least-utilized active server.
 	c.Stats.Saturations++
 	c.cfg.Obs.Count("protocol.saturations", 1)
-	var best *dc.Server
-	bestU := 0.0
-	for _, s := range c.dc.Servers {
-		if s.State() != dc.Active {
-			continue
-		}
-		if u := s.UtilizationAt(now); best == nil || u < bestU {
-			best, bestU = s, u
-		}
-	}
-	if best == nil {
+	best, _ := ecocloud.LeastUtilized(c.dc.Servers, now)
+	if best < 0 {
 		panic(fmt.Sprintf("protocol: no server at all for VM %d", vm.ID))
 	}
 	c.net.Send(netsim.Message{
-		From: managerNode, To: serverNode(best.ID), Kind: "assign",
+		From: managerNode, To: serverNode(best), Kind: "assign",
 		Payload: assignReq{vm: vm, start: start}, Size: c.cfg.AssignSize,
 	})
+}
+
+// reserveWake books demand against a wake of server id — a fresh one
+// (counted in Wakes) or one already in flight (counted in WakeReuses).
+func (c *Cluster) reserveWake(id int, demand float64, fresh bool) {
+	pw := c.pendingWakes[id]
+	if pw == nil {
+		pw = &pendingWake{}
+		c.pendingWakes[id] = pw
+	}
+	pw.reserved += demand
+	pw.count++
+	if fresh {
+		c.Stats.Wakes++
+		c.cfg.Obs.Count("protocol.wakeups", 1)
+	} else {
+		c.Stats.WakeReuses++
+		c.cfg.Obs.Count("protocol.wake_reuses", 1)
+	}
 }
 
 // finishAssign runs an assignment once its server is up — immediately in
@@ -966,88 +940,48 @@ func (c *Cluster) StartMigrationScan() {
 		panic("protocol: StartMigrationScan without EnableMigration")
 	}
 	c.eng.Every(c.cfg.ScanInterval, c.cfg.ScanInterval, "migration-scan", func(*sim.Engine) {
-		now := c.eng.Now()
-		if c.pool != nil {
-			c.scanParallel(now)
-			return
-		}
-		for _, s := range c.dc.Servers {
-			if s.State() != dc.Active {
-				continue
-			}
-			if s.NumVMs() == 0 {
-				if now-s.ActivatedAt() >= c.cfg.Grace {
-					if err := c.dc.Hibernate(s); err != nil {
-						panic(fmt.Sprintf("protocol: hibernating server %d: %v", s.ID, err))
-					}
-				}
-				continue
-			}
-			u := s.UtilizationAt(now)
-			src := c.serverSrc(s.ID)
-			switch {
-			case u < c.cfg.Tl && now-s.ActivatedAt() >= c.cfg.Grace:
-				if src.Bernoulli(ecocloud.MigrateLowProb(u, c.cfg.Tl, c.cfg.Alpha)) {
-					c.sendMigReq(s, now, u, "low")
-				}
-			case u > c.cfg.Th:
-				if src.Bernoulli(ecocloud.MigrateHighProb(u, c.cfg.Th, c.cfg.Beta)) {
-					c.sendMigReq(s, now, u, "high")
-				}
-			}
-		}
+		c.scanTick(c.eng.Now())
 	})
 }
 
-// scanParallel is the migration scan split into a fork-join decision phase
-// and a sequential apply phase, bit-identical to the sequential loop above:
+// scanTick is one migration scan, split into a fork-join decision phase and
+// a sequential apply phase. Without a pool (Workers 0) both run inline.
 //
-//   - Phase A (workers): each server reads its own utilization (a per-server
-//     demand-kernel mutation; no server is handed to two workers) and runs
-//     its Bernoulli trial on its private rng stream. A decision depends only
-//     on that server's state, because the actions the sequential loop takes
-//     mid-scan (hibernating s, sending a MIGREQ whose delivery is scheduled
+//   - Phase A (workers): each active server reads its own utilization (a
+//     per-server demand-kernel mutation; no server is handed to two
+//     workers) and runs Core.Scan on its private rng stream. A decision
+//     depends only on that server's state, because the actions a scan takes
+//     (hibernating a server, sending a MIGREQ whose delivery is scheduled
 //     after the tick) never alter another server's utilization or streams.
 //   - Phase B (caller, server-index order): hibernations and MIGREQ sends
-//     fire in exactly the order the sequential scan fires them, so every
-//     per-server stream keeps its trial-then-pick draw order and the network
-//     stream sees sends in the same sequence.
-func (c *Cluster) scanParallel(now time.Duration) {
+//     fire in server-index order, so every per-server stream keeps its
+//     trial-then-pick draw order and the network stream sees sends in the
+//     same sequence at every worker count.
+func (c *Cluster) scanTick(now time.Duration) {
 	par.For(c.pool, len(c.dc.Servers), func(i int) {
 		s := c.dc.Servers[i]
 		d := scanDecision{}
 		if s.State() == dc.Active {
-			if s.NumVMs() == 0 {
-				if now-s.ActivatedAt() >= c.cfg.Grace {
-					d.act = scanHibernate
-				}
-			} else {
-				u := s.UtilizationAt(now)
-				src := c.serverSrc(s.ID) // pre-populated in New: read-only here
-				switch {
-				case u < c.cfg.Tl && now-s.ActivatedAt() >= c.cfg.Grace:
-					if src.Bernoulli(ecocloud.MigrateLowProb(u, c.cfg.Tl, c.cfg.Alpha)) {
-						d = scanDecision{act: scanLow, u: u}
-					}
-				case u > c.cfg.Th:
-					if src.Bernoulli(ecocloud.MigrateHighProb(u, c.cfg.Th, c.cfg.Beta)) {
-						d = scanDecision{act: scanHigh, u: u}
-					}
-				}
+			var src *rng.Source
+			if s.NumVMs() > 0 {
+				// Streams are pre-derived when a pool exists, so parallel
+				// workers only read the map; inline, the first use derives.
+				d.u, src = s.UtilizationAt(now), c.serverSrc(s.ID)
 			}
+			d.act = c.core.Scan(src, s.NumVMs(), d.u, now, s.ActivatedAt(), 0)
 		}
 		c.scan[i] = d
 	})
 	for i, d := range c.scan {
 		s := c.dc.Servers[i]
 		switch d.act {
-		case scanHibernate:
+		case ecocloud.ScanHibernate:
 			if err := c.dc.Hibernate(s); err != nil {
 				panic(fmt.Sprintf("protocol: hibernating server %d: %v", s.ID, err))
 			}
-		case scanLow:
+		case ecocloud.ScanLow:
 			c.sendMigReq(s, now, d.u, "low")
-		case scanHigh:
+		case ecocloud.ScanHigh:
 			c.sendMigReq(s, now, d.u, "high")
 		}
 	}
@@ -1056,38 +990,17 @@ func (c *Cluster) scanParallel(now time.Duration) {
 // sendMigReq picks the VM to move (the §II selection rules) and asks the
 // manager for a destination.
 func (c *Cluster) sendMigReq(s *dc.Server, now time.Duration, u float64, kind string) {
-	vms := s.VMs() // ID-sorted
-	var candidates []*trace.VM
-	for _, vm := range vms {
-		if c.inflight[vm.ID] {
-			continue
+	candidates := s.VMs() // ID-sorted
+	n := 0
+	for _, vm := range candidates {
+		if !c.inflight[vm.ID] {
+			candidates[n] = vm
+			n++
 		}
-		candidates = append(candidates, vm)
 	}
-	if len(candidates) == 0 {
+	vm := c.core.MigrationVM(c.serverSrc(s.ID), candidates[:n], now, u, s.CapacityMHz(), kind == "high")
+	if vm == nil {
 		return
-	}
-	var vm *trace.VM
-	if kind == "high" {
-		need := (u - c.cfg.Th) * s.CapacityMHz()
-		var big []*trace.VM
-		for _, v := range candidates {
-			if v.DemandAt(now) >= need {
-				big = append(big, v)
-			}
-		}
-		if len(big) > 0 {
-			vm = big[c.serverSrc(s.ID).Intn(len(big))]
-		} else {
-			vm = candidates[0]
-			for _, v := range candidates[1:] {
-				if v.DemandAt(now) > vm.DemandAt(now) {
-					vm = v
-				}
-			}
-		}
-	} else {
-		vm = candidates[c.serverSrc(s.ID).Intn(len(candidates))]
 	}
 	c.inflight[vm.ID] = true
 	if c.cfg.MigTimeout > 0 {
@@ -1143,26 +1056,17 @@ func (c *Cluster) onMigReq(req migReq) {
 	}
 	c.pendingMig[req.vmID] = now
 	demand := vm.DemandAt(now)
-	ta := c.fa.Ta
+	ta := c.core.Ta
 	if req.kind == "high" {
-		ta = c.cfg.HighMigTaFactor * req.u
-		if ta > c.fa.Ta {
-			ta = c.fa.Ta
-		}
+		ta = c.core.HighMigTa(req.u)
 	}
 	start := now
 	noAcceptor := func() {
 		if req.kind == "high" {
-			if wake := c.pickWake(demand, ta); wake != nil {
-				c.Stats.Wakes++
-				c.cfg.Obs.Count("protocol.wakeups", 1)
-				c.net.Send(netsim.Message{
-					From: managerNode, To: serverNode(wake.ID), Kind: "wake",
-					Payload: nil, Size: c.cfg.AssignSize,
-				})
+			if wake := c.migrationWake(demand, ta); wake >= 0 {
 				c.net.Send(netsim.Message{
 					From: managerNode, To: serverNode(req.serverID), Kind: "migrate",
-					Payload: migrateOrder{vmID: req.vmID, destID: wake.ID, kind: req.kind, start: start},
+					Payload: migrateOrder{vmID: req.vmID, destID: wake, kind: req.kind, start: start},
 					Size:    c.cfg.AssignSize,
 				})
 				return
@@ -1191,19 +1095,30 @@ func (c *Cluster) onMigReq(req migReq) {
 	}
 }
 
-// pickWake selects a hibernated server that fits the demand under ta
-// (uniformly), or nil.
-func (c *Cluster) pickWake(demand, ta float64) *dc.Server {
-	var fitting []*dc.Server
+// migrationWake wakes a destination for a high migration nobody accepted:
+// the core's wake choice among every hibernated server fitting the demand
+// under ta, or -1 (the migration aborts).
+func (c *Cluster) migrationWake(demand, ta float64) int {
+	var sleeping []*dc.Server
+	var specs []dc.Spec
 	for _, s := range c.dc.Servers {
-		if s.State() == dc.Hibernated && demand <= ta*s.CapacityMHz() {
-			fitting = append(fitting, s)
+		if s.State() == dc.Hibernated {
+			sleeping = append(sleeping, s)
+			specs = append(specs, s.Spec)
 		}
 	}
-	if len(fitting) == 0 {
-		return nil
+	i := c.core.Wake(c.mgr, specs, demand, 0, ta)
+	if i < 0 {
+		return -1
 	}
-	return fitting[c.mgr.Intn(len(fitting))]
+	id := sleeping[i].ID
+	c.Stats.Wakes++
+	c.cfg.Obs.Count("protocol.wakeups", 1)
+	c.net.Send(netsim.Message{
+		From: managerNode, To: serverNode(id), Kind: "wake",
+		Payload: nil, Size: c.cfg.AssignSize,
+	})
+	return id
 }
 
 // findVM returns the hosted VM with the given ID, or nil.
