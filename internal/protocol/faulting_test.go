@@ -49,6 +49,44 @@ func TestDoubleWakeReusesPendingServer(t *testing.T) {
 	}
 }
 
+// TestDoubleWakeHighMigrationRidesPendingWake: a high migration that finds
+// no acceptor and picks a server whose placement wake is still powering on
+// must ride that wake — no second wake frame, no second power-on counted.
+func TestDoubleWakeHighMigrationRidesPendingWake(t *testing.T) {
+	c, err := New(migConfig(), dc.UniformFleet(2, 6, 2000), 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	activateLoaded(t, c, 1, 0)
+	a := c.DC().Servers[0]
+	for id := 1; id <= 2; id++ { // u = 1.0: no room, and overloaded
+		if err := c.DC().Place(constVM(id, 6000), a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setup := c.DC().Activations
+	c.SetWakeGate(&gateScript{delay: 20 * time.Minute})
+	c.StartMigrationScan()
+	// One second before the first scan, a placement starts waking server 1.
+	c.Engine().Schedule(time.Minute-time.Second, "arrival", func(*sim.Engine) { c.PlaceVM(constVM(3, 500)) })
+	c.Engine().Run(time.Hour)
+	if c.Stats.Wakes != 1 || c.Stats.WakeReuses != 1 {
+		t.Fatalf("wakes = %d reuses = %d, want 1/1 (one power-on, counted once)", c.Stats.Wakes, c.Stats.WakeReuses)
+	}
+	if c.Stats.MigrationsHigh == 0 || c.Stats.Placements != 1 {
+		t.Fatalf("stats = %+v, want the migration and the placement both landed", c.Stats)
+	}
+	if got := c.DC().Activations - setup; got != 1 {
+		t.Fatalf("activations = %d, want 1", got)
+	}
+	if len(c.pendingWakes) != 0 {
+		t.Fatalf("pending wakes leaked: %d", len(c.pendingWakes))
+	}
+	if err := c.DC().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestDoubleWakePrefersFreshServer: when a fresh hibernated server fits, the
 // second placement wakes it rather than overcommitting the pending one.
 func TestDoubleWakePrefersFreshServer(t *testing.T) {

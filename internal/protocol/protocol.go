@@ -1097,7 +1097,10 @@ func (c *Cluster) onMigReq(req migReq) {
 
 // migrationWake wakes a destination for a high migration nobody accepted:
 // the core's wake choice among every hibernated server fitting the demand
-// under ta, or -1 (the migration aborts).
+// under ta, or -1 (the migration aborts). A server whose placement wake is
+// still powering on is among the candidates; picked, it is not woken a
+// second time — the migration rides the wake in flight and its demand joins
+// the reservation.
 func (c *Cluster) migrationWake(demand, ta float64) int {
 	var sleeping []*dc.Server
 	var specs []dc.Spec
@@ -1112,6 +1115,10 @@ func (c *Cluster) migrationWake(demand, ta float64) int {
 		return -1
 	}
 	id := sleeping[i].ID
+	if _, pending := c.pendingWakes[id]; pending {
+		c.reserveWake(id, demand, false)
+		return id
+	}
 	c.Stats.Wakes++
 	c.cfg.Obs.Count("protocol.wakeups", 1)
 	c.net.Send(netsim.Message{
