@@ -126,60 +126,48 @@ func (p *Policy) OnControl(env cluster.Env) {
 			continue
 		}
 		u := s.UtilizationAt(env.Now)
-		switch p.core.Scan(p.serverSrc(s.ID), s.NumVMs(), u, env.Now, s.ActivatedAt(), p.lastMig[s.ID]) {
-		case ScanLow:
-			p.migrateLow(env, s, u)
-		case ScanHigh:
-			p.migrateHigh(env, s, u)
+		if act := p.core.Scan(p.serverSrc(s.ID), s.NumVMs(), u, env.Now, s.ActivatedAt(), p.lastMig[s.ID]); act == ScanLow || act == ScanHigh {
+			p.migrate(env, s, u, act == ScanHigh)
 		}
 	}
 }
 
-// migrateLow relocates one VM off an under-utilized server. Low migrations
-// never wake a server: activating one machine to hibernate another is a net
-// loss (§II), so if nobody accepts, the VM stays.
-func (p *Policy) migrateLow(env cluster.Env, s *dc.Server, u float64) {
-	vm := p.core.MigrationVM(p.serverSrc(s.ID), s.VMs(), env.Now, u, s.CapacityMHz(), false)
+// migrate relocates one VM off server s once its scan trial fired
+// (Core.MigrationVM picks which). A low migration never wakes a server:
+// activating one machine to hibernate another is a net loss (§II), so if
+// nobody accepts, the VM stays. A high migration invites under the
+// tightened Ta' (Core.HighMigTa), so the VM provably lands on a less-loaded
+// server (no ping-pong), and may wake a hibernated server: relieving
+// overload justifies the power.
+func (p *Policy) migrate(env cluster.Env, s *dc.Server, u float64, high bool) {
+	vm := p.core.MigrationVM(p.serverSrc(s.ID), s.VMs(), env.Now, u, s.CapacityMHz(), high)
 	if vm == nil {
 		return
 	}
-	dest := p.selectDestination(env, p.core.Ta, s.ID, false, vm.DemandAt(env.Now), vm.RAMMB)
+	ta, kind := p.core.Ta, cluster.MigrationLow
+	if high {
+		ta, kind = p.core.HighMigTa(u), cluster.MigrationHigh
+	}
+	dest := p.selectDestination(env, ta, s.ID, high, vm.DemandAt(env.Now), vm.RAMMB)
 	if dest == nil {
 		return
 	}
 	if err := env.DC.Migrate(vm.ID, dest); err != nil {
-		panic(fmt.Sprintf("ecocloud: low migration of VM %d: %v", vm.ID, err))
+		panic(fmt.Sprintf("ecocloud: %s migration of VM %d: %v", kind, vm.ID, err))
+	}
+	env.Rec.Migration(env.Now, kind)
+	if high {
+		return
 	}
 	// The cooldown clock starts at the successful migration, so a server
 	// that merely failed to find a destination retries at the next scan.
 	p.lastMig[s.ID] = env.Now
-	env.Rec.Migration(env.Now, cluster.MigrationLow)
 	// A server emptied by its last migration hibernates right away.
 	if s.NumVMs() == 0 && !p.inGrace(s, env.Now) {
 		if err := env.DC.Hibernate(s); err != nil {
 			panic(fmt.Sprintf("ecocloud: hibernating drained server %d: %v", s.ID, err))
 		}
 	}
-}
-
-// migrateHigh relocates one VM off an overloaded server (Core.MigrationVM
-// picks which). Destination selection runs with the tightened threshold
-// Ta' (Core.HighMigTa) so the VM provably lands on a less-loaded server (no
-// ping-pong), and may wake a hibernated server: relieving overload
-// justifies the power.
-func (p *Policy) migrateHigh(env cluster.Env, s *dc.Server, u float64) {
-	vm := p.core.MigrationVM(p.serverSrc(s.ID), s.VMs(), env.Now, u, s.CapacityMHz(), true)
-	if vm == nil {
-		return
-	}
-	dest := p.selectDestination(env, p.core.HighMigTa(u), s.ID, true, vm.DemandAt(env.Now), vm.RAMMB)
-	if dest == nil {
-		return
-	}
-	if err := env.DC.Migrate(vm.ID, dest); err != nil {
-		panic(fmt.Sprintf("ecocloud: high migration of VM %d: %v", vm.ID, err))
-	}
-	env.Rec.Migration(env.Now, cluster.MigrationHigh)
 }
 
 // selectDestination runs one invitation round under the acceptance
