@@ -42,7 +42,7 @@ func NewCore(cfg Config) (Core, error) {
 // InGrace reports whether a server activated at activatedAt is inside its
 // post-activation grace period at now (§IV): it then accepts every
 // invitation whose VM fits, and neither hibernates nor asks to be drained.
-func (k Core) InGrace(now, activatedAt time.Duration) bool { return now-activatedAt < k.Grace }
+func (k *Core) InGrace(now, activatedAt time.Duration) bool { return now-activatedAt < k.Grace }
 
 // Invitee is an invited server's local state, as the accept trial reads it.
 type Invitee struct {
@@ -66,7 +66,7 @@ type Invitee struct {
 // The draws come from the server's own stream, which src returns. src is
 // called only when a trial runs, so a caller deriving per-server streams on
 // first use derives exactly the streams it always did.
-func (k Core) Accept(src func() *rng.Source, ta, demandMHz, ramMB float64, s Invitee) bool {
+func (k *Core) Accept(src func() *rng.Source, ta, demandMHz, ramMB float64, s Invitee) bool {
 	if s.U+demandMHz/s.CapMHz > ta {
 		return false
 	}
@@ -119,7 +119,7 @@ const (
 // Th requests a high migration with probability f_h(u). The trial draws on
 // src, the server's own stream; an empty server draws nothing, so src may
 // then be nil.
-func (k Core) Scan(src *rng.Source, numVMs int, u float64, now, activatedAt, lastMig time.Duration) ScanAction {
+func (k *Core) Scan(src *rng.Source, numVMs int, u float64, now, activatedAt, lastMig time.Duration) ScanAction {
 	grace := k.InGrace(now, activatedAt)
 	if numVMs == 0 {
 		if grace {
@@ -150,7 +150,7 @@ func (k Core) Scan(src *rng.Source, numVMs int, u float64, now, activatedAt, las
 // demand alone brings the server, at utilization u and capacity capMHz,
 // back under Th — and the largest when none does (later trials migrate
 // more). Draws on src, the server's stream; nil when vms is empty.
-func (k Core) MigrationVM(src *rng.Source, vms []*trace.VM, now time.Duration, u, capMHz float64, high bool) *trace.VM {
+func (k *Core) MigrationVM(src *rng.Source, vms []*trace.VM, now time.Duration, u, capMHz float64, high bool) *trace.VM {
 	if len(vms) == 0 {
 		return nil
 	}
@@ -158,7 +158,7 @@ func (k Core) MigrationVM(src *rng.Source, vms []*trace.VM, now time.Duration, u
 		return vms[src.Intn(len(vms))]
 	}
 	need := (u - k.Th) * capMHz
-	if i := pickFit(src, vms, func(v *trace.VM) bool { return v.DemandAt(now) >= need }); i >= 0 {
+	if i := pickFit(src, len(vms), func(i int) bool { return vms[i].DemandAt(now) >= need }); i >= 0 {
 		return vms[i]
 	}
 	largest := vms[0]
@@ -173,7 +173,7 @@ func (k Core) MigrationVM(src *rng.Source, vms []*trace.VM, now time.Duration, u
 // HighMigTa is the tightened acceptance threshold of a high migration off a
 // server at utilization u: Ta' = min(HighMigTaFactor·u, Ta). Any acceptor
 // ends up less loaded than the source was, so the VM cannot ping-pong.
-func (k Core) HighMigTa(u float64) float64 {
+func (k *Core) HighMigTa(u float64) float64 {
 	ta := k.HighMigTaFactor * u
 	if ta > k.Ta {
 		ta = k.Ta
@@ -182,26 +182,27 @@ func (k Core) HighMigTa(u float64) float64 {
 }
 
 // Wake is the manager's wake choice once a round found no acceptor (§II:
-// the manager wakes up an inactive server): uniformly on mgr among the
-// hibernated candidates, given by their specs, that fit a VM of demandMHz
-// under the round's threshold ta (demand <= ta·capacity) and, with the §V
-// extension on, its ramMB under RAM.Ta. It returns the chosen index, or -1,
-// drawing nothing, when no candidate fits.
-func (k Core) Wake(mgr *rng.Source, cands []dc.Spec, demandMHz, ramMB, ta float64) int {
-	return pickFit(mgr, cands, func(sp dc.Spec) bool {
+// the manager wakes up an inactive server): uniformly on mgr among the n
+// hibernated candidates — candidate i has spec(i) — that fit a VM of
+// demandMHz under the round's threshold ta (demand <= ta·capacity) and,
+// with the §V extension on, its ramMB under RAM.Ta. It returns the chosen
+// index, or -1, drawing nothing, when no candidate fits.
+func (k *Core) Wake(mgr *rng.Source, n int, spec func(i int) dc.Spec, demandMHz, ramMB, ta float64) int {
+	return pickFit(mgr, n, func(i int) bool {
+		sp := spec(i)
 		fitsRAM := k.RAM == nil || sp.RAMMB <= 0 || ramMB <= k.RAM.Ta*sp.RAMMB
 		return demandMHz <= ta*sp.CapacityMHz() && fitsRAM
 	})
 }
 
 // Largest returns the index of the candidate with the most CPU capacity
-// (the first on ties), or -1 when there is none: the wake of last resort
+// among n (the first on ties), or -1 when n is 0: the wake of last resort
 // for a VM that fits no hibernated server.
-func Largest(cands []dc.Spec) int {
-	best := -1
-	for i, sp := range cands {
-		if best < 0 || sp.CapacityMHz() > cands[best].CapacityMHz() {
-			best = i
+func Largest(n int, spec func(i int) dc.Spec) int {
+	best, bestMHz := -1, 0.0
+	for i := 0; i < n; i++ {
+		if c := spec(i).CapacityMHz(); best < 0 || c > bestMHz {
+			best, bestMHz = i, c
 		}
 	}
 	return best
@@ -224,22 +225,22 @@ func LeastUtilized(servers []*dc.Server, now time.Duration) (int, float64) {
 	return best, bestU
 }
 
-// pickFit draws uniformly on src among the elements of xs that satisfy fit
+// pickFit draws uniformly on src among the indices i < n that satisfy fit
 // — one Intn over their count, as if they had been collected first — and
-// returns the chosen index, or -1, drawing nothing, when none does.
-func pickFit[T any](src *rng.Source, xs []T, fit func(T) bool) int {
-	n := 0
-	for _, x := range xs {
-		if fit(x) {
-			n++
+// returns the chosen one, or -1, drawing nothing, when none does.
+func pickFit(src *rng.Source, n int, fit func(i int) bool) int {
+	count := 0
+	for i := 0; i < n; i++ {
+		if fit(i) {
+			count++
 		}
 	}
-	if n == 0 {
+	if count == 0 {
 		return -1
 	}
-	pick := src.Intn(n)
-	for i, x := range xs {
-		if !fit(x) {
+	pick := src.Intn(count)
+	for i := 0; i < n; i++ {
+		if !fit(i) {
 			continue
 		}
 		if pick == 0 {
@@ -247,5 +248,5 @@ func pickFit[T any](src *rng.Source, xs []T, fit func(T) bool) int {
 		}
 		pick--
 	}
-	return -1 // unreachable: pick < n
+	return -1 // unreachable: pick < count
 }

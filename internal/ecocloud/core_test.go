@@ -157,23 +157,24 @@ func TestCoreHighMigTa(t *testing.T) {
 func TestCoreWakeAndLargest(t *testing.T) {
 	k := mustCore(t, DefaultConfig())
 	specs := []dc.Spec{{Cores: 4, CoreMHz: 2000}, {Cores: 8, CoreMHz: 2000}, {Cores: 6, CoreMHz: 2000}, {Cores: 8, CoreMHz: 2000}}
+	spec := func(i int) dc.Spec { return specs[i] }
 	// 11,000 MHz fits only the 8-core servers (14,400 MHz under Ta = 0.9).
 	fitting := []int{1, 3}
 	for seed := uint64(1); seed <= 20; seed++ {
-		got := k.Wake(rng.New(seed), specs, 11_000, 0, k.Ta)
+		got := k.Wake(rng.New(seed), len(specs), spec, 11_000, 0, k.Ta)
 		if want := fitting[rng.New(seed).Intn(len(fitting))]; got != want {
 			t.Fatalf("seed %d: woke %d, want %d", seed, got, want)
 		}
 	}
 	src := rng.New(5)
-	if got := k.Wake(src, specs, 20_000, 0, k.Ta); got != -1 {
+	if got := k.Wake(src, len(specs), spec, 20_000, 0, k.Ta); got != -1 {
 		t.Fatalf("woke %d for a VM no server fits", got)
 	}
 	untouched(t, src, 5)
-	if got := Largest(specs); got != 1 {
+	if got := Largest(len(specs), spec); got != 1 {
 		t.Fatalf("Largest = %d, want the first 8-core server (1)", got)
 	}
-	if got := Largest(nil); got != -1 {
+	if got := Largest(0, spec); got != -1 {
 		t.Fatalf("Largest(nil) = %d", got)
 	}
 	// With the memory extension on, the VM's footprint must fit too.
@@ -182,7 +183,8 @@ func TestCoreWakeAndLargest(t *testing.T) {
 	km := mustCore(t, cfg)
 	ramSpecs := dc.WithRAM(specs, 1024) // 4-8 GiB
 	for seed := uint64(1); seed <= 20; seed++ {
-		if got := km.Wake(rng.New(seed), ramSpecs, 1_000, 7_000, km.Ta); got != 1 && got != 3 {
+		got := km.Wake(rng.New(seed), len(ramSpecs), func(i int) dc.Spec { return ramSpecs[i] }, 1_000, 7_000, km.Ta)
+		if got != 1 && got != 3 {
 			t.Fatalf("seed %d: woke %d, whose memory cannot hold 7,000 MiB", seed, got)
 		}
 	}
@@ -217,15 +219,15 @@ func TestLeastUtilized(t *testing.T) {
 func TestPickFitMatchesCollectThenDraw(t *testing.T) {
 	xs := []int{3, 8, 1, 9, 4, 7, 2, 6}
 	for _, min := range []int{0, 4, 7, 10} {
-		fit := func(x int) bool { return x >= min }
+		fit := func(i int) bool { return xs[i] >= min }
 		var collected []int
-		for i, x := range xs {
-			if fit(x) {
+		for i := range xs {
+			if fit(i) {
 				collected = append(collected, i)
 			}
 		}
 		for seed := uint64(1); seed <= 20; seed++ {
-			got := pickFit(rng.New(seed), xs, fit)
+			got := pickFit(rng.New(seed), len(xs), fit)
 			want := -1
 			if len(collected) > 0 {
 				want = collected[rng.New(seed).Intn(len(collected))]

@@ -239,16 +239,15 @@ func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, all
 	// Wake a hibernated server that can actually fit the VM; if the VM is
 	// too big for every sleeping machine, wake the largest one and degrade.
 	var sleeping []*dc.Server
-	var specs []dc.Spec
 	for _, s := range env.DC.Servers {
 		if s.State() == dc.Hibernated {
 			sleeping = append(sleeping, s)
-			specs = append(specs, s.Spec)
 		}
 	}
-	i := p.core.Wake(p.mgr, specs, demandMHz, ramMB, ta)
+	spec := func(i int) dc.Spec { return sleeping[i].Spec }
+	i := p.core.Wake(p.mgr, len(sleeping), spec, demandMHz, ramMB, ta)
 	if i < 0 {
-		i = Largest(specs)
+		i = Largest(len(sleeping), spec)
 	}
 	if i < 0 {
 		return nil

@@ -251,10 +251,10 @@ func (d *driver) assign(now time.Duration, vm *trace.VM, server int, wake bool) 
 // decides — WakeReuses is structurally zero here (see DESIGN.md). The fleet
 // is uniform, so "largest hibernated" degenerates to the lowest ID.
 func (d *driver) wakeAssign(now time.Duration, vm *trace.VM, demand float64) {
-	sleeping, specs := d.hibernated()
-	i := d.core.Wake(d.mgr, specs, demand, 0, d.core.Ta)
+	sleeping := d.hibernated()
+	i := d.core.Wake(d.mgr, len(sleeping), d.specOf, demand, 0, d.core.Ta)
 	if i < 0 {
-		i = ecocloud.Largest(specs)
+		i = ecocloud.Largest(len(sleeping), d.specOf)
 	}
 	if i >= 0 {
 		wake := sleeping[i]
@@ -357,8 +357,8 @@ func (d *driver) serveMigReq(now time.Duration, mr migReqEntry) {
 		return
 	}
 	if mr.High {
-		sleeping, specs := d.hibernated()
-		if i := d.core.Wake(d.mgr, specs, demand, 0, ta); i >= 0 {
+		sleeping := d.hibernated()
+		if i := d.core.Wake(d.mgr, len(sleeping), d.specOf, demand, 0, ta); i >= 0 {
 			wake := sleeping[i]
 			d.stats.Wakes++
 			d.send(d.cfg.Owner(wake), kindWake, wakeMsg{Server: wake, NowNS: int64(now)}, d.pcfg.AssignSize)
@@ -374,19 +374,20 @@ func (d *driver) serveMigReq(now time.Duration, mr migReqEntry) {
 	d.stats.MigrationsAborted++
 }
 
-// hibernated lists the mirror-hibernated servers by global ID, with their
-// specs for the core's wake choice.
-func (d *driver) hibernated() ([]int, []dc.Spec) {
+// hibernated lists the mirror-hibernated servers by global ID.
+func (d *driver) hibernated() []int {
 	var ids []int
-	var specs []dc.Spec
 	for id, on := range d.active {
 		if !on {
 			ids = append(ids, id)
-			specs = append(specs, d.spec)
 		}
 	}
-	return ids, specs
+	return ids
 }
+
+// specOf is every candidate's spec in the core's wake choice: the fleet is
+// uniform.
+func (d *driver) specOf(int) dc.Spec { return d.spec }
 
 // migrate runs the three-phase live migration: MIGRATE to the source shard,
 // which ships a TRANSFER to the destination shard, which acks MIGRATED to

@@ -782,7 +782,6 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 	now := c.eng.Now()
 	demand := vm.DemandAt(now)
 	var fresh, reusable, pending []*dc.Server
-	var freshSpecs []dc.Spec
 	for _, s := range c.dc.Servers {
 		if s.State() != dc.Hibernated {
 			delete(c.pendingWakes, s.ID) // lazy cleanup of stale entries
@@ -796,17 +795,17 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 			continue
 		}
 		fresh = append(fresh, s)
-		freshSpecs = append(freshSpecs, s.Spec)
 	}
+	spec := func(i int) dc.Spec { return fresh[i].Spec }
 	var wake *dc.Server
 	isFresh := false
-	if i := c.core.Wake(c.mgr, freshSpecs, demand, 0, c.core.Ta); i >= 0 {
+	if i := c.core.Wake(c.mgr, len(fresh), spec, demand, 0, c.core.Ta); i >= 0 {
 		// A fresh server that fits under Ta.
 		wake, isFresh = fresh[i], true
 	} else if len(reusable) > 0 {
 		// No fresh fit, but an in-flight wake has reserved room to spare.
 		wake = reusable[c.mgr.Intn(len(reusable))]
-	} else if i := ecocloud.Largest(freshSpecs); i >= 0 {
+	} else if i := ecocloud.Largest(len(fresh), spec); i >= 0 {
 		// Nothing fits anywhere: the largest fresh server limits the damage.
 		wake, isFresh = fresh[i], true
 	} else if len(pending) > 0 {
@@ -1103,14 +1102,12 @@ func (c *Cluster) onMigReq(req migReq) {
 // the reservation.
 func (c *Cluster) migrationWake(demand, ta float64) int {
 	var sleeping []*dc.Server
-	var specs []dc.Spec
 	for _, s := range c.dc.Servers {
 		if s.State() == dc.Hibernated {
 			sleeping = append(sleeping, s)
-			specs = append(specs, s.Spec)
 		}
 	}
-	i := c.core.Wake(c.mgr, specs, demand, 0, ta)
+	i := c.core.Wake(c.mgr, len(sleeping), func(i int) dc.Spec { return sleeping[i].Spec }, demand, 0, ta)
 	if i < 0 {
 		return -1
 	}
