@@ -166,11 +166,13 @@ func (d *driver) send(to int, kind string, payload any, size int) {
 	})
 }
 
-// broadcast sends one frame per node, node 0 (loopback) included.
+// broadcast sends one frame per node, node 0 (loopback) last: this
+// process's agent reads the transport counters when it handles done, and
+// only then is every remote frame of the broadcast already counted.
 func (d *driver) broadcast(kind string, payload any, size int) {
 	tos := make([]netsim.NodeID, d.n)
 	for i := range tos {
-		tos[i] = netsim.NodeID(i)
+		tos[i] = netsim.NodeID((i + 1) % d.n)
 	}
 	d.tr.Broadcast(netsim.NodeID(driverNode), tos, kind, payload, size)
 }
