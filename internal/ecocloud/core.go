@@ -64,8 +64,9 @@ type Invitee struct {
 // draws once, on the resource closer to its threshold.
 //
 // The draws come from the server's own stream, which src returns. src is
-// called only when a trial runs, so a caller deriving per-server streams on
-// first use derives exactly the streams it always did.
+// called only when a trial runs, so a caller that derives per-server
+// streams on first use derives only those its trials draw from — the set a
+// checkpoint captures.
 func (k *Core) Accept(src func() *rng.Source, ta, demandMHz, ramMB float64, s Invitee) bool {
 	if s.U+demandMHz/s.CapMHz > ta {
 		return false

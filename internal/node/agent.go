@@ -283,7 +283,7 @@ func (a *agent) onScan(m scanMsg) {
 		}
 		globalID := a.span.Lo + i
 		u := 0.0
-		if s.NumVMs() > 0 {
+		if s.NumVMs() > 0 { // an empty server decides on grace alone
 			u = s.UtilizationAt(now)
 		}
 		switch act := a.core.Scan(a.srcs[i], s.NumVMs(), u, now, s.ActivatedAt(), 0); act {
