@@ -110,6 +110,13 @@ type Network struct {
 	src      *rng.Source
 	handlers map[NodeID]Handler
 
+	// free lists the deliveries that have fired, ready for reuse, and
+	// eventNames holds the engine event name "netsim:<kind>" per message
+	// kind. Together they keep scheduling a delivery from allocating once
+	// the network has warmed up.
+	free       *delivery
+	eventNames map[string]string
+
 	// Counters for the scalability experiments.
 	Sent  int
 	Bytes int64
@@ -134,7 +141,11 @@ func New(eng *sim.Engine, lat LatencyModel, src *rng.Source) *Network {
 	if eng == nil || src == nil {
 		panic("netsim: nil engine or rng source")
 	}
-	return &Network{eng: eng, lat: lat, src: src, handlers: make(map[NodeID]Handler)}
+	return &Network{
+		eng: eng, lat: lat, src: src,
+		handlers:   make(map[NodeID]Handler),
+		eventNames: make(map[string]string),
+	}
 }
 
 // RNG exposes the network's jitter stream so checkpointing layers can
@@ -197,11 +208,43 @@ func (n *Network) deliver(msg Message) {
 // schedule queues one physical delivery after its own latency draw.
 func (n *Network) schedule(msg Message) {
 	d := n.lat.delay(msg.Size, n.src)
-	n.eng.After(d, "netsim:"+msg.Kind, func(*sim.Engine) {
-		h, ok := n.handlers[msg.To]
-		if !ok {
-			panic(fmt.Sprintf("netsim: message %q to unregistered node %d", msg.Kind, msg.To))
-		}
-		h(msg)
-	})
+	dl := n.free
+	if dl == nil {
+		dl = &delivery{net: n}
+		dl.fire = dl.deliver
+	} else {
+		n.free = dl.next
+		dl.next = nil
+	}
+	dl.msg = msg
+	name, ok := n.eventNames[msg.Kind]
+	if !ok {
+		name = "netsim:" + msg.Kind
+		n.eventNames[msg.Kind] = name
+	}
+	n.eng.After(d, name, dl.fire)
+}
+
+// delivery is one message in flight. Deliveries are recycled through the
+// network's free list, and fire, the engine handler, is bound once when a
+// delivery is created, so scheduling a delivery allocates nothing.
+type delivery struct {
+	net  *Network
+	msg  Message
+	fire sim.Handler // deliver, bound to this delivery
+	next *delivery   // free-list link
+}
+
+// deliver hands the message to its node's handler. It copies the message
+// out and frees the delivery first, so the handler may send (and so reuse
+// this delivery) freely.
+func (d *delivery) deliver(*sim.Engine) {
+	n, msg := d.net, d.msg
+	d.msg = Message{} // the free list keeps no payload alive
+	d.next, n.free = n.free, d
+	h, ok := n.handlers[msg.To]
+	if !ok {
+		panic(fmt.Sprintf("netsim: message %q to unregistered node %d", msg.Kind, msg.To))
+	}
+	h(msg)
 }

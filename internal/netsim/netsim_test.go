@@ -294,3 +294,66 @@ func TestImpairmentsValidateRejectsNegative(t *testing.T) {
 		t.Fatal("positive DupProb reports disabled")
 	}
 }
+
+// TestDeliveryZeroAlloc pins the delivery path's zero-allocation property:
+// after one warm-up delivery, a Send and an 8-node Broadcast of a pre-boxed
+// payload to registered handlers allocate nothing, from the send through the
+// engine queue to the handler call.
+func TestDeliveryZeroAlloc(t *testing.T) {
+	eng := sim.New()
+	net := New(eng, DefaultLatency(), rng.New(1))
+	delivered := 0
+	tos := make([]NodeID, 8)
+	for i := range tos {
+		tos[i] = NodeID(i + 1)
+		net.Register(tos[i], func(Message) { delivered++ })
+	}
+	var payload any = struct{ round, server int }{7, 3}
+	send := func() {
+		net.Send(Message{From: 0, To: 1, Kind: "assign", Payload: payload, Size: 256})
+		eng.Run(0)
+	}
+	broadcast := func() {
+		net.Broadcast(0, tos, "invite", payload, 64)
+		eng.Run(0)
+	}
+	send()
+	broadcast()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("Send + delivery allocates %v per message, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, broadcast); allocs != 0 {
+		t.Errorf("8-node Broadcast + delivery allocates %v per broadcast, want 0", allocs)
+	}
+	// The warm-up pair, then AllocsPerRun's own warm-up run plus 100 of each.
+	if want := 1 + 8 + 101*(1+8); delivered != want {
+		t.Fatalf("delivered %d messages, want %d", delivered, want)
+	}
+}
+
+// BenchmarkSendDeliver measures one request/reply round trip between two
+// registered nodes in steady state: two sends, two latency draws and two
+// deliveries through the engine per op.
+func BenchmarkSendDeliver(b *testing.B) {
+	eng := sim.New()
+	net := New(eng, DefaultLatency(), rng.New(1))
+	left := 0
+	net.Register(1, func(m Message) {
+		net.Send(Message{From: 1, To: 0, Kind: "reply", Payload: m.Payload, Size: 48})
+	})
+	net.Register(0, func(m Message) {
+		if left > 0 {
+			left--
+			net.Send(Message{From: 0, To: 1, Kind: "request", Payload: m.Payload, Size: 64})
+		}
+	})
+	var payload any = struct{ round, server int }{7, 3}
+	b.ReportAllocs()
+	b.ResetTimer()
+	left = b.N - 1
+	net.Send(Message{From: 0, To: 1, Kind: "request", Payload: payload, Size: 64})
+	eng.Run(0)
+	if net.Sent != 2*b.N {
+		b.Fatalf("sent %d messages for %d round trips", net.Sent, b.N)
+	}
+}

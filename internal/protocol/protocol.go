@@ -300,7 +300,7 @@ type round struct {
 	expected int
 	replies  int
 	accepts  []int
-	seen     map[int]bool // replied server IDs, so duplicated replies count once
+	seen     []uint64 // bitset of replied server IDs, so duplicated replies count once
 	closed   bool
 	decide   func(*round)
 }
@@ -330,6 +330,11 @@ type Cluster struct {
 	rounds    map[int]*round
 	nextRound int
 	nextGroup int
+	// active and invitees are inviteTargets' scratch, reused every round:
+	// the active servers, and the node IDs the round's invitation goes to
+	// (Broadcast does not keep them).
+	active   []*dc.Server
+	invitees []netsim.NodeID
 
 	// inflight marks VMs with a migration in progress so the periodic scan
 	// never double-migrates them.
@@ -542,26 +547,16 @@ func (c *Cluster) retryPlace(vm *trace.VM) {
 // invited at all.
 func (c *Cluster) openRound(ta, demand float64, excludeID int, decide func(*round)) bool {
 	now := c.eng.Now()
-	targets := c.inviteTargets()
-	if excludeID >= 0 {
-		kept := targets[:0]
-		for _, s := range targets {
-			if s.ID != excludeID {
-				kept = append(kept, s)
-			}
-		}
-		targets = kept
-	}
-	if len(targets) == 0 {
+	nodes := c.inviteTargets(excludeID)
+	if len(nodes) == 0 {
 		return false
 	}
 	c.nextRound++
-	r := &round{id: c.nextRound, start: now, expected: len(targets), seen: make(map[int]bool), decide: decide}
-	c.rounds[r.id] = r
-	nodes := make([]netsim.NodeID, len(targets))
-	for i, s := range targets {
-		nodes[i] = serverNode(s.ID)
+	r := &round{
+		id: c.nextRound, start: now, expected: len(nodes),
+		seen: make([]uint64, (len(c.dc.Servers)+63)/64), decide: decide,
 	}
+	c.rounds[r.id] = r
 	c.net.Broadcast(managerNode, nodes, "invite",
 		inviteReq{roundID: r.id, demand: demand, ta: ta}, c.cfg.InviteSize)
 	if c.cfg.SilentReject {
@@ -578,38 +573,48 @@ func (c *Cluster) openRound(ta, demand float64, excludeID int, decide func(*roun
 	return true
 }
 
-// inviteTargets selects the invited active servers per the configured mode.
-func (c *Cluster) inviteTargets() []*dc.Server {
-	var active []*dc.Server
+// inviteTargets selects the invited active servers per the configured mode
+// and returns their node IDs, leaving out server excludeID (-1 for none).
+// The selection runs over every active server, the excluded one included,
+// so a mode's draws do not depend on the exclusion. The result lives in
+// c.invitees until the next call.
+func (c *Cluster) inviteTargets(excludeID int) []netsim.NodeID {
+	active := c.active[:0]
 	for _, s := range c.dc.Servers {
 		if s.State() == dc.Active {
 			active = append(active, s)
 		}
 	}
+	c.active = active
 	switch c.cfg.Mode {
 	case Groups:
 		g := c.nextGroup % c.cfg.Groups
 		c.nextGroup++
-		var out []*dc.Server
+		group := active[:0]
 		for _, s := range active {
 			if s.ID%c.cfg.Groups == g {
-				out = append(out, s)
+				group = append(group, s)
 			}
 		}
-		return out
+		active = group
 	case Subset:
-		if len(active) <= c.cfg.Subset {
-			return active
+		if len(active) > c.cfg.Subset {
+			perm := c.mgr.Perm(len(active))
+			subset := make([]*dc.Server, c.cfg.Subset)
+			for i := range subset {
+				subset[i] = active[perm[i]]
+			}
+			active = subset
 		}
-		perm := c.mgr.Perm(len(active))
-		out := make([]*dc.Server, c.cfg.Subset)
-		for i := range out {
-			out[i] = active[perm[i]]
-		}
-		return out
-	default:
-		return active
 	}
+	nodes := c.invitees[:0]
+	for _, s := range active {
+		if s.ID != excludeID {
+			nodes = append(nodes, serverNode(s.ID))
+		}
+	}
+	c.invitees = nodes
+	return nodes
 }
 
 // onServerMessage handles invite, assign, migrate and transfer messages at
@@ -742,10 +747,11 @@ func (c *Cluster) onManagerMessage(m netsim.Message) {
 		if !ok || r.closed {
 			return // late reply after a silent-reject window closed: ignored
 		}
-		if r.seen[rep.serverID] {
+		word, bit := rep.serverID/64, uint64(1)<<(rep.serverID%64)
+		if r.seen[word]&bit != 0 {
 			return // duplicated reply counts once
 		}
-		r.seen[rep.serverID] = true
+		r.seen[word] |= bit
 		r.replies++
 		if rep.accept {
 			r.accepts = append(r.accepts, rep.serverID)

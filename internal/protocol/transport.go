@@ -21,7 +21,9 @@ import "repro/internal/netsim"
 // TCP transport on its one dispatch goroutine). Broadcast is the fabric's
 // chance to exploit hardware broadcast (footnote 1 of the paper): netsim
 // counts one wire transmission for the whole fan-out, TCP necessarily pays
-// one frame per destination.
+// one frame per destination. Broadcast does not keep tos after it returns
+// (both implementations copy each destination into its own message), so the
+// cluster reuses one destination slice for every invitation round.
 type Transport interface {
 	// Register installs the handler for a protocol participant.
 	Register(id netsim.NodeID, h netsim.Handler)

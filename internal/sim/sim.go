@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -22,6 +21,8 @@ import (
 // itself so handlers can schedule follow-up events.
 type Handler func(e *Engine)
 
+// event is one queued handler. The queue holds events by value, so
+// scheduling one writes into the heap's backing array instead of allocating.
 type event struct {
 	at   time.Duration
 	seq  uint64 // tie-break: FIFO among equal timestamps
@@ -29,30 +30,22 @@ type event struct {
 	name string
 }
 
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before is the queue order: by timestamp, then by scheduling sequence.
+// Sequence numbers are unique, so the order is strict and total: any correct
+// min-heap pops events in exactly the same sequence.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return q[i].seq < q[j].seq
-}
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+	return a.seq < b.seq
 }
 
 // Engine owns the virtual clock and the pending event queue.
 type Engine struct {
-	now     time.Duration
-	queue   eventQueue
+	now time.Duration
+	// queue is a binary min-heap under event.before: queue[0] fires next,
+	// and each entry sorts no earlier than its parent at (i-1)/2.
+	queue   []event
 	seq     uint64
 	stopped bool
 	// Processed counts events dispatched so far; useful for tests and stats.
@@ -91,7 +84,56 @@ func (e *Engine) Schedule(at time.Duration, name string, fn Handler) {
 		panic(fmt.Sprintf("sim: scheduling %q at %v, before now %v", name, at, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, &event{at: at, seq: e.seq, fn: fn, name: name})
+	e.push(event{at: at, seq: e.seq, fn: fn, name: name})
+}
+
+// push adds ev to the queue, sifting it up from the end to its place.
+func (e *Engine) push(ev event) {
+	e.queue = append(e.queue, ev)
+	q := e.queue
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+}
+
+// pop removes and returns the earliest event: the last entry takes the root
+// slot and sifts down. The vacated tail slot is cleared so the queue's
+// spare capacity keeps no handler or closure alive.
+func (e *Engine) pop() event {
+	q := e.queue
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{}
+	q = q[:n]
+	e.queue = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // After enqueues fn to run d after the current virtual time.
@@ -124,7 +166,10 @@ func (e *Engine) Every(first, period time.Duration, name string, fn Handler) (ca
 }
 
 // Stop makes Run return after the currently executing handler (if any)
-// finishes. Pending events are discarded by Run.
+// finishes. Run does not discard the events still queued: Pending counts
+// them and a later Run dispatches them. The one exception is an Every tick
+// whose own handler calls Stop: it does not reschedule itself, so that
+// periodic ends there.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run dispatches events in timestamp order until the queue is empty, the
@@ -135,12 +180,11 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) Run(horizon time.Duration) {
 	e.stopped = false
 	for len(e.queue) > 0 && !e.stopped {
-		next := e.queue[0]
-		if horizon > 0 && next.at > horizon {
+		if horizon > 0 && e.queue[0].at > horizon {
 			e.now = horizon
 			return
 		}
-		heap.Pop(&e.queue)
+		next := e.pop()
 		e.now = next.at
 		e.processed++
 		if e.rec == nil {

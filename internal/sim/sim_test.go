@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/rng"
 )
 
 func TestEventsFireInTimestampOrder(t *testing.T) {
@@ -115,16 +116,113 @@ func TestEveryCancel(t *testing.T) {
 
 func TestStopHaltsDispatch(t *testing.T) {
 	e := New()
-	fired := 0
+	fired, later := 0, 0
 	e.Every(0, time.Second, "tick", func(en *Engine) {
 		fired++
 		if fired == 5 {
 			en.Stop()
 		}
 	})
+	e.Schedule(time.Minute, "later", func(*Engine) { later++ })
 	e.Run(0)
 	if fired != 5 {
 		t.Fatalf("fired %d, want 5", fired)
+	}
+	// Run returns with the other events still queued; the tick that called
+	// Stop did not reschedule itself.
+	if e.Pending() != 1 || later != 0 {
+		t.Fatalf("after Stop: Pending = %d, later fired %d times; want 1 and 0", e.Pending(), later)
+	}
+	// A later Run dispatches them, and the stopped periodic stays ended.
+	e.Run(0)
+	if later != 1 || fired != 5 || e.Pending() != 0 {
+		t.Fatalf("second Run: later = %d, ticks = %d, Pending = %d; want 1, 5, 0", later, fired, e.Pending())
+	}
+}
+
+// TestDispatchOrderContract checks the queue contract itself on a seeded,
+// tie-heavy schedule rather than through a golden: about 2,000 events on
+// eight distinct timestamps, handlers that schedule follow-ups at Now() and
+// later, and a horizon cut. Dispatch must follow strictly increasing
+// (timestamp, scheduling index) pairs, every event at or before the horizon
+// must fire exactly once, and exactly the events past it must stay queued.
+func TestDispatchOrderContract(t *testing.T) {
+	const (
+		initial = 1500
+		total   = 2000
+		horizon = 6 * time.Second
+	)
+	src := rng.New(2013)
+	e := New()
+	type dispatch struct {
+		at  time.Duration
+		idx int
+	}
+	var (
+		ats   []time.Duration // timestamp per scheduling index
+		fires []int           // dispatch count per scheduling index
+		order []dispatch
+		sched func(at time.Duration)
+	)
+	sched = func(at time.Duration) {
+		idx := len(ats)
+		ats = append(ats, at)
+		fires = append(fires, 0)
+		e.Schedule(at, "ev", func(en *Engine) {
+			fires[idx]++
+			order = append(order, dispatch{en.Now(), idx})
+			if len(ats) < total && src.Intn(3) == 0 {
+				sched(en.Now() + time.Duration(src.Intn(3))*time.Second)
+			}
+		})
+	}
+	for i := 0; i < initial; i++ {
+		sched(time.Duration(src.Intn(8)) * time.Second)
+	}
+	e.Run(horizon)
+
+	for i := 1; i < len(order); i++ {
+		a, b := order[i-1], order[i]
+		if a.at > b.at || (a.at == b.at && a.idx >= b.idx) {
+			t.Fatalf("dispatch %d: (%v, #%d) after (%v, #%d)", i, b.at, b.idx, a.at, a.idx)
+		}
+	}
+	late := 0
+	for idx, at := range ats {
+		want := 1
+		if at > horizon {
+			want = 0
+			late++
+		}
+		if fires[idx] != want {
+			t.Fatalf("event #%d at %v fired %d times, want %d", idx, at, fires[idx], want)
+		}
+	}
+	if e.Pending() != late {
+		t.Fatalf("Pending = %d, want the %d events past the horizon", e.Pending(), late)
+	}
+	if len(ats) <= initial || late == 0 || len(order) == 0 {
+		t.Fatalf("degenerate schedule: %d events, %d dispatched, %d past the horizon", len(ats), len(order), late)
+	}
+}
+
+// TestScheduleDispatchZeroAlloc pins the event path's zero-allocation
+// property: once the queue's backing array has grown, scheduling an event
+// and dispatching it allocate nothing.
+func TestScheduleDispatchZeroAlloc(t *testing.T) {
+	e := New()
+	fn := func(*Engine) {}
+	for i := 0; i < 64; i++ {
+		e.After(time.Duration(i)*time.Second, "grow", fn)
+	}
+	e.Run(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 64; i++ {
+			e.After(time.Duration(i%7)*time.Second, "e", fn)
+		}
+		e.Run(0)
+	}); allocs != 0 {
+		t.Fatalf("Schedule + dispatch allocates %v per run of 64 events, want 0", allocs)
 	}
 }
 
