@@ -2,7 +2,7 @@
 // and back. A Checkpoint captures everything a resumed run needs to be
 // BIT-IDENTICAL to the uninterrupted one: the data center's extended
 // snapshot (placements, power states, SoA hot arrays, demand-kernel
-// aggregates and counters, per-VM demand cursors), every live rng stream
+// aggregates and counters; no per-VM state), every live rng stream
 // under a stable label (all four xoshiro words plus the Marsaglia spare
 // cache), the policy's private state, the cluster driver's accounting
 // (series, accumulators, episode and migration trackers), and the obs

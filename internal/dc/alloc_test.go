@@ -11,7 +11,7 @@ import (
 // never touch the allocator: a 100k-server tick that allocated per lookup
 // would spend its time in GC, not in the policy. These tests pin the
 // zero-alloc property of both demand-kernel paths — the windowed hit and the
-// cursor-driven refill — with testing.AllocsPerRun, so a regression shows up
+// refill — with testing.AllocsPerRun, so a regression shows up
 // as a test failure rather than as a flat speedup curve in the parscale
 // bench.
 
@@ -52,7 +52,7 @@ func TestDemandAtHitPathZeroAlloc(t *testing.T) {
 func TestDemandKernelRefillZeroAlloc(t *testing.T) {
 	_, s := allocTestServer(t, 10)
 	// Alternate between two epochs so every lookup lands outside the cached
-	// window and runs the full cursor refill.
+	// window and runs the full refill.
 	times := [2]time.Duration{10 * time.Minute, 15 * time.Minute}
 	k := 0
 	if allocs := testing.AllocsPerRun(100, func() {

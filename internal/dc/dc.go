@@ -124,16 +124,13 @@ func (p PowerModel) Power(state State, u float64) float64 {
 // Server is a thin accessor view: the per-tick hot fields (power state, used
 // RAM, activation time, the demand-kernel aggregate) live in the owning
 // DataCenter's flat arrays (see hot.go), indexed by ID. Only the jagged
-// per-server state — the VM slice and its demand cursors — lives here.
+// per-server state — the VM slice — lives here.
 type Server struct {
 	ID   int
 	Spec Spec
 
 	d   *DataCenter
 	vms []*trace.VM // sorted by VM ID
-	// cursors memoizes each hosted VM's step-function position
-	// (index-parallel to vms; see demandkernel.go).
-	cursors []trace.DemandCursor
 }
 
 // State returns the server's power state.
@@ -175,7 +172,7 @@ func (s *Server) insert(vm *trace.VM) {
 	copy(s.vms[i+1:], s.vms[i:])
 	s.vms[i] = vm
 	s.d.hot.usedRAMMB[s.ID] += vm.RAMMB
-	s.insertCursor(i, vm)
+	s.invalidate()
 }
 
 // removeAt deletes the VM at index i.
@@ -184,7 +181,7 @@ func (s *Server) removeAt(i int) {
 	copy(s.vms[i:], s.vms[i+1:])
 	s.vms[len(s.vms)-1] = nil
 	s.vms = s.vms[:len(s.vms)-1]
-	s.removeCursor(i)
+	s.invalidate()
 }
 
 // UsedRAMMB returns the summed memory footprint of hosted VMs.
@@ -544,15 +541,9 @@ func (d *DataCenter) CheckInvariants() error {
 		if diff := ram - d.hot.usedRAMMB[s.ID]; diff > 1e-6 || diff < -1e-6 {
 			return fmt.Errorf("dc: server %d RAM accounting drift: %v vs %v", s.ID, d.hot.usedRAMMB[s.ID], ram)
 		}
-		if len(s.cursors) != len(s.vms) {
-			return fmt.Errorf("dc: server %d has %d demand cursors for %d VMs", s.ID, len(s.cursors), len(s.vms))
-		}
 		for i, vm := range s.vms {
 			if i > 0 && s.vms[i-1].ID >= vm.ID {
 				return fmt.Errorf("dc: server %d VM slice not strictly sorted at %d", s.ID, i)
-			}
-			if s.cursors[i].VM != vm {
-				return fmt.Errorf("dc: server %d demand cursor %d tracks the wrong VM", s.ID, i)
 			}
 			host, ok := d.byVM[vm.ID]
 			if !ok || host != s {

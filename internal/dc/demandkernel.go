@@ -1,7 +1,6 @@
 package dc
 
 import (
-	"math"
 	"time"
 
 	"repro/internal/trace"
@@ -26,14 +25,15 @@ import (
 //     intersection of the hosted VMs' constant-demand windows (their current
 //     trace epochs, clamped by lifetime). Any lookup inside the window is a
 //     hit; the first lookup past an epoch boundary misses and refills.
-//   - Per-VM step-function positions are memoized by trace.DemandCursor
-//     (owned by the server, one per hosted VM), so refills are an array read
-//     per VM rather than a division per VM.
+//   - A refill keeps no per-VM state: trace.SumDemandAt reads the hosted VMs
+//     afresh. In a trace-driven run every VM's sample changes at every epoch,
+//     so a per-VM memo would miss anyway; when the VMs share one sampling
+//     grid, SumDemandAt divides out the epoch index once and reads one sample
+//     per VM.
 //
 // Layout: the aggregate (sum + validity window) and the counters live in the
-// DataCenter's flat hot-state arrays (hot.go), indexed by server ID; only
-// the per-VM cursors stay on the Server view. Both the hit path and the
-// refill are zero-alloc — the parscale differential tests pin that with
+// DataCenter's flat hot-state arrays (hot.go), indexed by server ID. Both the
+// hit path and the refill are zero-alloc — alloc_test.go pins that with
 // testing.AllocsPerRun.
 //
 // Concurrency: a server's cache is mutated on reads. That is safe under the
@@ -41,33 +41,16 @@ import (
 // parallel fan-outs (ecocloud's invitation round, the experiment registry,
 // the control round's span dispatch) partition servers, or whole data
 // centers, across workers, and every cached word is indexed by server ID.
-// Workloads shared between concurrent runs stay read-only: the cursors live
-// here, not in trace.VM.
+// Workloads shared between concurrent runs stay read-only: refills only read
+// trace.VM.
 
-// invalidate drops the cached aggregate (the cursors stay; their memos are
-// keyed by time, not by placement).
+// invalidate drops the cached aggregate.
 func (s *Server) invalidate() {
 	h := &s.d.hot
 	if h.kValid[s.ID] {
 		h.kValid[s.ID] = false
 		h.kInval[s.ID]++
 	}
-}
-
-// insertCursor mirrors Server.insert at index i.
-func (s *Server) insertCursor(i int, vm *trace.VM) {
-	s.cursors = append(s.cursors, trace.DemandCursor{})
-	copy(s.cursors[i+1:], s.cursors[i:])
-	s.cursors[i] = trace.DemandCursor{VM: vm}
-	s.invalidate()
-}
-
-// removeCursor mirrors Server.removeAt at index i.
-func (s *Server) removeCursor(i int) {
-	copy(s.cursors[i:], s.cursors[i+1:])
-	s.cursors[len(s.cursors)-1] = trace.DemandCursor{}
-	s.cursors = s.cursors[:len(s.cursors)-1]
-	s.invalidate()
 }
 
 // recomputeDemandAt is the naive path: a fresh sum of per-VM trace lookups
@@ -81,7 +64,7 @@ func (s *Server) recomputeDemandAt(t time.Duration) float64 {
 }
 
 // demandAt serves a lookup through the kernel: hit on the cached window,
-// refill through the cursors otherwise.
+// refill otherwise.
 func (s *Server) demandAt(t time.Duration) float64 {
 	if s.d.kernelDisabled {
 		return s.recomputeDemandAt(t)
@@ -95,26 +78,14 @@ func (s *Server) demandAt(t time.Duration) float64 {
 	return s.refill(t)
 }
 
-// refill recomputes the aggregate through the cursors — the exact summation
-// (VM-ID order) the naive path runs — and installs the validity window. It
-// does not touch the hit/miss counters; demandAt and WarmDemandCache account
-// for their own accesses.
+// refill recomputes the aggregate with trace.SumDemandAt — the exact
+// summation (VM-ID order) the naive path runs — and installs the validity
+// window. It does not touch the hit/miss counters; demandAt and
+// WarmDemandCache account for their own accesses.
 //
 //ecolint:hotpath
 func (s *Server) refill(t time.Duration) float64 {
-	sum := 0.0
-	from := time.Duration(math.MinInt64)
-	until := time.Duration(math.MaxInt64)
-	for i := range s.cursors {
-		d, f, u := s.cursors[i].Lookup(t)
-		sum += d
-		if f > from {
-			from = f
-		}
-		if u < until {
-			until = u
-		}
-	}
+	sum, from, until := trace.SumDemandAt(s.vms, t)
 	h := &s.d.hot
 	h.kValid[s.ID], h.kFrom[s.ID], h.kUntil[s.ID], h.kSum[s.ID] = true, from, until, sum
 	return sum
