@@ -460,10 +460,12 @@ func TestPooledUtilizationsMatchSequential(t *testing.T) {
 			}
 		}
 	}
-	want := utilizations(nil, d.Servers, now)
+	want := make([]float64, len(d.Servers))
+	utilizations(nil, d.Servers, now, want)
 	for _, workers := range []int{1, 2, 8} {
 		pool := par.New(workers)
-		got := utilizations(pool, d.Servers, now)
+		got := make([]float64, len(d.Servers))
+		utilizations(pool, d.Servers, now, got)
 		pool.Close()
 		for i := range want {
 			if got[i] != want[i] { //ecolint:allow float-eq — bit-identity is the property under test
@@ -741,5 +743,39 @@ func TestQuickArrivalsRespectTa(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSelectDestinationZeroAlloc pins the invitation round's scratch: once
+// warmed, a round on the default configuration reuses the Policy's slices
+// and allocates nothing.
+func TestSelectDestinationZeroAlloc(t *testing.T) {
+	d := dc.New(dc.StandardFleet(30))
+	for i, s := range d.Servers {
+		if err := d.Activate(s, 0); err != nil {
+			t.Fatal(err)
+		}
+		s.SetActivatedAt(-1000 * time.Hour)
+		for j := 0; j < 1+i%5; j++ {
+			if err := d.Place(constVM(100*i+j, 400+float64((i*37+j*11)%900)), s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p := mustPolicy(t, DefaultConfig(), 1)
+	env := newEnv(d, time.Hour)
+	placed := 0
+	for i := 0; i < 20; i++ {
+		if p.selectDestination(env, p.core.Ta, -1, false, 200, 0) != nil {
+			placed++
+		}
+	}
+	if placed == 0 {
+		t.Fatal("no invitation round found a destination")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		p.selectDestination(env, p.core.Ta, -1, false, 200, 0)
+	}); allocs != 0 {
+		t.Fatalf("selectDestination allocates %v per call, want 0", allocs)
 	}
 }
