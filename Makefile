@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test bench bench-scale parscale figures faults forkedsweep knee ecod-smoke race cover clean
+.PHONY: all build vet lint lint-fixtures test bench bench-scale parscale figures figures-check faults forkedsweep knee ecod-smoke race cover clean
 
 all: build vet lint test
 
@@ -59,6 +59,13 @@ parscale:
 # manifest (out/run.json) and the JSONL event journal (out/journal.jsonl).
 figures:
 	$(GO) run ./cmd/ecobench -out out -scale 1.0
+
+# Byte-exact figure gate, run the same way in CI: regenerate every figure at
+# paper scale into ./out-figs and diff each checked-in out/*.csv against it.
+# set -e makes any differing file fail the target, not just the last one.
+figures-check:
+	$(GO) run ./cmd/ecobench -out out-figs -scale 1.0 -replicate 5
+	set -e; for f in out/*.csv; do diff "$$f" "out-figs/$$(basename "$$f")"; done
 
 # Fault-injection sweep (crashes, wake failures, lossy fabric) at full scale:
 # the MTBF x MTTR grid behind out/faults.csv. See DESIGN.md "Failure semantics".

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -115,32 +114,23 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 	defer scope.Close()
 	rc.Obs = scope.Rec
 
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
 	var figures []*experiments.Figure
 	save := func(f *experiments.Figure) error {
 		figures = append(figures, f)
-		path := filepath.Join(outDir, f.ID+".csv")
-		file, err := os.Create(path)
+		path, err := f.SaveCSV(outDir)
 		if err != nil {
-			return err
-		}
-		defer file.Close()
-		if err := f.WriteCSV(file); err != nil {
 			return err
 		}
 		fmt.Printf("== %s: %s -> %s\n", f.ID, f.Title, path)
 		for _, n := range f.Notes {
 			fmt.Printf("   %s\n", n)
 		}
-		return file.Close()
+		return nil
 	}
 
-	// The daily run's options double as the replication template; keep what
-	// the registry ran so -replicate reruns exactly that.
+	// The request doubles as the replication template, so -replicate reruns
+	// the daily run exactly as the registry ran it.
 	req := experiments.RunRequest{Config: rc, Eco: &eco, Scale: scale, Exact: exact}
-	var daily *experiments.DailyResult
 	for _, e := range selected {
 		start := time.Now()
 		res, err := e.Run(req)
@@ -155,11 +145,7 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 				return err
 			}
 		}
-		if d, ok := res.Raw.(*experiments.DailyResult); ok {
-			daily = d
-		}
 	}
-	_ = daily
 
 	// Seed replication (not in the paper; quantifies run-to-run noise).
 	if replicate > 1 {

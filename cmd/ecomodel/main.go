@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/ascii"
 	"repro/internal/cli"
@@ -82,20 +81,9 @@ func run(opts experiments.AssignOnlyOptions, obsFlags cli.ObsFlags, outDir strin
 	}
 
 	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
 		for _, f := range []*experiments.Figure{f12, f13} {
-			path := filepath.Join(outDir, f.ID+".csv")
-			file, err := os.Create(path)
+			path, err := f.SaveCSV(outDir)
 			if err != nil {
-				return err
-			}
-			if err := f.WriteCSV(file); err != nil {
-				file.Close()
-				return err
-			}
-			if err := file.Close(); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", path)

@@ -10,7 +10,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/ascii"
@@ -31,30 +30,19 @@ func main() {
 	cli.BindEco(flag.CommandLine, &opts.Eco)
 	obsFlags.Bind(flag.CommandLine)
 	var (
-		outDir    = flag.String("out", "", "also write figure CSVs (plus run.json and journal.jsonl) to this directory")
-		plDir     = flag.String("planetlab", "", "load a real CoMon/PlanetLab archive directory (one file per VM) instead of synthesizing")
-		plRef     = flag.Float64("planetlab-ref-mhz", 2400, "host capacity the PlanetLab percentages refer to")
-		faultsRun = flag.Bool("faults", false, "run the fault-injection sweep (crashes, wake failures, lossy fabric) instead of the daily experiment")
-		ckAt      = flag.Duration("checkpoint-at", 0, "capture a full-sim checkpoint at this virtual time (a multiple of the control interval); requires -checkpoint")
-		ckPath    = flag.String("checkpoint", "", "file to write the checkpoint captured at -checkpoint-at")
-		ckStop    = flag.Bool("checkpoint-stop", false, "stop right after the checkpoint is written instead of running to the horizon")
-		resumeCk  = flag.String("resume", "", "resume the run from a checkpoint file instead of t=0 (same seed/fleet/vms flags as the capturing run)")
+		outDir   = flag.String("out", "", "also write figure CSVs (plus run.json and journal.jsonl) to this directory")
+		plDir    = flag.String("planetlab", "", "load a real CoMon/PlanetLab archive directory (one file per VM) instead of synthesizing")
+		plRef    = flag.Float64("planetlab-ref-mhz", 2400, "host capacity the PlanetLab percentages refer to")
+		ckAt     = flag.Duration("checkpoint-at", 0, "capture a full-sim checkpoint at this virtual time (a multiple of the control interval); requires -checkpoint")
+		ckPath   = flag.String("checkpoint", "", "file to write the checkpoint captured at -checkpoint-at")
+		ckStop   = flag.Bool("checkpoint-stop", false, "stop right after the checkpoint is written instead of running to the horizon")
+		resumeCk = flag.String("resume", "", "resume the run from a checkpoint file instead of t=0 (same seed/fleet/vms flags as the capturing run)")
 	)
 	flag.Parse()
 
-	var err error
-	switch {
-	case *faultsRun:
-		if *ckAt != 0 || *resumeCk != "" {
-			err = fmt.Errorf("checkpoint flags apply to the daily experiment, not -faults")
-		} else {
-			err = runFaults(opts.RunConfig, obsFlags, *outDir)
-		}
-	default:
-		err = bindCheckpointFlags(&opts, *ckAt, *ckPath, *ckStop, *resumeCk)
-		if err == nil {
-			err = run(opts, obsFlags, *outDir, *plDir, *plRef)
-		}
+	err := bindCheckpointFlags(&opts, *ckAt, *ckPath, *ckStop, *resumeCk)
+	if err == nil {
+		err = run(opts, obsFlags, *outDir, *plDir, *plRef)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ecosim:", err)
@@ -122,75 +110,6 @@ func bindCheckpointFlags(opts *experiments.DailyOptions, at time.Duration, path 
 		return fmt.Errorf("-checkpoint-stop requires -checkpoint-at")
 	}
 	return nil
-}
-
-// runFaults runs the MTBF/MTTR fault-injection sweep instead of the daily
-// experiment. Only the run-config flags the user actually set are forwarded,
-// so the sweep keeps its own defaults (100 servers, 12 h per grid cell)
-// rather than inheriting the daily experiment's 400-server, 48-hour shape.
-func runFaults(bound experiments.RunConfig, obsFlags cli.ObsFlags, outDir string) error {
-	var rc experiments.RunConfig
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "servers":
-			rc.Servers = bound.Servers
-		case "vms":
-			rc.NumVMs = bound.NumVMs
-		case "horizon":
-			rc.Horizon = bound.Horizon
-		case "seed":
-			rc.Seed = bound.Seed
-		case "workers":
-			rc.Workers = bound.Workers
-		}
-	})
-	scope, err := obsFlags.Start("faults", rc, rc.Seed, outDir, nil)
-	if err != nil {
-		return err
-	}
-	defer scope.Close()
-	rc.Obs = scope.Rec
-
-	start := time.Now()
-	rr, err := experiments.Run("faults", experiments.RunRequest{Config: rc})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("ecosim: fault-injection sweep in %v\n\n", time.Since(start).Round(time.Millisecond))
-	for _, f := range rr.Figures {
-		// The full 16-column figure goes to CSV; the terminal gets the
-		// columns an operator scans first.
-		cols := []string{"mtbf_h", "mttr_min", "crashes", "vms_evacuated", "max_storm", "availability", "mean_repair_s"}
-		fmt.Printf("%8s %8s %8s %14s %10s %13s %14s\n", cols[0], cols[1], cols[2], cols[3], cols[4], cols[5], cols[6])
-		for r := range f.Rows {
-			fmt.Printf("%8g %8g %8g %14g %10g %13.6f %14.1f\n",
-				f.Column(cols[0])[r], f.Column(cols[1])[r], f.Column(cols[2])[r],
-				f.Column(cols[3])[r], f.Column(cols[4])[r], f.Column(cols[5])[r],
-				f.Column(cols[6])[r])
-		}
-		fmt.Println()
-		for _, n := range f.Notes {
-			fmt.Printf("  [%s] %s\n", f.ID, n)
-		}
-	}
-	if outDir != "" {
-		for _, f := range rr.Figures {
-			path := filepath.Join(outDir, f.ID+".csv")
-			file, err := os.Create(path)
-			if err != nil {
-				return err
-			}
-			if err := f.WriteCSV(file); err != nil {
-				file.Close()
-				return err
-			}
-			if err := file.Close(); err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n", path)
-		}
-	}
-	return scope.Close()
 }
 
 func run(opts experiments.DailyOptions, obsFlags cli.ObsFlags, outDir, plDir string, plRef float64) error {
@@ -271,16 +190,8 @@ func run(opts experiments.DailyOptions, obsFlags cli.ObsFlags, outDir, plDir str
 
 	if outDir != "" {
 		for _, f := range res.Figures() {
-			path := filepath.Join(outDir, f.ID+".csv")
-			file, err := os.Create(path)
+			path, err := f.SaveCSV(outDir)
 			if err != nil {
-				return err
-			}
-			if err := f.WriteCSV(file); err != nil {
-				file.Close()
-				return err
-			}
-			if err := file.Close(); err != nil {
 				return err
 			}
 			fmt.Printf("wrote %s\n", path)
@@ -309,7 +220,6 @@ func runPlanetLab(opts experiments.DailyOptions, dir string, refMHz float64) (*e
 	ccfg := opts.ClusterConfig(dc.StandardFleet(opts.Servers), ws, opts.Control, opts.Sample, opts.Power)
 	ccfg.Horizon = horizon
 	ccfg.RecordServerUtil = true
-	ccfg.Obs = nil // attached via the option below, not the deprecated field
 	copts := append([]cluster.Option{cluster.WithObs(opts.Obs)}, opts.Cluster...)
 	run, err := cluster.Run(ccfg, pol, copts...)
 	if err != nil {

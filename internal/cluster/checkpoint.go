@@ -156,8 +156,8 @@ func captureCheckpoint(cfg *RunConfig, policy Policy, env Env, res *Result, rec 
 		return nil, err
 	}
 	ck.Runner = captureRunnerState(res, rec, acc)
-	if cfg.Obs.Enabled() {
-		snap := cfg.Obs.Snapshot()
+	if cfg.obs.Enabled() {
+		snap := cfg.obs.Snapshot()
 		ck.Obs = &snap
 	}
 	return ck, nil

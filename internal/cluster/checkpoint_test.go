@@ -1,7 +1,6 @@
 package cluster_test
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/ecocloud"
-	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -23,70 +21,6 @@ func newEcoPolicy(t *testing.T) cluster.Policy {
 		t.Fatalf("policy: %v", err)
 	}
 	return pol
-}
-
-// TestDeprecatedObsFieldPrecedence pins the conflict rule: when both the
-// deprecated RunConfig.Obs field and the WithObs option are given, the option
-// wins, the field is ignored, and the winning recorder carries exactly one
-// warning count.
-func TestDeprecatedObsFieldPrecedence(t *testing.T) {
-	ws := &trace.Set{RefCapacityMHz: 8000, VMs: []*trace.VM{constVM(0, 100, 0, time.Hour)}}
-	cfg := baseConfig(ws)
-	fieldRec := obs.NewRecorder(nil, nil)
-	optionRec := obs.NewRecorder(nil, nil)
-	cfg.Obs = fieldRec
-
-	if _, err := cluster.Run(cfg, &stuffer{}, cluster.WithObs(optionRec)); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if n := optionRec.Snapshot().Counters["cluster.deprecated_field_ignored"]; n != 1 {
-		t.Fatalf("winning recorder warning count = %d, want 1", n)
-	}
-	if n := optionRec.Snapshot().Counters["sim.events"]; n == 0 {
-		t.Fatal("winning recorder saw no engine events: option did not take effect")
-	}
-	if got := fieldRec.Snapshot().Counters; len(got) != 0 {
-		t.Fatalf("ignored field recorder received counters: %v", got)
-	}
-}
-
-// TestDeprecatedEventLogFieldPrecedence is the EventLog twin: the option's
-// writer receives the journal, the field's writer stays empty, and the obs
-// recorder carries the single warning.
-func TestDeprecatedEventLogFieldPrecedence(t *testing.T) {
-	ws := &trace.Set{RefCapacityMHz: 8000, VMs: []*trace.VM{constVM(0, 100, 0, time.Hour)}}
-	cfg := baseConfig(ws)
-	var fieldLog, optionLog bytes.Buffer
-	rec := obs.NewRecorder(nil, nil)
-	cfg.EventLog = &fieldLog
-
-	if _, err := cluster.Run(cfg, &stuffer{}, cluster.WithEventLog(&optionLog), cluster.WithObs(rec)); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if fieldLog.Len() != 0 {
-		t.Fatalf("ignored field writer received %d bytes", fieldLog.Len())
-	}
-	if optionLog.Len() == 0 {
-		t.Fatal("option writer received nothing")
-	}
-	if n := rec.Snapshot().Counters["cluster.deprecated_field_ignored"]; n != 1 {
-		t.Fatalf("warning count = %d, want 1", n)
-	}
-}
-
-// TestSameAttachmentIsNotAConflict: passing the option with the same value
-// the field already holds is redundancy, not a conflict — no warning.
-func TestSameAttachmentIsNotAConflict(t *testing.T) {
-	ws := &trace.Set{RefCapacityMHz: 8000, VMs: []*trace.VM{constVM(0, 100, 0, time.Hour)}}
-	cfg := baseConfig(ws)
-	rec := obs.NewRecorder(nil, nil)
-	cfg.Obs = rec
-	if _, err := cluster.Run(cfg, &stuffer{}, cluster.WithObs(rec)); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if n := rec.Snapshot().Counters["cluster.deprecated_field_ignored"]; n != 0 {
-		t.Fatalf("warning count = %d, want 0", n)
-	}
 }
 
 func TestCheckpointConfigValidation(t *testing.T) {

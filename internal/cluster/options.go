@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"io"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -9,47 +8,25 @@ import (
 )
 
 // Option mutates a RunConfig before Run validates it. Options exist for the
-// attachments that are not part of a run's identity — telemetry sinks,
-// journals, the execution engine — so call sites read as
+// attachments that are not part of a run's identity — the telemetry
+// recorder, checkpoint capture and resume — so call sites read as
 //
-//	cluster.Run(cfg, policy, cluster.WithObs(rec), cluster.WithEventLog(w))
+//	cluster.Run(cfg, policy, cluster.WithObs(rec))
 //
 // with cfg carrying only the simulation itself (fleet, workload, horizon,
-// cadences, power model). Setting the corresponding RunConfig fields
-// directly still works; an option merely overrides the field when given.
+// cadences, power model, engine).
 type Option func(*RunConfig)
 
-// WithObs attaches a telemetry recorder to the run (see RunConfig.Obs).
-// When the deprecated RunConfig.Obs field was also set (to a different
-// recorder), the option wins: the field is ignored and the run emits a
-// single deprecated_field_ignored warning on the winning recorder.
+// WithObs attaches a telemetry recorder to the run: engine metrics (events,
+// queue depth, handler wall time), cluster counters (assignments, removals,
+// migrations by kind, activations, hibernations, overload ticks), live
+// gauges (sim time, active servers), and — when the recorder carries a
+// journal — one JSONL event per policy-driven data-center mutation. Setup
+// mutations (the SpreadRoundRobin pre-placement) are not journaled or
+// counted: telemetry reflects policy behaviour only. A nil recorder leaves
+// telemetry off.
 func WithObs(r *obs.Recorder) Option {
-	return func(c *RunConfig) {
-		if c.Obs != nil && c.Obs != r {
-			c.obsFieldOverridden = true
-		}
-		c.Obs = r
-	}
-}
-
-// WithEventLog streams one JSON line per data-center mutation to w (see
-// RunConfig.EventLog). When the deprecated RunConfig.EventLog field was also
-// set (to a different writer), the option wins: the field is ignored and the
-// run emits a single deprecated_field_ignored warning on its recorder.
-func WithEventLog(w io.Writer) Option {
-	return func(c *RunConfig) {
-		if c.EventLog != nil && c.EventLog != w {
-			c.eventLogFieldOverridden = true
-		}
-		c.EventLog = w
-	}
-}
-
-// WithWorkers routes the per-server control-round work through an
-// internal/par pool with n workers (see RunConfig.Workers). Results are
-// bit-identical at every worker count.
-func WithWorkers(n int) Option {
-	return func(c *RunConfig) { c.Workers = n }
+	return func(c *RunConfig) { c.obs = r }
 }
 
 // WithCheckpointAt makes Run capture a full checkpoint at the end of the

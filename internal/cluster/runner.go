@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 	"time"
 
@@ -73,35 +71,12 @@ type RunConfig struct {
 	// (Figs. 6 and 12); costs Samples×Servers float64s.
 	RecordServerUtil bool
 
-	// EventLog, when set, receives one JSON line per data-center mutation:
-	// {"t_ns":..., "kind":"place|remove|migrate|activate|hibernate",
-	//  "vm":..., "server":..., "dest":...}. Useful for debugging policies
-	// and for external analysis; adds encoding cost per event. Setup
-	// mutations (the SpreadRoundRobin pre-placement) are not journaled:
-	// the log reflects policy behaviour only, matching the counters.
-	//
-	// Deprecated: prefer passing cluster.WithEventLog(w) to Run. The field
-	// keeps working; the option overrides it when both are given.
-	EventLog io.Writer
-
 	// DisableDemandCache turns off the incremental demand kernel, forcing
 	// every Server.DemandAt back to the naive per-VM recomputation. Results
 	// are bit-identical either way (that is the kernel's contract); the
 	// switch exists for the differential tests and the naive-vs-cached
 	// scalability benchmarks.
 	DisableDemandCache bool
-
-	// Obs, when set, receives run telemetry: engine metrics (events, queue
-	// depth, handler wall time), cluster counters (assignments, removals,
-	// migrations by kind, activations, hibernations, overload ticks), live
-	// gauges (sim time, active servers), and — when the recorder carries a
-	// journal — one JSONL event per policy-driven data-center mutation
-	// (setup pre-placement is excluded, like EventLog). Nil (the default)
-	// costs the run nothing.
-	//
-	// Deprecated: prefer passing cluster.WithObs(r) to Run. The field keeps
-	// working; the option overrides it when both are given.
-	Obs *obs.Recorder
 
 	// CheckpointAt, when nonzero, makes Run capture a full checkpoint at the
 	// end of the control tick at that virtual time and hand it to
@@ -127,11 +102,9 @@ type RunConfig struct {
 	// captured under. Set via WithResume.
 	Resume *checkpoint.Checkpoint
 
-	// obsFieldOverridden / eventLogFieldOverridden record that an explicit
-	// option displaced a non-nil deprecated field, so Run can warn once (the
-	// option wins, the field is ignored).
-	obsFieldOverridden      bool
-	eventLogFieldOverridden bool
+	// obs receives run telemetry; set via WithObs. Nil (the default) costs
+	// the run nothing.
+	obs *obs.Recorder
 }
 
 // Validate reports whether the run configuration is usable.
@@ -229,15 +202,6 @@ type Result struct {
 	DemandCache dc.DemandCacheStats
 }
 
-// journalLine is the EventLog wire format.
-type journalLine struct {
-	TNS    int64  `json:"t_ns"`
-	Kind   string `json:"kind"`
-	VM     int    `json:"vm"`
-	Server int    `json:"server"`
-	Dest   int    `json:"dest"`
-}
-
 // observeDCEvent counts one data-center mutation into the telemetry
 // recorder and mirrors it to the recorder's JSONL journal.
 func observeDCEvent(r *obs.Recorder, now time.Duration, e dc.Event) {
@@ -263,26 +227,7 @@ func observeDCEvent(r *obs.Recorder, now time.Duration, e dc.Event) {
 		r.Count("cluster.crash_evictions", 1)
 	}
 	if r.Journaling() {
-		fields := map[string]any{"server": e.Server}
-		if e.VM >= 0 {
-			fields["vm"] = e.VM
-		}
-		if e.Dest >= 0 {
-			fields["dest"] = e.Dest
-		}
-		r.Emit(now, string(e.Kind), fields)
-	}
-}
-
-// warnDeprecatedField emits the single warning Run produces when an explicit
-// option displaced a non-nil deprecated RunConfig field (the option wins).
-func warnDeprecatedField(r *obs.Recorder, field string) {
-	if !r.Enabled() {
-		return
-	}
-	r.Count("cluster.deprecated_field_ignored", 1)
-	if r.Journaling() {
-		r.Emit(0, "deprecated_field_ignored", map[string]any{"field": field})
+		r.Emit(now, string(e.Kind), e.Fields())
 	}
 }
 
@@ -299,16 +244,6 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err
 	}
-	// Deprecated-field precedence: an explicit option wins over the
-	// deprecated RunConfig field. The displaced field is ignored and the run
-	// says so exactly once, on the recorder that won.
-	if cfg.obsFieldOverridden {
-		warnDeprecatedField(cfg.Obs, "Obs")
-	}
-	if cfg.eventLogFieldOverridden {
-		warnDeprecatedField(cfg.Obs, "EventLog")
-	}
-
 	resume := cfg.Resume
 	var resumeAt time.Duration
 	if resume != nil {
@@ -344,7 +279,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	d.SetDemandCache(!cfg.DisableDemandCache)
 	rec := NewRecorder(cfg.SampleInterval)
 	eng := sim.New()
-	eng.SetRecorder(cfg.Obs)
+	eng.SetRecorder(cfg.obs)
 
 	// Fork-join pool for the per-server work of each control round. nil when
 	// Workers is 0, which keeps every existing sequential code path (and its
@@ -412,25 +347,8 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// scenario construction, not policy behaviour, and counting them used to
 	// inflate cluster.assignments / cluster.wakeups and pollute the JSONL
 	// journal on SpreadRoundRobin runs even though d.Activations was reset.
-	var enc *json.Encoder
-	if cfg.EventLog != nil {
-		enc = json.NewEncoder(cfg.EventLog)
-	}
-	if enc != nil || cfg.Obs.Enabled() {
-		d.SetJournal(func(e dc.Event) {
-			if enc != nil {
-				// Encoding errors must not corrupt the simulation; the
-				// journal is best-effort observability.
-				_ = enc.Encode(journalLine{
-					TNS:    int64(eng.Now()),
-					Kind:   string(e.Kind),
-					VM:     e.VM,
-					Server: e.Server,
-					Dest:   e.Dest,
-				})
-			}
-			observeDCEvent(cfg.Obs, eng.Now(), e)
-		})
+	if cfg.obs.Enabled() {
+		d.SetJournal(func(e dc.Event) { observeDCEvent(cfg.obs, eng.Now(), e) })
 	}
 
 	// Arrival and departure events. A resumed run schedules only the events
@@ -487,7 +405,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			return nil, err
 		}
 		if resume.Obs != nil {
-			cfg.Obs.RestoreMetrics(*resume.Obs)
+			cfg.obs.RestoreMetrics(*resume.Obs)
 		}
 	}
 
@@ -589,7 +507,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			acc.winVMTicks += sl.NVMs
 			if sl.Over {
 				acc.winVMOverTicks += sl.NVMs
-				cfg.Obs.Count("cluster.overload_server_ticks", 1)
+				cfg.obs.Count("cluster.overload_server_ticks", 1)
 			}
 			if !measured {
 				continue
@@ -620,9 +538,9 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		if slice > 0 {
 			res.EnergyKWh += d.PowerAt(now, cfg.PowerModel) * slice.Hours() / 1000
 		}
-		if cfg.Obs.Enabled() {
-			cfg.Obs.Gauge("cluster.active_servers", int64(d.ActiveCount()))
-			cfg.Obs.Gauge("cluster.vms_placed", int64(d.NumPlaced()))
+		if cfg.obs.Enabled() {
+			cfg.obs.Gauge("cluster.active_servers", int64(d.ActiveCount()))
+			cfg.obs.Gauge("cluster.vms_placed", int64(d.NumPlaced()))
 		}
 		// Checkpoint capture: the end of the control tick at CheckpointAt is
 		// the last instruction executed at that timestamp, so the captured
@@ -647,7 +565,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// Sample tick: record the reported series.
 	sampleTick := func(e *sim.Engine) {
 		now := e.Now()
-		cfg.Obs.SampleMemory()
+		cfg.obs.SampleMemory()
 		res.ActiveServers.Add(now, float64(d.ActiveCount()))
 		res.PowerW.Add(now, d.PowerAt(now, cfg.PowerModel))
 		res.OverallLoad.Add(now, totalDemandAt(now)/totalCapacity)
@@ -716,10 +634,10 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	res.SwitchEnergyKWh = cfg.PowerModel.SwitchEnergyKWh(d.Activations + d.Hibernations)
 	res.EnergyKWh += res.SwitchEnergyKWh
 	res.DemandCache = d.DemandCacheStats()
-	if cfg.Obs.Enabled() {
-		cfg.Obs.Count("dc.demand_cache.hits", int64(res.DemandCache.Hits))
-		cfg.Obs.Count("dc.demand_cache.misses", int64(res.DemandCache.Misses))
-		cfg.Obs.Count("dc.demand_cache.invalidations", int64(res.DemandCache.Invalidations))
+	if cfg.obs.Enabled() {
+		cfg.obs.Count("dc.demand_cache.hits", int64(res.DemandCache.Hits))
+		cfg.obs.Count("dc.demand_cache.misses", int64(res.DemandCache.Misses))
+		cfg.obs.Count("dc.demand_cache.invalidations", int64(res.DemandCache.Invalidations))
 	}
 	if acc.controlTicks > 0 {
 		res.MeanActiveServers = acc.activeTickSum / acc.controlTicks

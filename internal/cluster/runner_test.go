@@ -3,6 +3,8 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -252,26 +254,22 @@ func TestRunSpreadRoundRobinTelemetryClean(t *testing.T) {
 		vms[i] = constVM(i, 1000, 0, 3*time.Hour)
 	}
 	ws := &trace.Set{RefCapacityMHz: 8000, VMs: vms}
-	var jbuf, ebuf bytes.Buffer
+	var jbuf bytes.Buffer
 	cfg := baseConfig(ws)
 	cfg.Initial = cluster.SpreadRoundRobin
-	cfg.Obs = obs.NewRecorder(nil, obs.NewJournal(&jbuf))
-	cfg.EventLog = &ebuf
-	if _, err := cluster.Run(cfg, &stuffer{}); err != nil {
+	rec := obs.NewRecorder(nil, obs.NewJournal(&jbuf))
+	if _, err := cluster.Run(cfg, &stuffer{}, cluster.WithObs(rec)); err != nil {
 		t.Fatal(err)
 	}
-	snap := cfg.Obs.Snapshot()
+	snap := rec.Snapshot()
 	for _, name := range []string{"cluster.assignments", "cluster.wakeups"} {
 		if n := snap.Counters[name]; n != 0 {
 			t.Errorf("%s = %d after setup-only run, want 0", name, n)
 		}
 	}
-	// The stuffer policy performs no mutations, so both journals stay empty.
+	// The stuffer policy performs no mutations, so the journal stays empty.
 	if jbuf.Len() != 0 {
-		t.Errorf("obs journal has %d bytes of setup events", jbuf.Len())
-	}
-	if ebuf.Len() != 0 {
-		t.Errorf("event log has %d bytes of setup events", ebuf.Len())
+		t.Errorf("journal has %d bytes of setup events", jbuf.Len())
 	}
 }
 
@@ -524,8 +522,9 @@ func TestSoakWeekLong(t *testing.T) {
 }
 
 // The event journal must reconstruct the run: every placement, departure,
-// migration and switch appears exactly once, in timestamp order, and the
-// replayed placement state matches the counters.
+// migration and switch appears exactly once, in timestamp order, with the
+// key set of its kind, and the replayed placement state matches the
+// counters.
 func TestRunEventJournal(t *testing.T) {
 	gcfg := trace.DefaultGenConfig()
 	gcfg.NumVMs = 80
@@ -546,14 +545,22 @@ func TestRunEventJournal(t *testing.T) {
 		ControlInterval: 5 * time.Minute,
 		SampleInterval:  30 * time.Minute,
 		PowerModel:      dc.DefaultPowerModel(),
-		EventLog:        &buf,
 	}
-	res, err := cluster.Run(cfg, pol)
+	res, err := cluster.Run(cfg, pol, cluster.WithObs(obs.NewRecorder(nil, obs.NewJournal(&buf))))
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The key set of each kind: server always, vm on the VM events, dest on
+	// migrations only.
+	journalKeys := map[string]string{
+		"place":     "kind server t_sim_ns vm",
+		"remove":    "kind server t_sim_ns vm",
+		"migrate":   "dest kind server t_sim_ns vm",
+		"activate":  "kind server t_sim_ns",
+		"hibernate": "kind server t_sim_ns",
+	}
 	type line struct {
-		TNS    int64  `json:"t_ns"`
+		TNS    int64  `json:"t_sim_ns"`
 		Kind   string `json:"kind"`
 		VM     int    `json:"vm"`
 		Server int    `json:"server"`
@@ -564,9 +571,25 @@ func TestRunEventJournal(t *testing.T) {
 	placed := map[int]int{} // vm -> server, replayed
 	dec := json.NewDecoder(&buf)
 	for dec.More() {
-		var l line
-		if err := dec.Decode(&l); err != nil {
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
 			t.Fatal(err)
+		}
+		var l line
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &l); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(raw, &fields); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(fields))
+		for k := range fields {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got, want := strings.Join(keys, " "), journalKeys[l.Kind]; got != want {
+			t.Fatalf("%s line has keys %q, want %q: %s", l.Kind, got, want, raw)
 		}
 		if l.TNS < lastT {
 			t.Fatalf("journal out of order: %d after %d", l.TNS, lastT)

@@ -9,6 +9,19 @@ type Event struct {
 	Dest   int // migration destination, or -1
 }
 
+// Fields returns the event's journal fields: server always, vm and dest only
+// when the kind has them. The journal adds the kind and the virtual time.
+func (e Event) Fields() map[string]any {
+	fields := map[string]any{"server": e.Server}
+	if e.VM >= 0 {
+		fields["vm"] = e.VM
+	}
+	if e.Dest >= 0 {
+		fields["dest"] = e.Dest
+	}
+	return fields
+}
+
 // EventKind enumerates the journal events.
 type EventKind string
 

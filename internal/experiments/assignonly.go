@@ -87,7 +87,7 @@ func AssignOnly(opts AssignOnlyOptions) (*AssignOnlyResult, error) {
 	ccfg.Horizon = opts.Churn.Horizon
 	ccfg.Initial = cluster.SpreadRoundRobin
 	ccfg.RecordServerUtil = true
-	simRes, err := cluster.Run(ccfg, pol)
+	simRes, err := cluster.Run(ccfg, pol, cluster.WithObs(opts.Obs))
 	if err != nil {
 		return nil, err
 	}

@@ -26,8 +26,8 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 		for _, workers := range soaGoldenWorkers {
 			// Uninterrupted truth.
 			var full bytes.Buffer
-			cfg, pol := soaGoldenConfig(t, seed, workers, &full)
-			fullRes, err := cluster.Run(cfg, pol)
+			cfg, pol := soaGoldenConfig(t, seed, workers)
+			fullRes, err := cluster.Run(cfg, pol, journalTo(&full))
 			if err != nil {
 				t.Fatalf("seed %d workers %d: uninterrupted: %v", seed, workers, err)
 			}
@@ -35,9 +35,9 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 
 			// Prefix to the cut; capture and stop.
 			var prefix bytes.Buffer
-			cfgP, polP := soaGoldenConfig(t, seed, workers, &prefix)
+			cfgP, polP := soaGoldenConfig(t, seed, workers)
 			var ck *checkpoint.Checkpoint
-			if _, err := cluster.Run(cfgP, polP,
+			if _, err := cluster.Run(cfgP, polP, journalTo(&prefix),
 				cluster.WithCheckpointAt(cut, func(c *checkpoint.Checkpoint) error { ck = c; return nil }),
 				cluster.WithCheckpointStop(),
 			); err != nil {
@@ -60,8 +60,8 @@ func TestCheckpointResumeDifferential(t *testing.T) {
 
 			// Resume to the horizon.
 			var suffix bytes.Buffer
-			cfgR, polR := soaGoldenConfig(t, seed, workers, &suffix)
-			resumedRes, err := cluster.Run(cfgR, polR, cluster.WithResume(decoded))
+			cfgR, polR := soaGoldenConfig(t, seed, workers)
+			resumedRes, err := cluster.Run(cfgR, polR, journalTo(&suffix), cluster.WithResume(decoded))
 			if err != nil {
 				t.Fatalf("seed %d workers %d: resume: %v", seed, workers, err)
 			}
@@ -84,17 +84,17 @@ func TestCheckpointCaptureIsPure(t *testing.T) {
 	}
 	seed := soaGoldenSeeds[0]
 	var plain bytes.Buffer
-	cfg, pol := soaGoldenConfig(t, seed, 0, &plain)
-	plainRes, err := cluster.Run(cfg, pol)
+	cfg, pol := soaGoldenConfig(t, seed, 0)
+	plainRes, err := cluster.Run(cfg, pol, journalTo(&plain))
 	if err != nil {
 		t.Fatalf("plain: %v", err)
 	}
 	want := marshalSoAResult(plainRes, plain.Bytes())
 
 	var observed bytes.Buffer
-	cfgC, polC := soaGoldenConfig(t, seed, 0, &observed)
+	cfgC, polC := soaGoldenConfig(t, seed, 0)
 	captured := false
-	capRes, err := cluster.Run(cfgC, polC,
+	capRes, err := cluster.Run(cfgC, polC, journalTo(&observed),
 		cluster.WithCheckpointAt(2*time.Hour, func(*checkpoint.Checkpoint) error {
 			captured = true
 			return nil

@@ -82,7 +82,6 @@ func Comparison(opts ComparisonOptions) (*ComparisonResult, error) {
 		// the per-policy runs execute unobserved (the comparison table is
 		// the product).
 		ccfg := opts.ClusterConfig(dc.StandardFleet(opts.Servers), ws, opts.Control, opts.Sample, opts.Power)
-		ccfg.Obs = nil
 		res, err := cluster.Run(ccfg, pol)
 		if err != nil {
 			return fmt.Errorf("experiments: comparison policy %s: %v", pol.Name(), err)

@@ -24,9 +24,9 @@ type DailyOptions struct {
 	Control time.Duration // migration-scan cadence
 	Sample  time.Duration // metric cadence (paper: 30 minutes)
 
-	// Cluster options forwarded to cluster.Run — checkpoint capture, resume,
-	// event logs. Nil for a plain run. Excluded from the run manifest:
-	// options are closures, not configuration values.
+	// Cluster options forwarded to cluster.Run after the recorder —
+	// checkpoint capture and resume. Nil for a plain run. Excluded from the
+	// run manifest: options are closures, not configuration values.
 	Cluster []cluster.Option `json:"-"`
 }
 
@@ -75,7 +75,7 @@ func Daily(opts DailyOptions) (*DailyResult, error) {
 	}
 	cfg := opts.ClusterConfig(dc.StandardFleet(opts.Servers), ws, opts.Control, opts.Sample, opts.Power)
 	cfg.RecordServerUtil = true
-	res, err := cluster.Run(cfg, pol, opts.Cluster...)
+	res, err := cluster.Run(cfg, pol, append([]cluster.Option{cluster.WithObs(opts.Obs)}, opts.Cluster...)...)
 	if err != nil {
 		return nil, err
 	}

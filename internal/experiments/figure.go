@@ -12,6 +12,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 )
 
 // Figure is one reproduced plot: rows of numeric columns plus free-form
@@ -93,6 +95,24 @@ func (f *Figure) WriteCSV(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// SaveCSV writes the figure as <dir>/<ID>.csv, creating dir if needed, and
+// returns the path written.
+func (f *Figure) SaveCSV(dir string) (string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, f.ID+".csv")
+	w, err := os.Create(path)
+	if err != nil {
+		return "", err
+	}
+	if err := f.WriteCSV(w); err != nil {
+		w.Close()
+		return "", err
+	}
+	return path, w.Close()
 }
 
 // WriteMarkdown renders the figure as a Markdown section: title, notes, and

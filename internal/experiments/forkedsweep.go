@@ -10,6 +10,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dc"
 	"repro/internal/ecocloud"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -133,6 +134,12 @@ func fingerprintResult(res *cluster.Result, journal []byte) []byte {
 	return b.Bytes()
 }
 
+// journalTo attaches a recorder that journals a run's data-center events
+// into events.
+func journalTo(events *bytes.Buffer) cluster.Option {
+	return cluster.WithObs(obs.NewRecorder(nil, obs.NewJournal(events)))
+}
+
 // ForkedSweep warms the shared prefix, proves the branch machinery lossless,
 // and runs the grid. Cells run concurrently; each resumes from its own deep
 // fork of the checkpoint.
@@ -144,15 +151,9 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	specs := dc.StandardFleet(opts.Servers)
-	baseCluster := func(events *bytes.Buffer) cluster.RunConfig {
-		ccfg := opts.ClusterConfig(specs, ws, opts.Control, opts.Sample, opts.Power)
-		ccfg.Obs = nil // cells run concurrently; see ClusterConfig
-		if events != nil {
-			ccfg.EventLog = events
-		}
-		return ccfg
-	}
+	// Cells run concurrently, so they run untraced (see ClusterConfig); only
+	// the proof legs journal, each into its own buffer.
+	baseCluster := opts.ClusterConfig(dc.StandardFleet(opts.Servers), ws, opts.Control, opts.Sample, opts.Power)
 
 	// Warm prefix: base config to Warmup, checkpoint, stop.
 	var ck *checkpoint.Checkpoint
@@ -161,7 +162,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := cluster.Run(baseCluster(&prefixLog), basePol,
+	if _, err := cluster.Run(baseCluster, basePol, journalTo(&prefixLog),
 		cluster.WithCheckpointAt(opts.Warmup, func(c *checkpoint.Checkpoint) error { ck = c; return nil }),
 		cluster.WithCheckpointStop(),
 	); err != nil {
@@ -174,7 +175,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratchRes, err := cluster.Run(baseCluster(&scratchLog), scratchPol)
+	scratchRes, err := cluster.Run(baseCluster, scratchPol, journalTo(&scratchLog))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: forkedsweep scratch run: %v", err)
 	}
@@ -182,7 +183,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 
 	// One branched cell: fork the checkpoint (empty label = identity,
 	// otherwise a deterministic rng re-seed) and resume under cfg.
-	runBranch := func(cfg ecocloud.Config, label string, events *bytes.Buffer) (*cluster.Result, error) {
+	runBranch := func(cfg ecocloud.Config, label string, extra ...cluster.Option) (*cluster.Result, error) {
 		branch, err := ck.Fork(label)
 		if err != nil {
 			return nil, err
@@ -191,13 +192,13 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		return cluster.Run(baseCluster(events), pol, cluster.WithResume(branch))
+		return cluster.Run(baseCluster, pol, append(extra, cluster.WithResume(branch))...)
 	}
 
 	// Proof leg 2: the identity-forked base cell must reproduce leg 1's
 	// bytes exactly, with the prefix journal spliced before the suffix one.
 	var suffixLog bytes.Buffer
-	forkRes, err := runBranch(opts.Base, "", &suffixLog)
+	forkRes, err := runBranch(opts.Base, "", journalTo(&suffixLog))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: forkedsweep proof cell: %v", err)
 	}
@@ -243,7 +244,7 @@ func ForkedSweep(opts ForkedSweepOptions) (*ForkedSweepResult, error) {
 	}
 	cells := make([]ForkedSweepPoint, len(jobs))
 	err = forEach(len(jobs), func(i int) error {
-		res, err := runBranch(jobs[i].cfg, jobs[i].label, nil)
+		res, err := runBranch(jobs[i].cfg, jobs[i].label)
 		if err != nil {
 			return fmt.Errorf("experiments: forkedsweep %s=%v: %v", jobs[i].param, jobs[i].value, err)
 		}

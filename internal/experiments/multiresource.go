@@ -90,7 +90,6 @@ func MultiResource(opts MultiResourceOptions) (*MultiResourceResult, error) {
 		// Variants run concurrently; a shared recorder would interleave
 		// their journals nondeterministically, so variants run unobserved.
 		ccfg := opts.ClusterConfig(specs, ws, opts.Control, opts.Sample, opts.Power)
-		ccfg.Obs = nil
 		res, err := cluster.Run(ccfg, pol)
 		if err != nil {
 			return fmt.Errorf("experiments: multi-resource %s: %v", variants[i].name, err)

@@ -215,7 +215,7 @@ func ParScale(opts ParScaleOptions) ([]ParScalePoint, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, err := cluster.Run(cfg, pol)
+			res, err := cluster.Run(cfg, pol, cluster.WithObs(opts.Obs))
 			if err != nil {
 				return nil, fmt.Errorf("experiments: parscale %d servers, %d workers: %v", servers, w, err)
 			}

@@ -57,14 +57,16 @@ func (o RunConfig) overlay(def RunConfig) RunConfig {
 }
 
 // ClusterConfig converts the cross-experiment core into the cluster run it
-// describes: the shared knobs (Horizon, Workers, Obs) come from o, the
+// describes: the shared knobs (Horizon, Workers) come from o, the
 // per-experiment ones (fleet, workload, cadences, power model) from the
 // arguments. Every experiment builds its cluster.RunConfig here and then
 // applies its own overrides (Initial, RecordServerUtil, a capped horizon) on
 // the returned value — one place to wire new cluster fields instead of a
-// hand-copied literal per experiment file. Experiments whose runs execute
-// concurrently must clear Obs on the result: a recorder shared across
-// concurrent runs would interleave their journals nondeterministically.
+// hand-copied literal per experiment file. The recorder is not part of the
+// result: an experiment whose runs are sequential passes
+// cluster.WithObs(o.Obs) to cluster.Run, and one whose runs execute
+// concurrently runs them untraced, since a recorder shared across concurrent
+// runs would interleave their journals nondeterministically.
 func (o RunConfig) ClusterConfig(specs []dc.Spec, ws *trace.Set, control, sample time.Duration, pm dc.PowerModel) cluster.RunConfig {
 	return cluster.RunConfig{
 		Specs:           specs,
@@ -74,7 +76,6 @@ func (o RunConfig) ClusterConfig(specs []dc.Spec, ws *trace.Set, control, sample
 		SampleInterval:  sample,
 		PowerModel:      pm,
 		Workers:         o.Workers,
-		Obs:             o.Obs,
 	}
 }
 

@@ -86,7 +86,6 @@ func Sensitivity(opts SensitivityOptions) ([]SensitivityPoint, error) {
 		// Sweep points run concurrently; a shared recorder would interleave
 		// their journals nondeterministically, so points run unobserved.
 		ccfg := opts.ClusterConfig(dc.StandardFleet(opts.Servers), ws, opts.Control, opts.Sample, opts.Power)
-		ccfg.Obs = nil
 		ccfg.RecordServerUtil = true
 		res, err := cluster.Run(ccfg, pol)
 		if err != nil {

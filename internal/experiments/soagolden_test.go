@@ -37,9 +37,9 @@ var (
 
 // soaGoldenConfig is a deliberately policy-rich cell: arrivals, departures,
 // migrations in both directions, hibernations and wake-ups all occur at this
-// scale, and RecordServerUtil plus the event log exercise every output path
-// the refactor touches.
-func soaGoldenConfig(t *testing.T, seed uint64, workers int, events *bytes.Buffer) (cluster.RunConfig, cluster.Policy) {
+// scale, and RecordServerUtil plus the event journal (attached with
+// journalTo) exercise every output path the refactor touches.
+func soaGoldenConfig(t *testing.T, seed uint64, workers int) (cluster.RunConfig, cluster.Policy) {
 	t.Helper()
 	gen := trace.DefaultGenConfig()
 	gen.NumVMs = 240
@@ -61,7 +61,6 @@ func soaGoldenConfig(t *testing.T, seed uint64, workers int, events *bytes.Buffe
 		PowerModel:       dc.DefaultPowerModel(),
 		Workers:          workers,
 		RecordServerUtil: true,
-		EventLog:         events,
 	}, pol
 }
 
@@ -127,8 +126,8 @@ func TestSoAGoldenDifferential(t *testing.T) {
 		}
 		for _, workers := range soaGoldenWorkers {
 			var events bytes.Buffer
-			cfg, pol := soaGoldenConfig(t, seed, workers, &events)
-			res, err := cluster.Run(cfg, pol)
+			cfg, pol := soaGoldenConfig(t, seed, workers)
+			res, err := cluster.Run(cfg, pol, journalTo(&events))
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
 			}

@@ -3,8 +3,6 @@ package node
 import (
 	"fmt"
 	"net"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/experiments"
@@ -116,11 +114,11 @@ func (n *Node) Run(outDir string) (*experiments.Figure, error) {
 	<-agentDone
 
 	if outDir != "" {
-		if err := writeFigureCSV(outDir, n.nodeFigure()); err != nil {
+		if _, err := n.nodeFigure().SaveCSV(outDir); err != nil {
 			return nil, err
 		}
 		if merged != nil {
-			if err := writeFigureCSV(outDir, merged); err != nil {
+			if _, err := merged.SaveCSV(outDir); err != nil {
 				return nil, err
 			}
 		}
@@ -188,21 +186,4 @@ func (n *Node) mergedFigure(sums []summaryMsg) *experiments.Figure {
 			n.cfg.Drop, n.cfg.Dup, d.stats.MigrationsExpired, d.watchdog)
 	}
 	return f
-}
-
-// writeFigureCSV writes fig as <outDir>/<ID>.csv.
-func writeFigureCSV(outDir string, fig *experiments.Figure) error {
-	if err := os.MkdirAll(outDir, 0o755); err != nil {
-		return err
-	}
-	path := filepath.Join(outDir, fig.ID+".csv")
-	w, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fig.WriteCSV(w); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }

@@ -462,14 +462,7 @@ func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr 
 		eng.SetRecorder(cfg.Obs)
 		if cfg.Obs.Journaling() {
 			c.dc.SetJournal(func(e dc.Event) {
-				fields := map[string]any{"server": e.Server}
-				if e.VM >= 0 {
-					fields["vm"] = e.VM
-				}
-				if e.Dest >= 0 {
-					fields["dest"] = e.Dest
-				}
-				cfg.Obs.Emit(eng.Now(), string(e.Kind), fields)
+				cfg.Obs.Emit(eng.Now(), string(e.Kind), e.Fields())
 			})
 		}
 	}

@@ -1,11 +1,16 @@
 package protocol
 
 import (
+	"bytes"
+	"encoding/json"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dc"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -245,6 +250,55 @@ func TestDeterminism(t *testing.T) {
 	m2, b2, a2 := run()
 	if m1 != m2 || b1 != b2 || a1 != a2 {
 		t.Fatalf("identical runs diverged: (%d,%d,%d) vs (%d,%d,%d)", m1, b1, a1, m2, b2, a2)
+	}
+}
+
+// TestDayJournal pins the protocol journal to the schema the cluster runner
+// writes: a journaled day has one place line per placement, one migrate line
+// per completed migration, and the key set of each kind. Journaling must not
+// perturb the day.
+func TestDayJournal(t *testing.T) {
+	var buf bytes.Buffer
+	c, _ := runDay(t, false, obs.NewRecorder(nil, obs.NewJournal(&buf)))
+	if plain, _ := runDay(t, false, nil); plain.Stats != c.Stats {
+		t.Fatalf("journaling changed the day:\nplain     %+v\njournaled %+v", plain.Stats, c.Stats)
+	}
+	keys := map[string]string{
+		"place":     "kind server t_sim_ns vm",
+		"remove":    "kind server t_sim_ns vm",
+		"migrate":   "dest kind server t_sim_ns vm",
+		"activate":  "kind server t_sim_ns",
+		"hibernate": "kind server t_sim_ns",
+	}
+	counts := map[string]int{}
+	dec := json.NewDecoder(&buf)
+	for dec.More() {
+		var fields map[string]any
+		if err := dec.Decode(&fields); err != nil {
+			t.Fatal(err)
+		}
+		kind, _ := fields["kind"].(string)
+		names := make([]string, 0, len(fields))
+		for k := range fields {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		if got, want := strings.Join(names, " "), keys[kind]; got != want {
+			t.Fatalf("%q line has keys %q, want %q", kind, got, want)
+		}
+		counts[kind]++
+	}
+	if counts["place"] != c.Stats.Placements {
+		t.Fatalf("place lines = %d, Stats.Placements = %d", counts["place"], c.Stats.Placements)
+	}
+	migrations := c.Stats.MigrationsLow + c.Stats.MigrationsHigh
+	if counts["migrate"] != migrations {
+		t.Fatalf("migrate lines = %d, Stats migrations = %d", counts["migrate"], migrations)
+	}
+	for kind := range keys {
+		if counts[kind] == 0 {
+			t.Errorf("the day journaled no %s line; its key set went unchecked", kind)
+		}
 	}
 }
 

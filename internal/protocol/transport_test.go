@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dc"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -41,11 +42,12 @@ func (t *countingTransport) Stats() (int, int64) { return t.inner.Stats() }
 
 // runDay drives a small churning day and returns the cluster. wrap, when
 // set, interposes the counting transport between the cluster and the fabric
-// before any message flows.
-func runDay(t *testing.T, wrap bool) (*Cluster, *countingTransport) {
+// before any message flows; rec, when non-nil, records the day.
+func runDay(t *testing.T, wrap bool, rec *obs.Recorder) (*Cluster, *countingTransport) {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.EnableMigration = true
+	cfg.Obs = rec
 	churn := trace.DefaultChurnConfig()
 	churn.Horizon = 4 * time.Hour
 	churn.InitialVMs = 120
@@ -88,8 +90,8 @@ func runDay(t *testing.T, wrap bool) (*Cluster, *countingTransport) {
 // delegating implementation changes nothing — same stats, same wire volume,
 // same final fleet state — and the interface carried real traffic.
 func TestClusterIsTransportAgnostic(t *testing.T) {
-	plain, _ := runDay(t, false)
-	wrapped, ct := runDay(t, true)
+	plain, _ := runDay(t, false, nil)
+	wrapped, ct := runDay(t, true, nil)
 	if plain.Stats != wrapped.Stats {
 		t.Fatalf("stats diverged through the interface:\nplain   %+v\nwrapped %+v", plain.Stats, wrapped.Stats)
 	}
