@@ -1,6 +1,5 @@
-// Package ascii renders experiment series as terminal charts and CSV, so the
-// cmd/ binaries can show every reproduced figure without any plotting
-// dependency.
+// Package ascii renders experiment series as terminal line charts, so
+// ecosim can show Figs. 6–11 without any plotting dependency.
 package ascii
 
 import (
@@ -93,35 +92,6 @@ func Chart(w io.Writer, title string, x []float64, series map[string][]float64, 
 	}
 	for si, name := range names {
 		if _, err := fmt.Fprintf(w, "           %c %s\n", glyphs[si%len(glyphs)], name); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Histogram draws bin frequencies as horizontal bars.
-func Histogram(w io.Writer, title string, centers, freqs []float64, width int) error {
-	if width < 10 {
-		width = 10
-	}
-	if _, err := fmt.Fprintf(w, "%s\n", title); err != nil {
-		return err
-	}
-	maxF := 0.0
-	for _, f := range freqs {
-		if f > maxF {
-			maxF = f
-		}
-	}
-	if maxF == 0 {
-		maxF = 1
-	}
-	for i, c := range centers {
-		if i >= len(freqs) {
-			break
-		}
-		n := int(float64(width) * freqs[i] / maxF)
-		if _, err := fmt.Fprintf(w, "%8.3g |%s %.4f\n", c, strings.Repeat("#", n), freqs[i]); err != nil {
 			return err
 		}
 	}

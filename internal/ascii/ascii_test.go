@@ -64,30 +64,3 @@ func TestChartDeterministicGlyphOrder(t *testing.T) {
 		t.Fatal("map iteration leaked into chart output")
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	var buf bytes.Buffer
-	err := Histogram(&buf, "hist", []float64{5, 15, 25}, []float64{0.5, 0.3, 0.2}, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "hist") || !strings.Contains(out, "#") {
-		t.Fatalf("histogram output malformed:\n%s", out)
-	}
-	// Largest bin gets the longest bar.
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("lines = %d, want 4", len(lines))
-	}
-	if strings.Count(lines[1], "#") <= strings.Count(lines[2], "#") {
-		t.Fatal("bars not proportional to frequency")
-	}
-}
-
-func TestHistogramAllZero(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Histogram(&buf, "z", []float64{1, 2}, []float64{0, 0}, 20); err != nil {
-		t.Fatal(err)
-	}
-}

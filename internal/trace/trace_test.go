@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -558,69 +557,6 @@ func TestRatesPartialTrailingBucket(t *testing.T) {
 	// and VM 1; VM 2 arrives mid-bucket) -> mu = 2/h / 2 = 1/h.
 	if mu[0] != 0 || mu[1] != 1 {
 		t.Fatalf("mu = %v, want [0 1]", mu)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	cfg := smallGenConfig()
-	cfg.NumVMs = 20
-	set, err := Generate(cfg, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := set.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.RefCapacityMHz != set.RefCapacityMHz {
-		t.Fatalf("ref capacity %v != %v", got.RefCapacityMHz, set.RefCapacityMHz)
-	}
-	if len(got.VMs) != len(set.VMs) {
-		t.Fatalf("VM count %d != %d", len(got.VMs), len(set.VMs))
-	}
-	for i := range set.VMs {
-		a, b := set.VMs[i], got.VMs[i]
-		if a.ID != b.ID || a.Start != b.Start || a.End != b.End || a.Epoch != b.Epoch {
-			t.Fatalf("VM %d metadata differs after round trip", i)
-		}
-		for k := range a.Demand {
-			if a.Demand[k] != b.Demand[k] {
-				t.Fatalf("VM %d sample %d: %v != %v", i, k, b.Demand[k], a.Demand[k])
-			}
-		}
-	}
-}
-
-func TestReadCSVRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",                                       // no header
-		"# ref_capacity_mhz,8000\n1,2,3\n",       // too few fields
-		"# ref_capacity_mhz,8000\nx,0,1,1,5\n",   // bad id
-		"# ref_capacity_mhz,8000\n1,0,1,0,5,6\n", // zero epoch with multiple samples
-		"# ref_capacity_mhz,8000\n1,5,1,1,5\n",   // end before start
-		"# ref_capacity_mhz,8000\n1,0,9,1,-5\n",  // negative demand
-		"# ref_capacity_mhz,8000\n1,0,9,1,abc\n", // bad demand
-		"# ref_capacity_mhz,nope\n",              // bad header value
-	}
-	for i, c := range cases {
-		if _, err := ReadCSV(bytes.NewBufferString(c)); err == nil {
-			t.Errorf("case %d: garbage accepted", i)
-		}
-	}
-}
-
-func TestReadCSVSkipsBlankLines(t *testing.T) {
-	in := "# ref_capacity_mhz,8000\n\n1,0,3600000000000,60000000000,5,6\n\n"
-	set, err := ReadCSV(bytes.NewBufferString(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.VMs) != 1 || len(set.VMs[0].Demand) != 2 {
-		t.Fatalf("parsed %d VMs", len(set.VMs))
 	}
 }
 
