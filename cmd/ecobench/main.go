@@ -28,13 +28,12 @@ import (
 
 func main() {
 	eco := ecocloud.DefaultConfig()
-	rc := experiments.RunConfig{Horizon: 48 * time.Hour, Seed: 1}
+	rc := experiments.RunConfig{Seed: 1}
 	var obsFlags cli.ObsFlags
 	var (
 		outDir    = flag.String("out", "out", "directory for figure CSVs, run.json and journal.jsonl")
 		scale     = flag.Float64("scale", 1.0, "experiment scale factor (1.0 = paper size)")
 		exact     = flag.Bool("exact", false, "use the exact combinatorial A_s in the fluid model")
-		skipCmp   = flag.Bool("skip-comparison", false, "skip the baseline comparison (it runs 4 full simulations)")
 		replicate = flag.Int("replicate", 0, "also run the daily experiment across this many seeds and report mean±sd")
 		only      = flag.String("experiments", "", "comma-separated experiment names to run (default: all; see -list)")
 		list      = flag.Bool("list", false, "list the registered experiments and exit")
@@ -45,27 +44,12 @@ func main() {
 		parFloor  = flag.String("par-floor", "", "with -par-bench: fail if the pooled speedup at the largest fleet falls below the floor recorded in this JSON file")
 	)
 	fs := flag.CommandLine
-	fs.Uint64Var(&rc.Seed, "seed", rc.Seed, "master seed")
-	fs.DurationVar(&rc.Horizon, "horizon", rc.Horizon, "horizon override (unset: each experiment's own default)")
+	fs.Uint64Var(&rc.Seed, "seed", rc.Seed, "master seed (non-zero)")
+	fs.DurationVar(&rc.Horizon, "horizon", rc.Horizon, "horizon override (0: each experiment's own default)")
 	fs.IntVar(&rc.Workers, "workers", rc.Workers, "control-round worker count (0 = sequential; any value is bit-identical)")
 	cli.BindEco(fs, &eco)
 	obsFlags.Bind(fs)
 	flag.Parse()
-
-	// The registry overlays every non-zero Config field onto each
-	// experiment's defaults, so forwarding the 48 h display default would
-	// silently stretch the 18/24 h experiments (assignonly, protocolday,
-	// sensitivity, multiresource) to 48 h. Only forward -horizon when the
-	// user actually set it.
-	horizonSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "horizon" {
-			horizonSet = true
-		}
-	})
-	if !horizonSet {
-		rc.Horizon = 0
-	}
 
 	if *list {
 		for _, e := range experiments.All() {
@@ -87,27 +71,32 @@ func main() {
 		}
 		return
 	}
-	if err := run(rc, eco, obsFlags, *outDir, *scale, *exact, *skipCmp, *replicate, *only, *markdown, *htmlPath); err != nil {
+	if err := run(rc, eco, obsFlags, *outDir, *scale, *exact, *replicate, *only, *markdown, *htmlPath); err != nil {
 		fmt.Fprintln(os.Stderr, "ecobench:", err)
 		os.Exit(1)
 	}
 }
 
 func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
-	outDir string, scale float64, exact, skipCmp bool, replicate int, only, markdown, htmlPath string) error {
+	outDir string, scale float64, exact bool, replicate int, only, markdown, htmlPath string) error {
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("scale %v outside (0,1]", scale)
+	}
+	if rc.Seed == 0 {
+		// The registry reads every zero field as "keep the experiment's
+		// default", so a zero seed would run seed 1 and record seed 0.
+		return fmt.Errorf("-seed 0 is not supported: a zero seed means \"use each experiment's default seed (1)\"; pass a non-zero seed")
 	}
 	if err := cli.Validate(eco); err != nil {
 		return err
 	}
-	selected, err := selectExperiments(only, skipCmp)
+	selected, err := selectExperiments(only)
 	if err != nil {
 		return err
 	}
 	scope, err := obsFlags.Start("ecobench", map[string]any{
 		"run_config": rc, "eco": eco, "scale": scale, "exact": exact,
-	}, rc.Seed, outDir, nil)
+	}, rc.Seed, outDir)
 	if err != nil {
 		return err
 	}
@@ -202,19 +191,10 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 
 // selectExperiments resolves the -experiments filter against the registry,
 // preserving registry (paper) order.
-func selectExperiments(only string, skipCmp bool) ([]experiments.Experiment, error) {
+func selectExperiments(only string) ([]experiments.Experiment, error) {
 	all := experiments.All()
 	if only == "" {
-		if !skipCmp {
-			return all, nil
-		}
-		var out []experiments.Experiment
-		for _, e := range all {
-			if e.Name != "comparison" {
-				out = append(out, e)
-			}
-		}
-		return out, nil
+		return all, nil
 	}
 	want := map[string]bool{}
 	for _, name := range strings.Split(only, ",") {

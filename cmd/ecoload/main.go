@@ -144,7 +144,7 @@ func (a runArgs) runSingle() error {
 	}
 	scope, err := a.obsFlags.Start("ecoload", map[string]any{
 		"load": lc, "policy": a.policy, "servers": a.servers, "warmup": a.warmup,
-	}, a.seed, a.outDir, nil)
+	}, a.seed, a.outDir)
 	if err != nil {
 		return err
 	}
@@ -197,7 +197,7 @@ func (a runArgs) runRamp() error {
 		"load": template, "policy": a.policy, "servers": a.servers,
 		"ramp_start": a.rampStart, "ramp_step": a.rampStep, "ramp_slot": a.rampSlot.String(),
 		"threshold": a.rampThreshold, "tolerance": a.rampTolerance, "warmup": a.warmup,
-	}, a.seed, a.outDir, nil)
+	}, a.seed, a.outDir)
 	if err != nil {
 		return err
 	}

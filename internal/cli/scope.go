@@ -44,9 +44,8 @@ type Scope struct {
 // Start assembles the run scope from the flags: a recorder (nil — free — when
 // everything is off), a JSONL journal plus run manifest when outDir is set,
 // CPU/heap profiles when -profile is set, and a progress goroutine when
-// -progress is set. line may be nil for the default events/sim-clock line.
-// Close must be called when the run ends.
-func (f ObsFlags) Start(experiment string, config any, seed uint64, outDir string, line func(*obs.Recorder) string) (*Scope, error) {
+// -progress is set. Close must be called when the run ends.
+func (f ObsFlags) Start(experiment string, config any, seed uint64, outDir string) (*Scope, error) {
 	s := &Scope{outDir: outDir, logw: os.Stderr}
 	if outDir == "" && !f.Progress && !f.Profile {
 		return s, nil // telemetry fully off: Rec stays nil, hot path pays one nil check
@@ -87,12 +86,9 @@ func (f ObsFlags) Start(experiment string, config any, seed uint64, outDir strin
 	}
 
 	if f.Progress {
-		if line == nil {
-			line = defaultProgressLine
-		}
 		rec := s.Rec
 		s.stopProgress = obs.StartProgress(s.logw, defaultProgressInterval, func() string {
-			return line(rec)
+			return progressLine(rec)
 		})
 	}
 	return s, nil
@@ -150,9 +146,9 @@ func (s *Scope) closeFiles() error {
 	return err
 }
 
-// defaultProgressLine summarizes the recorder the sim layer feeds: events
+// progressLine summarizes the recorder the sim layer feeds: events
 // dispatched and how far the virtual clock has advanced.
-func defaultProgressLine(rec *obs.Recorder) string {
+func progressLine(rec *obs.Recorder) string {
 	if !rec.Enabled() {
 		return "running"
 	}
