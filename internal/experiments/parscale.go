@@ -84,23 +84,21 @@ type ParScalePoint struct {
 func parScaleWorkload(specs []dc.Spec, perServer int, horizon, epoch time.Duration, seed uint64) *trace.Set {
 	master := rng.New(seed)
 	epochs := int(horizon/epoch) + 1
-	vms := make([]*trace.VM, 0, len(specs)*perServer)
-	for j := 0; j < len(specs)*perServer; j++ {
+	vms := trace.Synthesize(len(specs)*perServer, epochs, func(j int, demand []float64) *trace.VM {
 		src := master.SplitIndex("parscale-vm", j)
 		capMHz := specs[j%len(specs)].CapacityMHz()
-		demand := make([]float64, epochs)
 		for e := range demand {
 			u := 0.60 + 0.25*src.Float64()
 			demand[e] = u * capMHz / float64(perServer)
 		}
-		vms = append(vms, &trace.VM{
+		return &trace.VM{
 			ID:     j,
 			Start:  0,
 			End:    horizon + epoch,
 			Epoch:  epoch,
 			Demand: demand,
-		})
-	}
+		}
+	})
 	return &trace.Set{VMs: vms}
 }
 
