@@ -318,10 +318,13 @@ func BenchmarkAblationParallelControlRound(b *testing.B) {
 
 // BenchmarkInvitationRound isolates one assignment invitation round on a
 // loaded 400-server fleet — the operation footnote 1 worries about at scale.
+// The fleet is placed at t=0 and invited at t=1h: past every grace period,
+// so each active server runs its Bernoulli trial, and inside the 2-h
+// workload, so every VM still has demand.
 func BenchmarkInvitationRound(b *testing.B) {
 	gen := trace.DefaultGenConfig()
 	gen.NumVMs = 2000
-	gen.Horizon = time.Hour
+	gen.Horizon = 2 * time.Hour
 	ws, err := trace.Generate(gen, 1)
 	if err != nil {
 		b.Fatal(err)
@@ -332,12 +335,12 @@ func BenchmarkInvitationRound(b *testing.B) {
 	}
 	// Pre-place through the policy so the fleet is realistically loaded.
 	d := dcFromWorkload(b, ws, pol)
+	env := envAt(d, time.Hour)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		vm := ws.VMs[i%len(ws.VMs)]
-		env := envFor(d)
 		// Arrival + immediate departure keeps the fleet state stationary.
-		pol.OnArrival(env, probeVM(1_000_000+i, vm.DemandAt(0)))
+		pol.OnArrival(env, probeVM(1_000_000+i, vm.DemandAt(env.Now)))
 		if _, err := d.Remove(1_000_000 + i); err != nil {
 			b.Fatal(err)
 		}
