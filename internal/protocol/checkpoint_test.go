@@ -2,6 +2,10 @@ package protocol
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,5 +101,33 @@ func TestAdoptStreamsRejectsForeignLabel(t *testing.T) {
 	}
 	if err := q.AdoptStreams(states); err == nil {
 		t.Fatal("foreign stream label accepted")
+	}
+}
+
+// TestClusterStreamLabelsPinned pins the cluster's stream labels and their
+// captured states once streams 1, 4 and 7 have been derived and drawn from.
+func TestClusterStreamLabelsPinned(t *testing.T) {
+	c, err := New(fixedConfig(), dc.UniformFleet(8, 6, 2000), 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{7, 1, 4} {
+		for i := 0; i <= id; i++ {
+			c.serverSrc(id).Float64()
+		}
+	}
+	reg := rng.NewRegistry()
+	c.RegisterStreams(reg)
+	const wantLabels = "protocol/manager protocol/master protocol/net protocol/server/1 protocol/server/4 protocol/server/7"
+	if got := strings.Join(reg.Labels(), " "); got != wantLabels {
+		t.Fatalf("stream labels\n got %s\nwant %s", got, wantLabels)
+	}
+	raw, err := json.Marshal(reg.States())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const wantStates = "434fadd1739f2607b799505e8be48a53544d71f9f06ade74dccdc7c7f24e3544"
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != wantStates {
+		t.Fatalf("stream states digest %s, want %s", got, wantStates)
 	}
 }
