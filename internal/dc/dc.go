@@ -10,6 +10,7 @@ package dc
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -155,6 +156,11 @@ func (s *Server) VMs() []*trace.VM {
 	copy(out, s.vms)
 	return out
 }
+
+// AppendVMs appends the hosted VMs to dst in ascending ID order and returns
+// the extended slice: VMs without the allocation, for a caller that keeps
+// a scratch buffer.
+func (s *Server) AppendVMs(dst []*trace.VM) []*trace.VM { return append(dst, s.vms...) }
 
 // indexOf returns the position of vmID in the sorted slice, or -1.
 func (s *Server) indexOf(vmID int) int {
@@ -316,10 +322,8 @@ func (d *DataCenter) TotalCapacityMHz() float64 {
 // ActiveCount returns how many servers are currently active.
 func (d *DataCenter) ActiveCount() int {
 	n := 0
-	for _, st := range d.hot.state {
-		if st == Active {
-			n++
-		}
+	for _, word := range d.hot.active {
+		n += bits.OnesCount64(word)
 	}
 	return n
 }
@@ -342,7 +346,7 @@ func (d *DataCenter) Activate(s *Server, t time.Duration) error {
 	if d.hot.state[s.ID] == Failed {
 		return fmt.Errorf("dc: activating failed server %d", s.ID)
 	}
-	d.hot.state[s.ID] = Active
+	d.hot.setState(s.ID, Active)
 	d.hot.activatedAt[s.ID] = t
 	d.Activations++
 	d.emit(Event{Kind: EventActivate, VM: -1, Server: s.ID, Dest: -1})
@@ -357,7 +361,7 @@ func (d *DataCenter) Hibernate(s *Server) error {
 	if len(s.vms) > 0 {
 		return fmt.Errorf("dc: server %d still hosts %d VMs", s.ID, len(s.vms))
 	}
-	d.hot.state[s.ID] = Hibernated
+	d.hot.setState(s.ID, Hibernated)
 	d.Hibernations++
 	d.emit(Event{Kind: EventHibernate, VM: -1, Server: s.ID, Dest: -1})
 	return nil
@@ -427,7 +431,7 @@ func (d *DataCenter) Fail(s *Server, t time.Duration) ([]*trace.VM, error) {
 		delete(d.byVM, vm.ID)
 		d.emit(Event{Kind: EventCrashEvict, VM: vm.ID, Server: s.ID, Dest: -1})
 	}
-	d.hot.state[s.ID] = Failed
+	d.hot.setState(s.ID, Failed)
 	d.Failures++
 	d.emit(Event{Kind: EventFail, VM: -1, Server: s.ID, Dest: -1})
 	return evicted, nil
@@ -440,7 +444,7 @@ func (d *DataCenter) Recover(s *Server, t time.Duration) error {
 	if st := d.hot.state[s.ID]; st != Failed {
 		return fmt.Errorf("dc: recovering %s server %d", st, s.ID)
 	}
-	d.hot.state[s.ID] = Hibernated
+	d.hot.setState(s.ID, Hibernated)
 	d.Recoveries++
 	d.emit(Event{Kind: EventRecover, VM: -1, Server: s.ID, Dest: -1})
 	return nil
@@ -525,14 +529,19 @@ func MinServersFor(specs []Spec, demandMHz, ta float64) int {
 }
 
 // CheckInvariants verifies internal consistency: every indexed VM is on the
-// server the index claims, hosted VM sets match the index exactly, and only
-// active servers host VMs (hibernated and failed servers must be empty).
+// server the index claims, hosted VM sets match the index exactly, only
+// active servers host VMs (hibernated and failed servers must be empty),
+// and the active bitset agrees with every server's state.
 // Tests and the driver's paranoid mode call it.
 func (d *DataCenter) CheckInvariants() error {
 	seen := 0
 	for _, s := range d.Servers {
-		if st := d.hot.state[s.ID]; st != Active && len(s.vms) > 0 {
+		st := d.hot.state[s.ID]
+		if st != Active && len(s.vms) > 0 {
 			return fmt.Errorf("dc: %s server %d hosts %d VMs", st, s.ID, len(s.vms))
+		}
+		if bit := d.hot.active[s.ID/64]>>(s.ID%64)&1 == 1; bit != (st == Active) {
+			return fmt.Errorf("dc: %s server %d has active bit %v", st, s.ID, bit)
 		}
 		ram := 0.0
 		for _, vm := range s.vms {

@@ -2,6 +2,7 @@ package dc
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -274,6 +275,83 @@ func TestActiveCountAndPlacedDemand(t *testing.T) {
 	}
 	if got := d.PlacedDemandAt(0); got != 3000 {
 		t.Fatalf("placed demand = %v", got)
+	}
+}
+
+// TestActiveSetTracksState drives random power-state changes over a fleet
+// spanning three bitset words and checks that AppendActive, a NextActive
+// walk and ActiveCount all list exactly the servers whose State is Active,
+// in ID order — also after a snapshot round trip.
+func TestActiveSetTracksState(t *testing.T) {
+	src := rng.New(5)
+	d := New(StandardFleet(150))
+	check := func(d *DataCenter, step int) {
+		t.Helper()
+		var want []int
+		for _, s := range d.Servers {
+			if s.State() == Active {
+				want = append(want, s.ID)
+			}
+		}
+		var listed, walked []int
+		for _, s := range d.AppendActive(nil) {
+			listed = append(listed, s.ID)
+		}
+		for id := d.NextActive(0); id >= 0; id = d.NextActive(id + 1) {
+			walked = append(walked, id)
+		}
+		if !slices.Equal(listed, want) || !slices.Equal(walked, want) || d.ActiveCount() != len(want) {
+			t.Fatalf("step %d: active %v, AppendActive %v, NextActive %v, ActiveCount %d", step, want, listed, walked, d.ActiveCount())
+		}
+	}
+	for step := 0; step < 2000; step++ {
+		s := d.Servers[src.Intn(len(d.Servers))]
+		switch src.Intn(4) {
+		case 0:
+			_ = d.Activate(s, time.Duration(step)*time.Second)
+		case 1:
+			_ = d.Hibernate(s)
+		case 2:
+			_, _ = d.Fail(s, time.Duration(step)*time.Second)
+		case 3:
+			_ = d.Recover(s, time.Duration(step)*time.Second)
+		}
+		check(d, step)
+	}
+	restored, err := Restore(StandardFleet(150), &trace.Set{}, d.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(restored, -1)
+	if got := d.NextActive(len(d.Servers)); got != -1 {
+		t.Fatalf("NextActive past the fleet = %d", got)
+	}
+}
+
+// TestNextActiveSeesLiveState: a walk that advances with NextActive visits
+// a server activated above the cursor mid-walk and skips one hibernated
+// ahead of it.
+func TestNextActiveSeesLiveState(t *testing.T) {
+	d := New(StandardFleet(130))
+	for _, id := range []int{3, 70, 100} {
+		if err := d.Activate(d.Servers[id], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var visited []int
+	for id := d.NextActive(0); id >= 0; id = d.NextActive(id + 1) {
+		visited = append(visited, id)
+		if id == 3 {
+			if err := d.Activate(d.Servers[129], 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Hibernate(d.Servers[70]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := []int{3, 100, 129}; !slices.Equal(visited, want) {
+		t.Fatalf("visited %v, want %v", visited, want)
 	}
 }
 

@@ -125,7 +125,7 @@ func Restore(specs []Spec, ws *trace.Set, snap Snapshot) (*DataCenter, error) {
 			if len(ss.VMs) > 0 {
 				return nil, fmt.Errorf("dc: snapshot has %d VMs on failed server %d", len(ss.VMs), ss.ID)
 			}
-			d.hot.state[s.ID] = Failed
+			d.hot.setState(s.ID, Failed)
 		case len(ss.VMs) > 0:
 			return nil, fmt.Errorf("dc: snapshot has %d VMs on hibernated server %d", len(ss.VMs), ss.ID)
 		}
