@@ -3,9 +3,6 @@ package ecocloud
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -53,40 +50,18 @@ type serverClock struct {
 func (p *Policy) RegisterStreams(reg *rng.Registry) {
 	reg.Add(masterStream, p.master)
 	reg.Add(managerStream, p.mgr)
-	ids := make([]int, 0, len(p.servers))
-	for id := range p.servers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		reg.Add(serverStreamPrefix+strconv.Itoa(id), p.servers[id])
-	}
+	p.servers.Register(reg, serverStreamPrefix)
 }
 
 // AdoptStreams implements checkpoint.StreamOwner: it installs the captured
 // stream states, creating per-server streams that the fresh policy has not
-// derived yet.
+// derived yet. A label it does not own fails the restore.
 func (p *Policy) AdoptStreams(states map[string]rng.State) error {
 	reg := rng.NewRegistry()
 	reg.Add(masterStream, p.master)
 	reg.Add(managerStream, p.mgr)
-	for label := range states {
-		if !strings.HasPrefix(label, serverStreamPrefix) {
-			if label == masterStream || label == managerStream {
-				continue
-			}
-			return fmt.Errorf("ecocloud: checkpoint stream %q not recognized", label)
-		}
-		id, err := strconv.Atoi(label[len(serverStreamPrefix):])
-		if err != nil {
-			return fmt.Errorf("ecocloud: checkpoint stream %q: bad server ID", label)
-		}
-		src, ok := p.servers[id]
-		if !ok {
-			src = &rng.Source{}
-			p.servers[id] = src
-		}
-		reg.Add(label, src)
+	if err := p.servers.Adopt(reg, serverStreamPrefix, states); err != nil {
+		return fmt.Errorf("ecocloud: %w", err)
 	}
 	return reg.Restore(states)
 }
@@ -94,13 +69,10 @@ func (p *Policy) AdoptStreams(states map[string]rng.State) error {
 // MarshalCheckpoint implements checkpoint.Checkpointable.
 func (p *Policy) MarshalCheckpoint() (json.RawMessage, error) {
 	st := policyState{NextGroup: p.nextGroup}
-	ids := make([]int, 0, len(p.lastMig))
-	for id := range p.lastMig {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		st.LastMigNS = append(st.LastMigNS, serverClock{Server: id, AtNS: int64(p.lastMig[id])})
+	for id, at := range p.lastMig {
+		if at != noMig {
+			st.LastMigNS = append(st.LastMigNS, serverClock{Server: id, AtNS: int64(at)})
+		}
 	}
 	return json.Marshal(st)
 }
@@ -113,9 +85,12 @@ func (p *Policy) UnmarshalCheckpoint(raw json.RawMessage) error {
 			return fmt.Errorf("ecocloud: checkpoint state: %w", err)
 		}
 	}
-	p.lastMig = make(map[int]time.Duration, len(st.LastMigNS))
+	p.lastMig = nil
 	for _, c := range st.LastMigNS {
-		p.lastMig[c.Server] = time.Duration(c.AtNS)
+		if c.Server < 0 || c.Server >= maxServerID {
+			return fmt.Errorf("ecocloud: checkpoint cooldown of bad server ID %d", c.Server)
+		}
+		p.lastMig.set(c.Server, time.Duration(c.AtNS))
 	}
 	p.nextGroup = st.NextGroup
 	return nil

@@ -53,24 +53,46 @@ type Invitee struct {
 	Grace  bool    // inside the post-activation grace period (InGrace)
 }
 
-// Accept is the trial an invited server runs on an invitation for a VM of
+// Round is one invitation round's acceptance test: fa under the round's
+// threshold ta — fa's own Ta, or HighMigTa for a high migration — built once
+// by Core.Round and applied to every invitee.
+type Round struct {
+	k  *Core
+	ta float64
+	fa AssignProbFunc
+	ok bool // fa could be built under ta (false only for ta outside (0, 1])
+}
+
+// Round returns the acceptance test of a round under threshold ta.
+func (k *Core) Round(ta float64) Round {
+	r := Round{k: k, ta: ta, fa: k.fa, ok: true}
+	//ecolint:allow float-eq — ta is fa.Ta copied verbatim unless a high migration tightened it, so exact inequality means a real override
+	if ta != k.fa.Ta {
+		tightened, err := k.fa.WithThreshold(ta)
+		r.fa, r.ok = tightened, err == nil
+	}
+	return r
+}
+
+// Accept is the trial invited server id runs on an invitation for a VM of
 // demandMHz and ramMB (§II, Fig. 1). The VM must fit under the round's
-// threshold ta — fa's own Ta, or HighMigTa for a high migration:
-// u + demand/capacity <= ta and, with the §V extension on and the server
-// modelling memory, ramU + ramMB/memory <= RAM.Ta. A server in its grace
-// period then accepts outright (§IV). Any other runs the Bernoulli trial on
-// fa(u) under ta or, with memory modelled, the configured §V strategy:
-// AllTrials draws on CPU then memory and needs both; CriticalPlusConstraints
-// draws once, on the resource closer to its threshold.
+// threshold: u + demand/capacity <= ta and, with the §V extension on and the
+// server modelling memory, ramU + ramMB/memory <= RAM.Ta. A server in its
+// grace period then accepts outright (§IV). Any other runs the Bernoulli
+// trial on fa(u) under ta or, with memory modelled, the configured §V
+// strategy: AllTrials draws on CPU then memory and needs both;
+// CriticalPlusConstraints draws once, on the resource closer to its
+// threshold.
 //
-// The draws come from the server's own stream, which src returns. src is
-// called only when a trial runs, so a caller that derives per-server
-// streams on first use derives only those its trials draw from — the set a
-// checkpoint captures.
-func (k *Core) Accept(src func() *rng.Source, ta, demandMHz, ramMB float64, s Invitee) bool {
-	if s.U+demandMHz/s.CapMHz > ta {
+// The draws come from the server's own stream, st's entry id, which is
+// derived only when a trial runs — so a driver that derives streams on
+// first use derives only those its trials draw from, the set a checkpoint
+// captures.
+func (r *Round) Accept(st *Streams, id int, demandMHz, ramMB float64, s Invitee) bool {
+	if s.U+demandMHz/s.CapMHz > r.ta {
 		return false
 	}
+	k := r.k
 	mem := k.RAM != nil && s.RAMMB > 0
 	if mem && s.RAMU+ramMB/s.RAMMB > k.RAM.Ta {
 		return false
@@ -78,27 +100,21 @@ func (k *Core) Accept(src func() *rng.Source, ta, demandMHz, ramMB float64, s In
 	if s.Grace {
 		return true
 	}
-	fa := k.fa
-	//ecolint:allow float-eq — ta is fa.Ta copied verbatim unless a high migration tightened it, so exact inequality means a real override
-	if ta != fa.Ta {
-		tightened, err := fa.WithThreshold(ta)
-		if err != nil {
-			return false // ta <= 0: unreachable, since Ta' > 0 whenever u > Th
-		}
-		fa = tightened
+	if !r.ok {
+		return false // unreachable: Ta' > 0 whenever u > Th
 	}
-	r := src()
+	src := st.Get(id)
 	if !mem {
-		return r.Bernoulli(fa.Eval(s.U))
+		return src.Bernoulli(r.fa.Eval(s.U))
 	}
 	if k.RAM.Strategy == CriticalPlusConstraints {
 		// The other resource's threshold was enforced above as a constraint.
-		if s.RAMU/k.faRAM.Ta > s.U/fa.Ta {
-			return r.Bernoulli(k.faRAM.Eval(s.RAMU))
+		if s.RAMU/k.faRAM.Ta > s.U/r.fa.Ta {
+			return src.Bernoulli(k.faRAM.Eval(s.RAMU))
 		}
-		return r.Bernoulli(fa.Eval(s.U))
+		return src.Bernoulli(r.fa.Eval(s.U))
 	}
-	return r.Bernoulli(fa.Eval(s.U)) && r.Bernoulli(k.faRAM.Eval(s.RAMU))
+	return src.Bernoulli(r.fa.Eval(s.U)) && src.Bernoulli(k.faRAM.Eval(s.RAMU))
 }
 
 // ScanAction is one active server's outcome of a monitoring tick.

@@ -18,13 +18,25 @@ func mustCore(t *testing.T, cfg Config) Core {
 	return k
 }
 
-// noDraw is a stream getter for cases that must decide without a trial.
-func noDraw(t *testing.T) func() *rng.Source {
-	return func() *rng.Source {
-		t.Helper()
-		t.Fatal("decision drew from the server's stream")
-		return nil
-	}
+// noDraw is a one-server stream table for cases that must decide without a
+// trial: the test fails if the decision derives its entry.
+func noDraw(t *testing.T) *Streams {
+	st := NewStreams(rng.New(1), 1)
+	t.Cleanup(func() {
+		if st.srcs[0] != nil {
+			t.Error("decision drew from the server's stream")
+		}
+	})
+	return &st
+}
+
+// streamOf is a one-server stream table whose entry is src.
+func streamOf(src *rng.Source) *Streams { return &Streams{srcs: []*rng.Source{src}} }
+
+// accept runs k's trial under threshold ta for the one server of st.
+func accept(k *Core, st *Streams, ta, demandMHz, ramMB float64, s Invitee) bool {
+	r := k.Round(ta)
+	return r.Accept(st, 0, demandMHz, ramMB, s)
 }
 
 // untouched fails unless src is still at the state of a fresh rng.New(seed).
@@ -41,15 +53,15 @@ func TestCoreAcceptFeasibilityAndGrace(t *testing.T) {
 	// 0.5 + 4,000/10,000 = 0.9 fits exactly under Ta = 0.9; a grace server
 	// then accepts without a trial.
 	s.Grace = true
-	if !k.Accept(noDraw(t), k.Ta, 4_000, 0, s) {
+	if !accept(&k, noDraw(t), k.Ta, 4_000, 0, s) {
 		t.Fatal("grace server refused a VM that fits")
 	}
 	// One MHz more does not fit, grace or not, and draws nothing.
-	if k.Accept(noDraw(t), k.Ta, 4_001, 0, s) {
+	if accept(&k, noDraw(t), k.Ta, 4_001, 0, s) {
 		t.Fatal("grace server accepted a VM past Ta")
 	}
 	s.Grace = false
-	if k.Accept(noDraw(t), k.Ta, 4_001, 0, s) {
+	if accept(&k, noDraw(t), k.Ta, 4_001, 0, s) {
 		t.Fatal("accepted a VM past Ta")
 	}
 }
@@ -67,7 +79,7 @@ func TestCoreAcceptTrialOnTightenedThreshold(t *testing.T) {
 		}
 		for seed := uint64(1); seed <= 200; seed++ {
 			src := rng.New(seed)
-			got := k.Accept(func() *rng.Source { return src }, ta, 500, 0, s)
+			got := accept(&k, streamOf(src), ta, 500, 0, s)
 			if want := rng.New(seed).Bernoulli(fa.Eval(s.U)); got != want {
 				t.Fatalf("ta %v seed %d: accept %v, want the fa(u) draw %v", ta, seed, got, want)
 			}

@@ -7,7 +7,7 @@ import (
 	"repro/internal/rng"
 )
 
-// The §V multi-resource strategies live in Core.Accept; these tests drive
+// The §V multi-resource strategies live in Round.Accept; these tests drive
 // them through it, with memory modelled on a 10 GHz / 10 GiB server.
 
 func multiCore(t *testing.T, strategy MultiStrategy) Core {
@@ -24,10 +24,10 @@ func memServer(u, ramU float64) Invitee {
 
 // acceptRate runs n trials of a small VM (100 MHz, 100 MiB) on one stream.
 func acceptRate(k Core, s Invitee, seed uint64, n int) float64 {
-	src := rng.New(seed)
+	st := streamOf(rng.New(seed))
 	hits := 0
 	for i := 0; i < n; i++ {
-		if k.Accept(func() *rng.Source { return src }, k.Ta, 100, 100, s) {
+		if accept(&k, st, k.Ta, 100, 100, s) {
 			hits++
 		}
 	}
@@ -51,7 +51,7 @@ func TestResourcesSortedOrder(t *testing.T) {
 	s := memServer(0.6, 0.5)
 	for seed := uint64(1); seed <= 200; seed++ {
 		src := rng.New(seed)
-		got := k.Accept(func() *rng.Source { return src }, k.Ta, 100, 100, s)
+		got := accept(&k, streamOf(src), k.Ta, 100, 100, s)
 		r := rng.New(seed)
 		want := r.Bernoulli(k.fa.Eval(s.U)) && r.Bernoulli(k.faRAM.Eval(s.RAMU))
 		if got != want || src.State() != r.State() {
@@ -73,7 +73,7 @@ func TestTrialAllRejectsWhenAnyResourceFull(t *testing.T) {
 	k := multiCore(t, AllTrials)
 	// Memory at 0.79 plus a 200 MiB VM passes RAM Ta = 0.8: rejected before
 	// any trial, however attractive the CPU side.
-	if k.Accept(noDraw(t), k.Ta, 100, 200, memServer(0.675, 0.79)) {
+	if accept(&k, noDraw(t), k.Ta, 100, 200, memServer(0.675, 0.79)) {
 		t.Fatal("accepted despite a full resource")
 	}
 }
@@ -100,7 +100,7 @@ func TestCriticalPicksHighestRelativeUtilization(t *testing.T) {
 	} {
 		for seed := uint64(1); seed <= 200; seed++ {
 			src := rng.New(seed)
-			got := k.Accept(func() *rng.Source { return src }, k.Ta, 1, 1, c.s)
+			got := accept(&k, streamOf(src), k.Ta, 1, 1, c.s)
 			p := k.fa.Eval(c.s.U)
 			if c.useRAM {
 				p = k.faRAM.Eval(c.s.RAMU)
@@ -116,7 +116,7 @@ func TestTrialCriticalConstraints(t *testing.T) {
 	k := multiCore(t, CriticalPlusConstraints)
 	// CPU is critical (0.88/0.9), but memory ends past its threshold: the
 	// constraint rejects without a trial.
-	if k.Accept(noDraw(t), k.Ta, 1, 200, memServer(0.88, 0.79)) {
+	if accept(&k, noDraw(t), k.Ta, 1, 200, memServer(0.88, 0.79)) {
 		t.Fatal("accepted despite a violated constraint")
 	}
 }
@@ -134,7 +134,7 @@ func TestTrialCriticalUsesSingleTrial(t *testing.T) {
 		t.Fatalf("AllTrials prob %v not below critical-only %v", all, want)
 	}
 	src := rng.New(9)
-	k.Accept(func() *rng.Source { return src }, k.Ta, 100, 100, s)
+	accept(&k, streamOf(src), k.Ta, 100, 100, s)
 	r := rng.New(9)
 	r.Float64()
 	if src.State() != r.State() {
@@ -149,7 +149,7 @@ func TestTrialCriticalMissingResource(t *testing.T) {
 	s := Invitee{U: 0.6, CapMHz: 10_000, RAMU: 0.99}
 	for seed := uint64(1); seed <= 200; seed++ {
 		src := rng.New(seed)
-		got := k.Accept(func() *rng.Source { return src }, k.Ta, 100, 1e9, s)
+		got := accept(&k, streamOf(src), k.Ta, 100, 1e9, s)
 		if want := rng.New(seed).Bernoulli(k.fa.Eval(s.U)); got != want {
 			t.Fatalf("seed %d: accept %v, want the CPU-only draw %v", seed, got, want)
 		}

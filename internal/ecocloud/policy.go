@@ -2,6 +2,7 @@ package ecocloud
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -27,21 +28,50 @@ type Policy struct {
 	mgr *rng.Source
 	// servers holds one independent stream per server, so Bernoulli draws
 	// do not depend on iteration (or goroutine) order.
-	servers map[int]*rng.Source
+	servers Streams
 	master  *rng.Source
 
-	// lastMig is the virtual time of each server's last migration request,
+	// lastMig holds each server's last successful consolidation migration,
 	// for the cooldown.
-	lastMig map[int]time.Duration
+	lastMig cooldowns
 
 	// nextGroup rotates which static server group receives the next
 	// invitation when InviteGroups is enabled.
 	nextGroup int
 
 	// Invitation-round scratch, reused by every selectDestination call so
-	// arrivals and migration attempts do not allocate.
+	// arrivals and migration attempts do not allocate, and migrate's copy
+	// of the source's VMs.
 	invited, accepted, sleeping []*dc.Server
 	utils                       []float64
+	vms                         []*trace.VM
+}
+
+// cooldowns is a dense per-server table of the virtual time of each
+// server's last successful consolidation migration, indexed by ID. Entries
+// hold noMig until the first one, so a migration recorded at t = 0 — which
+// cluster.Run's pre-activated fleets allow — stays distinct from none: the
+// checkpoint writes the one and not the other.
+type cooldowns []time.Duration
+
+// noMig marks a server that has not migrated.
+const noMig = time.Duration(math.MinInt64)
+
+// set records server id's migration at t.
+func (c *cooldowns) set(id int, t time.Duration) {
+	for len(*c) <= id {
+		*c = append(*c, noMig)
+	}
+	(*c)[id] = t
+}
+
+// at returns server id's last migration time in Core.Scan's terms: 0 when
+// it has none.
+func (c cooldowns) at(id int) time.Duration {
+	if id < len(c) && c[id] != noMig {
+		return c[id]
+	}
+	return 0
 }
 
 var _ cluster.Policy = (*Policy)(nil)
@@ -59,9 +89,8 @@ func New(cfg Config, seed uint64) (*Policy, error) {
 	return &Policy{
 		core:    core,
 		mgr:     master.Split("manager"),
-		servers: make(map[int]*rng.Source),
+		servers: NewStreams(master, 0),
 		master:  master,
-		lastMig: make(map[int]time.Duration),
 	}, nil
 }
 
@@ -72,14 +101,7 @@ func (p *Policy) Name() string { return "ecocloud" }
 func (p *Policy) Config() Config { return p.core.Config }
 
 // serverSrc returns server id's private stream, creating it on first use.
-func (p *Policy) serverSrc(id int) *rng.Source {
-	s, ok := p.servers[id]
-	if !ok {
-		s = p.master.SplitIndex("server", id)
-		p.servers[id] = s
-	}
-	return s
-}
+func (p *Policy) serverSrc(id int) *rng.Source { return p.servers.Get(id) }
 
 // inGrace reports whether active server s is inside its post-activation
 // grace period at time now.
@@ -113,13 +135,15 @@ func (p *Policy) OnArrival(env cluster.Env, vm *trace.VM) {
 }
 
 // OnControl implements the periodic monitoring step: hibernate drained
-// servers, then run the migration procedure on each active server.
+// servers, then run the migration procedure on each active server. Both
+// walks read the live active set in ID order, so a server that a high
+// migration wakes above the cursor is scanned in the same pass.
 func (p *Policy) OnControl(env cluster.Env) {
-	// Hibernate empty active servers whose grace has expired. Iterate over
-	// a snapshot: Hibernate mutates state, not the slice, but keep it tidy.
-	for _, s := range env.DC.Servers {
-		if s.State() == dc.Active && s.NumVMs() == 0 && !p.inGrace(s, env.Now) {
-			if err := env.DC.Hibernate(s); err != nil {
+	d := env.DC
+	// Hibernate empty active servers whose grace has expired.
+	for id := d.NextActive(0); id >= 0; id = d.NextActive(id + 1) {
+		if s := d.Servers[id]; s.NumVMs() == 0 && !p.inGrace(s, env.Now) {
+			if err := d.Hibernate(s); err != nil {
 				panic(fmt.Sprintf("ecocloud: hibernating empty server %d: %v", s.ID, err))
 			}
 		}
@@ -127,12 +151,13 @@ func (p *Policy) OnControl(env cluster.Env) {
 	if p.core.DisableMigration {
 		return
 	}
-	for _, s := range env.DC.Servers {
-		if s.State() != dc.Active || s.NumVMs() == 0 {
+	for id := d.NextActive(0); id >= 0; id = d.NextActive(id + 1) {
+		s := d.Servers[id]
+		if s.NumVMs() == 0 {
 			continue
 		}
 		u := s.UtilizationAt(env.Now)
-		if act := p.core.Scan(p.serverSrc(s.ID), s.NumVMs(), u, env.Now, s.ActivatedAt(), p.lastMig[s.ID]); act == ScanLow || act == ScanHigh {
+		if act := p.core.Scan(p.serverSrc(id), s.NumVMs(), u, env.Now, s.ActivatedAt(), p.lastMig.at(id)); act == ScanLow || act == ScanHigh {
 			p.migrate(env, s, u, act == ScanHigh)
 		}
 	}
@@ -146,7 +171,8 @@ func (p *Policy) OnControl(env cluster.Env) {
 // server (no ping-pong), and may wake a hibernated server: relieving
 // overload justifies the power.
 func (p *Policy) migrate(env cluster.Env, s *dc.Server, u float64, high bool) {
-	vm := p.core.MigrationVM(p.serverSrc(s.ID), s.VMs(), env.Now, u, s.CapacityMHz(), high)
+	p.vms = s.AppendVMs(p.vms[:0])
+	vm := p.core.MigrationVM(p.serverSrc(s.ID), p.vms, env.Now, u, s.CapacityMHz(), high)
 	if vm == nil {
 		return
 	}
@@ -167,7 +193,7 @@ func (p *Policy) migrate(env cluster.Env, s *dc.Server, u float64, high bool) {
 	}
 	// The cooldown clock starts at the successful migration, so a server
 	// that merely failed to find a destination retries at the next scan.
-	p.lastMig[s.ID] = env.Now
+	p.lastMig.set(s.ID, env.Now)
 	// A server emptied by its last migration hibernates right away.
 	if s.NumVMs() == 0 && !p.inGrace(s, env.Now) {
 		if err := env.DC.Hibernate(s); err != nil {
@@ -194,15 +220,16 @@ func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, all
 		group = p.nextGroup % g
 		p.nextGroup++
 	}
-	invited := p.invited[:0]
-	for _, s := range env.DC.Servers {
-		if s.State() != dc.Active || s.ID == exclude {
-			continue
+	invited := env.DC.AppendActive(p.invited[:0])
+	if exclude >= 0 || group >= 0 {
+		n := 0
+		for _, s := range invited {
+			if s.ID != exclude && (group < 0 || s.ID%p.core.InviteGroups == group) {
+				invited[n] = s
+				n++
+			}
 		}
-		if group >= 0 && s.ID%p.core.InviteGroups != group {
-			continue
-		}
-		invited = append(invited, s)
+		invited = invited[:n]
 	}
 	p.invited = invited
 	if k := p.core.InviteSubset; k > 0 && len(invited) > k {
@@ -219,13 +246,14 @@ func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, all
 	p.utils = slices.Grow(p.utils[:0], len(invited))[:len(invited)]
 	utils := p.utils
 	utilizations(env.Pool, invited, env.Now, utils)
+	round := p.core.Round(ta)
 	accepted := p.accepted[:0]
 	for i, s := range invited {
 		inv := Invitee{U: utils[i], CapMHz: s.CapacityMHz(), Grace: p.inGrace(s, env.Now)}
 		if p.core.RAM != nil {
 			inv.RAMU, inv.RAMMB = s.RAMUtilization(), s.Spec.RAMMB
 		}
-		if p.core.Accept(func() *rng.Source { return p.serverSrc(s.ID) }, ta, demandMHz, ramMB, inv) {
+		if round.Accept(&p.servers, s.ID, demandMHz, ramMB, inv) {
 			accepted = append(accepted, s)
 		}
 	}

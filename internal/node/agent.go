@@ -31,7 +31,7 @@ type agent struct {
 	dcen   *dc.DataCenter
 	vmByID map[int]*trace.VM
 	core   ecocloud.Core
-	srcs   []*rng.Source // per local server
+	srcs   ecocloud.Streams // by global ID, from master seed+1 as in protocolday
 	pm     dc.PowerModel
 
 	tr    protocol.Transport
@@ -88,7 +88,7 @@ func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transpo
 		dcen:   dc.New(dc.UniformFleet(span.Size(), cfg.Cores, cfg.CoreMHz)),
 		vmByID: make(map[int]*trace.VM, len(ws.VMs)),
 		core:   core,
-		srcs:   make([]*rng.Source, span.Size()),
+		srcs:   ecocloud.NewStreams(rng.New(cfg.Seed+1), span.Hi),
 		pm:     dc.DefaultPowerModel(),
 		tr:     tr,
 		stats:  stats,
@@ -106,12 +106,6 @@ func newAgent(cfg *ClusterConfig, nodeID int, ws *trace.Set, tr protocol.Transpo
 	}
 	for _, vm := range ws.VMs {
 		a.vmByID[vm.ID] = vm
-	}
-	// Same stream derivation as protocol.Cluster: master is seed+1 (the
-	// protocolday convention), servers split by global ID.
-	master := rng.New(cfg.Seed + 1)
-	for i := 0; i < span.Size(); i++ {
-		a.srcs[i] = master.SplitIndex("server", span.Lo+i)
 	}
 	return a, nil
 }
@@ -209,13 +203,14 @@ func (a *agent) onInvite(m inviteMsg) {
 	now := vt(m.NowNS)
 	a.integrate(now)
 	var accepts []int32
-	for i, s := range a.dcen.Servers {
-		globalID := a.span.Lo + i
-		if globalID == m.Exclude || s.State() != dc.Active {
+	trial := a.core.Round(m.Ta)
+	for i := a.dcen.NextActive(0); i >= 0; i = a.dcen.NextActive(i + 1) {
+		s, globalID := a.dcen.Servers[i], a.span.Lo+i
+		if globalID == m.Exclude {
 			continue
 		}
 		inv := ecocloud.Invitee{U: s.UtilizationAt(now), CapMHz: s.CapacityMHz(), Grace: a.core.InGrace(now, s.ActivatedAt())}
-		if a.core.Accept(func() *rng.Source { return a.srcs[i] }, m.Ta, m.Demand, 0, inv) {
+		if trial.Accept(&a.srcs, globalID, m.Demand, 0, inv) {
 			accepts = append(accepts, int32(globalID))
 		}
 	}
@@ -286,7 +281,7 @@ func (a *agent) onScan(m scanMsg) {
 		if s.NumVMs() > 0 { // an empty server decides on grace alone
 			u = s.UtilizationAt(now)
 		}
-		switch act := a.core.Scan(a.srcs[i], s.NumVMs(), u, now, s.ActivatedAt(), 0); act {
+		switch act := a.core.Scan(a.srcs.Get(globalID), s.NumVMs(), u, now, s.ActivatedAt(), 0); act {
 		case ecocloud.ScanHibernate:
 			if err := a.dcen.Hibernate(s); err != nil {
 				panic(fmt.Sprintf("node %d: hibernating server %d: %v", a.node, globalID, err))
@@ -295,7 +290,7 @@ func (a *agent) onScan(m scanMsg) {
 			out.Hibernated = append(out.Hibernated, int32(globalID))
 		case ecocloud.ScanLow, ecocloud.ScanHigh:
 			high := act == ecocloud.ScanHigh
-			if vm := a.core.MigrationVM(a.srcs[i], s.VMs(), now, u, s.CapacityMHz(), high); vm != nil {
+			if vm := a.core.MigrationVM(a.srcs.Get(globalID), s.VMs(), now, u, s.CapacityMHz(), high); vm != nil {
 				out.MigReqs = append(out.MigReqs, migReqEntry{Server: int32(globalID), VMID: int32(vm.ID), High: high, U: u})
 			}
 		}

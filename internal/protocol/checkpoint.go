@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -137,40 +135,19 @@ func (c *Cluster) RegisterStreams(reg *rng.Registry) {
 	reg.Add(masterStream, c.master)
 	reg.Add(managerStream, c.mgr)
 	reg.Add(netStream, c.nsim.RNG())
-	ids := make([]int, 0, len(c.servers))
-	for id := range c.servers {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		reg.Add(serverStreamPrefix+strconv.Itoa(id), c.servers[id])
-	}
+	c.servers.Register(reg, serverStreamPrefix)
 }
 
 // AdoptStreams implements checkpoint.StreamOwner, creating per-server
-// streams that the fresh cluster has not derived yet.
+// streams that the fresh cluster has not derived yet. A label it does not
+// own fails the restore.
 func (c *Cluster) AdoptStreams(states map[string]rng.State) error {
 	reg := rng.NewRegistry()
 	reg.Add(masterStream, c.master)
 	reg.Add(managerStream, c.mgr)
 	reg.Add(netStream, c.nsim.RNG())
-	for label := range states {
-		if !strings.HasPrefix(label, serverStreamPrefix) {
-			if label == masterStream || label == managerStream || label == netStream {
-				continue
-			}
-			return fmt.Errorf("protocol: checkpoint stream %q not recognized", label)
-		}
-		id, err := strconv.Atoi(label[len(serverStreamPrefix):])
-		if err != nil {
-			return fmt.Errorf("protocol: checkpoint stream %q: bad server ID", label)
-		}
-		src, ok := c.servers[id]
-		if !ok {
-			src = &rng.Source{}
-			c.servers[id] = src
-		}
-		reg.Add(label, src)
+	if err := c.servers.Adopt(reg, serverStreamPrefix, states); err != nil {
+		return fmt.Errorf("protocol: %w", err)
 	}
 	return reg.Restore(states)
 }

@@ -112,17 +112,19 @@ func (r *Registry) States() map[string]State {
 }
 
 // Restore installs the captured states into the registered sources. Every
-// registered label must be present in states and vice versa.
+// registered label must be present in states and vice versa; on a mismatch
+// it fails before installing anything.
 func (r *Registry) Restore(states map[string]State) error {
+	for label := range states {
+		if _, ok := r.srcs[label]; !ok {
+			return fmt.Errorf("rng: registry restore: captured stream %q has no registered source", label)
+		}
+	}
 	if len(states) != len(r.srcs) {
 		return fmt.Errorf("rng: registry restore: %d captured streams, %d registered", len(states), len(r.srcs))
 	}
 	for label, st := range states {
-		src, ok := r.srcs[label]
-		if !ok {
-			return fmt.Errorf("rng: registry restore: captured stream %q has no registered source", label)
-		}
-		src.Restore(st)
+		r.srcs[label].Restore(st)
 	}
 	return nil
 }
