@@ -3,6 +3,7 @@ package rng
 import (
 	"encoding/json"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -205,6 +206,17 @@ func TestRegistryRoundTrip(t *testing.T) {
 	states["server/2"] = New(1).State()
 	if err := reg.Restore(states); err == nil {
 		t.Fatal("restore with an unknown stream did not error")
+	}
+	// A mismatch installs nothing, even when the counts agree.
+	states["server/0"] = New(2).State()
+	delete(states, "server/1")
+	before := srcs["manager"].State()
+	states["manager"] = New(3).State()
+	if err := reg.Restore(states); err == nil || !strings.Contains(err.Error(), `"server/2"`) {
+		t.Fatalf("restore with an unknown stream: %v", err)
+	}
+	if srcs["manager"].State() != before {
+		t.Fatal("a failed restore installed a state")
 	}
 }
 
