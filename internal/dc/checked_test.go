@@ -77,8 +77,8 @@ func TestCheckedModePanicsOnCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Corrupt: drop the index entry while the server still hosts the VM.
-	delete(d.byVM, 1)
+	// Corrupt: clear the index entry while the server still hosts the VM.
+	d.byVM.clear(1)
 
 	msg := mustPanic(t, func() {
 		_ = d.Place(constVM(2, 500), s0)
@@ -100,7 +100,7 @@ func TestCheckedModeOffToleratesCorruption(t *testing.T) {
 	if err := d.Place(constVM(1, 500), s0); err != nil {
 		t.Fatal(err)
 	}
-	delete(d.byVM, 1)
+	d.byVM.clear(1)
 	if err := d.Place(constVM(2, 500), s0); err != nil {
 		t.Fatal(err)
 	}

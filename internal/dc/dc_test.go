@@ -364,33 +364,69 @@ func TestNewPanicsOnBadSpec(t *testing.T) {
 	New([]Spec{{Cores: 0, CoreMHz: 2000}})
 }
 
-// Property: any random sequence of valid operations preserves invariants.
+// Property: any random sequence of valid operations preserves invariants,
+// and HostOf and NumPlaced agree with a reference map after every step. The
+// VM IDs straddle the index's page boundary (4,095 | 4,096) and start a
+// sparse page at 1,000,000.
 func TestQuickOperationsPreserveInvariants(t *testing.T) {
+	ids := []int{4095, 4096, 4097, 8191, 1_000_000, 1_000_001, 1_004_096}
 	f := func(seed uint64) bool {
 		src := rng.New(seed)
 		d := New(StandardFleet(9))
-		vms := make([]*trace.VM, 30)
+		vms := make([]*trace.VM, 30+len(ids))
 		for i := range vms {
-			vms[i] = constVM(i, 200+src.Float64()*1500)
+			id := i
+			if i >= 30 {
+				id = ids[i-30]
+			}
+			vms[i] = constVM(id, 200+src.Float64()*1500)
 		}
+		ref := map[int]int{} // VM ID -> host ID
 		for step := 0; step < 300; step++ {
 			s := d.Servers[src.Intn(len(d.Servers))]
 			v := vms[src.Intn(len(vms))]
-			switch src.Intn(5) {
-			case 0:
+			// Fail and Recover are rarer than the rest: a crash succeeds on
+			// any live server, and more of them would leave few active.
+			switch op := src.Intn(16); {
+			case op < 3:
 				_ = d.Activate(s, time.Duration(step)*time.Second)
-			case 1:
+			case op < 4:
 				_ = d.Hibernate(s)
-			case 2:
-				_ = d.Place(v, s)
-			case 3:
-				_, _ = d.Remove(v.ID)
-			case 4:
-				_ = d.Migrate(v.ID, s)
+			case op < 8:
+				if d.Place(v, s) == nil {
+					ref[v.ID] = s.ID
+				}
+			case op < 10:
+				if _, err := d.Remove(v.ID); err == nil {
+					delete(ref, v.ID)
+				}
+			case op < 14:
+				if d.Migrate(v.ID, s) == nil {
+					ref[v.ID] = s.ID
+				}
+			case op < 15:
+				evicted, _ := d.Fail(s, time.Duration(step)*time.Second)
+				for _, vm := range evicted {
+					delete(ref, vm.ID)
+				}
+			default:
+				_ = d.Recover(s, time.Duration(step)*time.Second)
 			}
 			if err := d.CheckInvariants(); err != nil {
 				t.Logf("step %d: %v", step, err)
 				return false
+			}
+			if d.NumPlaced() != len(ref) {
+				t.Logf("step %d: NumPlaced = %d, reference holds %d", step, d.NumPlaced(), len(ref))
+				return false
+			}
+			for _, vm := range vms {
+				host, ok := d.HostOf(vm.ID)
+				want, placed := ref[vm.ID]
+				if ok != placed || ok && host.ID != want {
+					t.Logf("step %d: HostOf(%d) = %v, %v; reference %d, %v", step, vm.ID, host, ok, want, placed)
+					return false
+				}
 			}
 		}
 		return true

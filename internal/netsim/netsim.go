@@ -104,11 +104,15 @@ func (l LatencyModel) delay(size int, src *rng.Source) time.Duration {
 
 // Network connects registered nodes through the simulation engine.
 type Network struct {
-	eng      *sim.Engine
-	lat      LatencyModel
-	imp      Impairments
-	src      *rng.Source
-	handlers map[NodeID]Handler
+	eng *sim.Engine
+	lat LatencyModel
+	imp Impairments
+	src *rng.Source
+
+	// handlers is indexed by node ID (nil: unregistered). Protocol node IDs
+	// are small and dense (the manager is 0, server i is i+1), so the
+	// table is as long as the largest registered ID plus one.
+	handlers []Handler
 
 	// free lists the deliveries that have fired, ready for reuse, and
 	// eventNames holds the engine event name "netsim:<kind>" per message
@@ -143,7 +147,6 @@ func New(eng *sim.Engine, lat LatencyModel, src *rng.Source) *Network {
 	}
 	return &Network{
 		eng: eng, lat: lat, src: src,
-		handlers:   make(map[NodeID]Handler),
 		eventNames: make(map[string]string),
 	}
 }
@@ -158,10 +161,17 @@ func (n *Network) RNG() *rng.Source { return n.src }
 // simulated fabric or over real sockets (internal/node/tcptransport).
 func (n *Network) Stats() (sent int, bytes int64) { return n.Sent, n.Bytes }
 
-// Register installs the handler for a node. Re-registering replaces it.
+// Register installs the handler for a node. Re-registering replaces it. A
+// nil handler or a negative ID panics.
 func (n *Network) Register(id NodeID, h Handler) {
 	if h == nil {
 		panic(fmt.Sprintf("netsim: nil handler for node %d", id))
+	}
+	if id < 0 {
+		panic(fmt.Sprintf("netsim: negative node ID %d", id))
+	}
+	if int(id) >= len(n.handlers) {
+		n.handlers = append(n.handlers, make([]Handler, int(id)+1-len(n.handlers))...)
 	}
 	n.handlers[id] = h
 }
@@ -242,9 +252,8 @@ func (d *delivery) deliver(*sim.Engine) {
 	n, msg := d.net, d.msg
 	d.msg = Message{} // the free list keeps no payload alive
 	d.next, n.free = n.free, d
-	h, ok := n.handlers[msg.To]
-	if !ok {
+	if msg.To < 0 || int(msg.To) >= len(n.handlers) || n.handlers[msg.To] == nil {
 		panic(fmt.Sprintf("netsim: message %q to unregistered node %d", msg.Kind, msg.To))
 	}
-	h(msg)
+	n.handlers[msg.To](msg)
 }

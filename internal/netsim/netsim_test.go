@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -96,16 +97,24 @@ func TestBroadcastEmptyIsNoop(t *testing.T) {
 	}
 }
 
+// TestUnregisteredDeliveryPanics sends past the handler table, into a hole
+// below a registered ID, and to a negative ID: each panics at delivery.
 func TestUnregisteredDeliveryPanics(t *testing.T) {
-	eng := sim.New()
-	net := New(eng, fixedLatency(time.Millisecond), rng.New(1))
-	net.Send(Message{To: 99, Kind: "void"})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("delivery to unregistered node did not panic")
-		}
-	}()
-	eng.Run(0)
+	for _, to := range []NodeID{99, 2, -1} {
+		t.Run(fmt.Sprint(to), func(t *testing.T) {
+			eng := sim.New()
+			net := New(eng, fixedLatency(time.Millisecond), rng.New(1))
+			net.Register(1, func(Message) {})
+			net.Register(3, func(Message) {})
+			net.Send(Message{To: to, Kind: "void"})
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("delivery to unregistered node %d did not panic", to)
+				}
+			}()
+			eng.Run(0)
+		})
+	}
 }
 
 func TestNilHandlerPanics(t *testing.T) {
@@ -117,6 +126,17 @@ func TestNilHandlerPanics(t *testing.T) {
 		}
 	}()
 	net.Register(1, nil)
+}
+
+func TestNegativeNodeIDPanics(t *testing.T) {
+	eng := sim.New()
+	net := New(eng, fixedLatency(time.Millisecond), rng.New(1))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative node ID accepted")
+		}
+	}()
+	net.Register(-1, func(Message) {})
 }
 
 func TestRequestReplyRoundTrip(t *testing.T) {

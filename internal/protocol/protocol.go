@@ -254,16 +254,30 @@ func (s Stats) MeanMigrationLatency() time.Duration {
 }
 
 // message payloads
+
+// inviteReq is one round's invitation. It also holds the round's two
+// possible replies: a server answers with a pointer to one of them, so a
+// reply allocates nothing, and the manager reads who replied from
+// Message.From.
 type inviteReq struct {
-	roundID int
-	demand  float64
-	ta      float64 // effective acceptance threshold for this round
+	roundID        int
+	demand         float64
+	ta             float64 // effective acceptance threshold for this round
+	accept, reject reply
+}
+
+// newInvite builds round roundID's invitation for a VM of demand under ta.
+func newInvite(roundID int, demand, ta float64) *inviteReq {
+	return &inviteReq{
+		roundID: roundID, demand: demand, ta: ta,
+		accept: reply{roundID: roundID, accept: true},
+		reject: reply{roundID: roundID},
+	}
 }
 
 type reply struct {
-	roundID  int
-	serverID int
-	accept   bool
+	roundID int
+	accept  bool
 }
 
 type assignReq struct {
@@ -299,7 +313,7 @@ type round struct {
 	start    time.Duration
 	expected int
 	replies  int
-	accepts  []int
+	accepts  []int    // accepting server IDs, sized for every invitee
 	seen     []uint64 // bitset of replied server IDs, so duplicated replies count once
 	closed   bool
 	decide   func(*round)
@@ -308,6 +322,9 @@ type round struct {
 const managerNode netsim.NodeID = 0
 
 func serverNode(id int) netsim.NodeID { return netsim.NodeID(id + 1) }
+
+// nodeServer is serverNode's inverse: the server ID of a server node.
+func nodeServer(n netsim.NodeID) int { return int(n) - 1 }
 
 // Cluster wires the manager, the servers, the network and the data center.
 type Cluster struct {
@@ -335,6 +352,11 @@ type Cluster struct {
 	// (Broadcast does not keep them).
 	active   []*dc.Server
 	invitees []netsim.NodeID
+	// fresh, reusable and pending are wakeAssign's candidate lists, reused
+	// every call; freshSpec reads fresh[i]'s spec for Core.Wake and Largest,
+	// bound once so a call builds no closure.
+	fresh, reusable, pending []*dc.Server
+	freshSpec                func(i int) dc.Spec
 
 	// inflight marks VMs with a migration in progress so the periodic scan
 	// never double-migrates them.
@@ -446,6 +468,7 @@ func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr 
 		pendingMig:   make(map[int]time.Duration),
 		pendingWakes: make(map[int]*pendingWake),
 	}
+	c.freshSpec = func(i int) dc.Spec { return c.fresh[i].Spec }
 	c.net.Register(managerNode, c.onManagerMessage)
 	for _, s := range c.dc.Servers {
 		s := s
@@ -544,11 +567,11 @@ func (c *Cluster) openRound(ta, demand float64, excludeID int, decide func(*roun
 	c.nextRound++
 	r := &round{
 		id: c.nextRound, start: now, expected: len(nodes),
-		seen: make([]uint64, (len(c.dc.Servers)+63)/64), decide: decide,
+		accepts: make([]int, 0, len(nodes)),
+		seen:    make([]uint64, (len(c.dc.Servers)+63)/64), decide: decide,
 	}
 	c.rounds[r.id] = r
-	c.net.Broadcast(managerNode, nodes, "invite",
-		inviteReq{roundID: r.id, demand: demand, ta: ta}, c.cfg.InviteSize)
+	c.net.Broadcast(managerNode, nodes, "invite", newInvite(r.id, demand, ta), c.cfg.InviteSize)
 	if c.cfg.SilentReject {
 		c.eng.After(c.cfg.DecisionWindow, "decision-window", func(*sim.Engine) {
 			c.closeRound(r)
@@ -611,15 +634,18 @@ func (c *Cluster) onServerMessage(s *dc.Server, m netsim.Message) {
 		if s.State() == dc.Failed {
 			return // crashed after the invitation went out: dead servers are silent
 		}
-		req := m.Payload.(inviteReq)
+		req := m.Payload.(*inviteReq)
 		inv := ecocloud.Invitee{U: s.UtilizationAt(now), CapMHz: s.CapacityMHz(), Grace: c.core.InGrace(now, s.ActivatedAt())}
 		trial := c.core.Round(req.ta)
 		accept := trial.Accept(&c.servers, s.ID, req.demand, 0, inv)
 		if accept || !c.cfg.SilentReject {
+			rep := &req.reject
+			if accept {
+				rep = &req.accept
+			}
 			c.net.Send(netsim.Message{
 				From: serverNode(s.ID), To: managerNode, Kind: "reply",
-				Payload: reply{roundID: req.roundID, serverID: s.ID, accept: accept},
-				Size:    c.cfg.ReplySize,
+				Payload: rep, Size: c.cfg.ReplySize,
 			})
 		}
 	case "assign":
@@ -728,19 +754,20 @@ func (c *Cluster) onServerMessage(s *dc.Server, m netsim.Message) {
 func (c *Cluster) onManagerMessage(m netsim.Message) {
 	switch m.Kind {
 	case "reply":
-		rep := m.Payload.(reply)
+		rep := m.Payload.(*reply)
 		r, ok := c.rounds[rep.roundID]
 		if !ok || r.closed {
 			return // late reply after a silent-reject window closed: ignored
 		}
-		word, bit := rep.serverID/64, uint64(1)<<(rep.serverID%64)
+		id := nodeServer(m.From)
+		word, bit := id/64, uint64(1)<<(id%64)
 		if r.seen[word]&bit != 0 {
 			return // duplicated reply counts once
 		}
 		r.seen[word] |= bit
 		r.replies++
 		if rep.accept {
-			r.accepts = append(r.accepts, rep.serverID)
+			r.accepts = append(r.accepts, id)
 		}
 		if !c.cfg.SilentReject && r.replies == r.expected {
 			c.closeRound(r)
@@ -773,7 +800,7 @@ func (c *Cluster) closeRound(r *round) {
 func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 	now := c.eng.Now()
 	demand := vm.DemandAt(now)
-	var fresh, reusable, pending []*dc.Server
+	fresh, reusable, pending := c.fresh[:0], c.reusable[:0], c.pending[:0]
 	for _, s := range c.dc.Servers {
 		if s.State() != dc.Hibernated {
 			delete(c.pendingWakes, s.ID) // lazy cleanup of stale entries
@@ -788,16 +815,16 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 		}
 		fresh = append(fresh, s)
 	}
-	spec := func(i int) dc.Spec { return fresh[i].Spec }
+	c.fresh, c.reusable, c.pending = fresh, reusable, pending
 	var wake *dc.Server
 	isFresh := false
-	if i := c.core.Wake(c.mgr, len(fresh), spec, demand, 0, c.core.Ta); i >= 0 {
+	if i := c.core.Wake(c.mgr, len(fresh), c.freshSpec, demand, 0, c.core.Ta); i >= 0 {
 		// A fresh server that fits under Ta.
 		wake, isFresh = fresh[i], true
 	} else if len(reusable) > 0 {
 		// No fresh fit, but an in-flight wake has reserved room to spare.
 		wake = reusable[c.mgr.Intn(len(reusable))]
-	} else if i := ecocloud.Largest(len(fresh), spec); i >= 0 {
+	} else if i := ecocloud.Largest(len(fresh), c.freshSpec); i >= 0 {
 		// Nothing fits anywhere: the largest fresh server limits the damage.
 		wake, isFresh = fresh[i], true
 	} else if len(pending) > 0 {

@@ -235,12 +235,11 @@ func (s *Set) Validate() error {
 	return nil
 }
 
-// TotalDemandAt returns the summed demand (MHz) of all VMs alive at t.
+// TotalDemandAt returns the summed demand (MHz) of all VMs alive at t, added
+// in slice order (SumDemandAt's contract, so it is bit-identical to a loop
+// over DemandAt).
 func (s *Set) TotalDemandAt(t time.Duration) float64 {
-	sum := 0.0
-	for _, v := range s.VMs {
-		sum += v.DemandAt(t)
-	}
+	sum, _, _ := SumDemandAt(s.VMs, t)
 	return sum
 }
 

@@ -104,8 +104,9 @@ func TestVMValidate(t *testing.T) {
 	}
 }
 
-// SumDemandAt must add exactly what a DemandAt loop adds, in slice order,
-// and its window must be exactly the intersection of the VMs' own windows —
+// SumDemandAt, and Set.TotalDemandAt through it, must add exactly what a
+// DemandAt loop adds, in slice order, and SumDemandAt's window must be
+// exactly the intersection of the VMs' own windows —
 // on a shared sampling grid and on every way off it. Probes sit on each epoch
 // boundary of the grid and 1 ns either side of it.
 func TestSumDemandAtMatchesDemandAt(t *testing.T) {
@@ -171,6 +172,9 @@ func TestSumDemandAtMatchesDemandAt(t *testing.T) {
 			}
 			if from != wantFrom || until != wantUntil {
 				t.Fatalf("%s: window at %v = [%v, %v), want [%v, %v)", c.name, p, from, until, wantFrom, wantUntil)
+			}
+			if total := (&Set{VMs: c.vms}).TotalDemandAt(p); math.Float64bits(total) != math.Float64bits(want) {
+				t.Fatalf("%s: TotalDemandAt(%v) = %v, want %v", c.name, p, total, want)
 			}
 		}
 	}
