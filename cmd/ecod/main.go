@@ -1,8 +1,10 @@
 // Command ecod runs one node of the real-process ecoCloud deployment: the
-// protocol-day workload executed by separate operating-system processes
-// exchanging protocol messages over TCP (internal/node). Every process is
-// started from the same cluster config file; node 0 drives the workload and
-// merges the cluster summary, every node writes its own shard summary CSV.
+// protocol day executed by separate operating-system processes that talk
+// over TCP (internal/node). Every process is started from the same cluster
+// config file. Node 0 runs the day and calls the other nodes for the
+// servers they own; it writes the merged cluster figure, which equals the
+// netsim protocol day of the same config, and every node writes a summary
+// of its own span.
 //
 //	ecod -config cluster.conf -node 0 -out out/ &
 //	ecod -config cluster.conf -node 1 -out out/ &
@@ -10,10 +12,10 @@
 //
 // There is no coordinator: nodes agree they belong to the same run iff
 // their configs hash identically and carry the same seed, checked in the
-// transport handshake. -impair injects deterministic drop/duplication on
-// the live-migration TRANSFER frames (netsim.Impairments semantics); it
-// participates in the config hash, so every node must be started with the
-// same -impair value.
+// transport handshake. -impair makes the virtual fabric lossy, dropping and
+// duplicating protocol messages in virtual time (netsim.Impairments
+// semantics); it participates in the config hash, so every node must be
+// started with the same -impair value.
 package main
 
 import (
@@ -32,7 +34,7 @@ func main() {
 		configPath = flag.String("config", "", "cluster config file (required; see internal/node.ParseConfig)")
 		self       = flag.Int("node", -1, "this process's node ID (required)")
 		outDir     = flag.String("out", "out", "directory for summary CSVs")
-		impair     = flag.String("impair", "", "override transfer impairments as drop[,dup] (e.g. 0.2 or 0.2,0.05)")
+		impair     = flag.String("impair", "", "make the virtual fabric lossy: drop[,dup] probabilities per message (e.g. 0.2 or 0.2,0.05)")
 		timeout    = flag.Duration("connect-timeout", 30*time.Second, "mesh formation timeout")
 	)
 	flag.Parse()
@@ -62,7 +64,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("ecod node %d done; shard summary in %s\n", *self, *outDir)
+	fmt.Printf("ecod node %d done; summary in %s\n", *self, *outDir)
 	if merged != nil {
 		if err := merged.WriteMarkdown(os.Stdout); err != nil {
 			fatal(err)

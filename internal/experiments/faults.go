@@ -8,7 +8,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/protocol"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -137,27 +136,13 @@ func runFaultCell(opts FaultsOptions, fcfg faults.Config) (faultCell, error) {
 	c.SetWakeGate(inj)
 	c.SetOnPlaced(inj.OnPlaced)
 	inj.Start(c.Engine(), c)
-	for _, vm := range ws.VMs {
-		vm := vm
-		c.Engine().Schedule(vm.Start, "arrival", func(*sim.Engine) { c.PlaceVM(vm) })
-		if vm.End < opts.Churn.Horizon {
-			c.Engine().Schedule(vm.End, "departure", func(*sim.Engine) {
-				if _, ok := c.DC().HostOf(vm.ID); ok {
-					if _, err := c.DC().Remove(vm.ID); err != nil {
-						panic(fmt.Sprintf("experiments: faults departure: %v", err))
-					}
-				}
-			})
-		}
-	}
-	c.StartMigrationScan()
-	c.Engine().Run(opts.Churn.Horizon)
-	inj.Finish()
 	// Graceful degradation is a claim about state, not just survival: the
-	// wreckage must still satisfy every structural and runtime invariant.
-	if err := c.DC().CheckInvariants(); err != nil {
+	// wreckage must still satisfy every structural (RunDay checks them) and
+	// runtime invariant.
+	if err := c.RunDay(ws.VMs, opts.Churn.Horizon); err != nil {
 		return faultCell{}, fmt.Errorf("post-run invariants: %v", err)
 	}
+	inj.Finish()
 	if err := c.DC().CheckRuntime(opts.Churn.Horizon); err != nil {
 		return faultCell{}, fmt.Errorf("post-run runtime audit: %v", err)
 	}

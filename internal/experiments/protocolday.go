@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dc"
 	"repro/internal/protocol"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -56,46 +55,20 @@ func ProtocolDay(opts ProtocolDayOptions) (*Figure, error) {
 		return nil, err
 	}
 	defer c.Close()
-	for _, vm := range ws.VMs {
-		vm := vm
-		c.Engine().Schedule(vm.Start, "arrival", func(*sim.Engine) { c.PlaceVM(vm) })
-		if vm.End < opts.Churn.Horizon {
-			c.Engine().Schedule(vm.End, "departure", func(*sim.Engine) {
-				if _, ok := c.DC().HostOf(vm.ID); ok {
-					if _, err := c.DC().Remove(vm.ID); err != nil {
-						panic(fmt.Sprintf("experiments: protocol-day departure: %v", err))
-					}
-				}
-			})
-		}
-	}
-	c.StartMigrationScan()
-	c.Engine().Run(opts.Churn.Horizon)
-	if err := c.DC().CheckInvariants(); err != nil {
-		return nil, fmt.Errorf("experiments: protocol day left inconsistent state: %v", err)
+	if err := c.RunDay(ws.VMs, opts.Churn.Horizon); err != nil {
+		return nil, fmt.Errorf("experiments: protocol day: %v", err)
 	}
 
 	hours := opts.Churn.Horizon.Hours()
 	migrations := c.Stats.MigrationsLow + c.Stats.MigrationsHigh
+	columns, row := ProtocolDayRow(c)
 	f := &Figure{
-		ID:    "protocolday",
-		Title: "One day of the complete distributed system on the wire",
-		Columns: []string{
-			"placements", "migrations_low", "migrations_high", "migrations_aborted",
-			"wakes", "saturations", "messages", "megabytes",
-			"placement_latency_us", "migration_latency_ms", "final_active",
-		},
+		ID:      "protocolday",
+		Title:   "One day of the complete distributed system on the wire",
+		Columns: columns,
 	}
+	f.Add(row...)
 	migLatMS := float64(c.Stats.MeanMigrationLatency().Microseconds()) / 1000
-	f.Add(
-		float64(c.Stats.Placements),
-		float64(c.Stats.MigrationsLow), float64(c.Stats.MigrationsHigh),
-		float64(c.Stats.MigrationsAborted),
-		float64(c.Stats.Wakes), float64(c.Stats.Saturations),
-		float64(c.MessagesSent()), float64(c.BytesSent())/(1<<20),
-		float64(c.Stats.MeanLatency().Microseconds()), migLatMS,
-		float64(c.DC().ActiveCount()),
-	)
 	f.Notef("%d placements and %d migrations over %.0f h cost %d wire messages (%.0f/hour) and %.1f MiB "+
 		"(live transfers dominate: %d migrations x %d MiB)",
 		c.Stats.Placements, migrations, hours,
@@ -106,4 +79,25 @@ func ProtocolDay(opts ProtocolDayOptions) (*Figure, error) {
 	f.Notef("end of day: %d of %d servers active; %d migration requests aborted (no destination)",
 		c.DC().ActiveCount(), opts.Servers, c.Stats.MigrationsAborted)
 	return f, nil
+}
+
+// ProtocolDayRow returns the columns of the protocolday figure and its one
+// row for a finished day on c. ecod reports the same row for its day.
+func ProtocolDayRow(c *protocol.Cluster) (columns []string, row []float64) {
+	columns = []string{
+		"placements", "migrations_low", "migrations_high", "migrations_aborted",
+		"wakes", "saturations", "messages", "megabytes",
+		"placement_latency_us", "migration_latency_ms", "final_active",
+	}
+	row = []float64{
+		float64(c.Stats.Placements),
+		float64(c.Stats.MigrationsLow), float64(c.Stats.MigrationsHigh),
+		float64(c.Stats.MigrationsAborted),
+		float64(c.Stats.Wakes), float64(c.Stats.Saturations),
+		float64(c.MessagesSent()), float64(c.BytesSent()) / (1 << 20),
+		float64(c.Stats.MeanLatency().Microseconds()),
+		float64(c.Stats.MeanMigrationLatency().Microseconds()) / 1000,
+		float64(c.DC().ActiveCount()),
+	}
+	return columns, row
 }

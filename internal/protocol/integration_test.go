@@ -7,7 +7,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dc"
 	"repro/internal/ecocloud"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -52,28 +51,12 @@ func TestProtocolMatchesClusterDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, vm := range ws.VMs {
-		vm := vm
-		c.Engine().Schedule(vm.Start, "arrival", func(*sim.Engine) { c.PlaceVM(vm) })
-		if vm.End < churn.Horizon {
-			c.Engine().Schedule(vm.End, "departure", func(*sim.Engine) {
-				if _, ok := c.DC().HostOf(vm.ID); ok {
-					if _, err := c.DC().Remove(vm.ID); err != nil {
-						t.Error(err)
-					}
-				}
-			})
-		}
+	if err := c.RunDay(ws.VMs, churn.Horizon); err != nil {
+		t.Fatal(err)
 	}
-	// Hibernation of drained servers is part of the scan; run it without
-	// the migration trials by enabling migration with inert thresholds.
-	c.Engine().Run(churn.Horizon)
 
 	if c.Stats.Placements != len(ws.VMs) {
 		t.Fatalf("protocol placed %d of %d", c.Stats.Placements, len(ws.VMs))
-	}
-	if err := c.DC().CheckInvariants(); err != nil {
-		t.Fatal(err)
 	}
 	// Compare the demand actually hosted and the number of servers carrying
 	// it. Active counts can differ by drained-but-not-hibernated servers in

@@ -7,7 +7,6 @@ import (
 	"repro/internal/dc"
 	"repro/internal/netsim"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -65,22 +64,7 @@ func runDay(t *testing.T, wrap bool, rec *obs.Recorder) (*Cluster, *countingTran
 		ct = &countingTransport{inner: c.nsim}
 		c.net = ct
 	}
-	for _, vm := range ws.VMs {
-		vm := vm
-		c.Engine().Schedule(vm.Start, "arrival", func(*sim.Engine) { c.PlaceVM(vm) })
-		if vm.End < churn.Horizon {
-			c.Engine().Schedule(vm.End, "departure", func(*sim.Engine) {
-				if _, ok := c.DC().HostOf(vm.ID); ok {
-					if _, err := c.DC().Remove(vm.ID); err != nil {
-						t.Errorf("departure: %v", err)
-					}
-				}
-			})
-		}
-	}
-	c.StartMigrationScan()
-	c.Engine().Run(churn.Horizon)
-	if err := c.DC().CheckInvariants(); err != nil {
+	if err := c.RunDay(ws.VMs, churn.Horizon); err != nil {
 		t.Fatal(err)
 	}
 	return c, ct

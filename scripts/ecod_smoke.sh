@@ -1,9 +1,11 @@
 #!/usr/bin/env sh
 # ecod smoke: a 3-node real-process cluster on loopback runs a short
-# protocol day twice from the same seed; the runs must converge (node 0
+# protocol day twice from the same seed, then twice more on a lossy virtual
+# fabric (-impair 0.05,0.02 on every node). Each pair must converge (node 0
 # exits cleanly with a merged summary) and be bit-reproducible (the merged
-# CSVs diff clean). Per-node shard CSVs are left in $OUT/run{1,2} for CI to
-# upload as artifacts.
+# and per-node CSVs diff clean): loss is decided in virtual time, so it
+# repeats too. The CSVs stay in $OUT/run{1,2} and $OUT/impaired{1,2}; CI
+# uploads run1's as artifacts.
 #
 # Env: GO (go binary), OUT (work dir, default out-ecod), ECOD_PORT_BASE
 # (first of three consecutive loopback ports, default 7131).
@@ -30,30 +32,34 @@ node = 1 127.0.0.1:$((BASE + 1)) 8:16
 node = 2 127.0.0.1:$((BASE + 2)) 16:24
 EOF
 
+# run_once DIR [ECOD FLAGS...] runs the three nodes, every one with the
+# same flags.
 run_once() {
     dir=$1
-    "$OUT/ecod" -config "$OUT/cluster.conf" -node 1 -out "$dir" &
+    shift
+    "$OUT/ecod" -config "$OUT/cluster.conf" -node 1 -out "$dir" "$@" &
     p1=$!
-    "$OUT/ecod" -config "$OUT/cluster.conf" -node 2 -out "$dir" &
+    "$OUT/ecod" -config "$OUT/cluster.conf" -node 2 -out "$dir" "$@" &
     p2=$!
-    "$OUT/ecod" -config "$OUT/cluster.conf" -node 0 -out "$dir"
+    "$OUT/ecod" -config "$OUT/cluster.conf" -node 0 -out "$dir" "$@"
     wait "$p1" "$p2"
+}
+
+# same A B checks that both runs converged — every node wrote its summary,
+# node 0 the merged figure — and wrote the same CSVs, byte for byte.
+same() {
+    for f in ecod.csv ecod_node0.csv ecod_node1.csv ecod_node2.csv; do
+        test -s "$OUT/$1/$f"
+        diff "$OUT/$1/$f" "$OUT/$2/$f"
+    done
 }
 
 run_once "$OUT/run1"
 run_once "$OUT/run2"
+same run1 run2
 
-# Convergence: every node wrote its shard summary, node 0 the merged figure.
-for n in 0 1 2; do
-    test -s "$OUT/run1/ecod_node$n.csv"
-done
-test -s "$OUT/run1/ecod.csv"
+run_once "$OUT/impaired1" -impair 0.05,0.02
+run_once "$OUT/impaired2" -impair 0.05,0.02
+same impaired1 impaired2
 
-# Reproducibility: same seed, same merged summary — byte for byte — and the
-# same shard summaries.
-diff "$OUT/run1/ecod.csv" "$OUT/run2/ecod.csv"
-for n in 0 1 2; do
-    diff "$OUT/run1/ecod_node$n.csv" "$OUT/run2/ecod_node$n.csv"
-done
-
-echo "ecod smoke: 3-node cluster converged and is bit-reproducible"
+echo "ecod smoke: 3-node cluster converged and is bit-reproducible, lossy fabric included"
