@@ -1,8 +1,7 @@
-// Package tcptransport carries the ecoCloud protocol between real processes:
-// it implements protocol.Transport over a full mesh of TCP connections with a
-// length-prefixed binary frame codec, so the same cluster logic that runs on
-// the simulated netsim fabric (and is pinned there by the goldens) can run as
-// one shard per OS process on loopback or a real network.
+// Package tcptransport carries messages between ecod processes: a full mesh
+// of TCP connections with a length-prefixed binary frame codec, over which
+// node 0 calls the other processes to run the protocol's server handlers
+// for the servers they own (internal/node), on loopback or a real network.
 //
 // The package is quarantined from the simulation core by ecolint's boundary
 // rule: sim-critical packages must not import it, because it deals in wall

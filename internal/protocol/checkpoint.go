@@ -62,8 +62,8 @@ type clusterState struct {
 // MarshalCheckpoint implements checkpoint.Checkpointable. It fails while an
 // invitation round is open (see the limitation note above).
 func (c *Cluster) MarshalCheckpoint() (json.RawMessage, error) {
-	if c.nsim == nil {
-		return nil, fmt.Errorf("protocol: checkpointing requires the netsim fabric; an external transport's in-flight state is not serializable")
+	if c.nsim == nil || c.fab != nil {
+		return nil, fmt.Errorf("protocol: checkpointing requires the netsim fabric in one process; other processes' replicas are not in the checkpoint")
 	}
 	if len(c.rounds) > 0 {
 		return nil, fmt.Errorf("protocol: %d invitation rounds open; checkpoint at a quiescent instant", len(c.rounds))
