@@ -12,10 +12,11 @@ import (
 // extension — written once. Every method is a pure function of the
 // configuration and its arguments: it reads no clock and no server state of
 // its own accord, mutates nothing, and draws only from the stream it is
-// handed, in a fixed order. Policy (the cluster driver), protocol.Cluster
-// (netsim messages) and the ecod nodes (TCP barriers) all decide through a
-// Core and keep only their own sequencing: which servers are asked, when,
-// and how the answers travel (see DESIGN.md "One ecoCloud core").
+// handed, in a fixed order. Policy (the cluster driver) and protocol.Cluster
+// (netsim messages, in one process or spread over ecod processes) decide
+// through a Core and keep only their own sequencing: which servers are
+// asked, when, and how the answers travel (see DESIGN.md "One ecoCloud
+// core").
 type Core struct {
 	Config
 	fa    AssignProbFunc // fa of Eq. (1–2)

@@ -55,10 +55,9 @@ func DefaultLatency() LatencyModel {
 // consume a draw from the deciding rng stream. Drop and Dup are the only
 // sanctioned way to apply these probabilities — they test p > 0 before
 // drawing, so enabling the struct with zero rates leaves every stream's draw
-// sequence exactly as it was without impairments. Both netsim delivery
-// (deliver below) and the real-socket impairment layer
-// (internal/node/tcptransport) go through these two methods, so the two
-// fabrics share one definition of "lossy" and one validation path.
+// sequence exactly as it was without impairments. Delivery (deliver below)
+// goes through these two methods; ecod's lossy fabric is this one too, run on
+// its node 0.
 type Impairments struct {
 	DropProb float64
 	DupProb  float64
@@ -66,8 +65,8 @@ type Impairments struct {
 
 // Validate reports whether the impairment probabilities are usable. It is
 // the single validation point for every layer that reuses Impairments
-// (protocol configuration, the TCP codec boundary): negative rates and
-// rates >= 1 are rejected here and nowhere else.
+// (protocol configuration, ecod's cluster config): negative rates and rates
+// >= 1 are rejected here and nowhere else.
 func (i Impairments) Validate() error {
 	switch {
 	case i.DropProb < 0 || i.DropProb >= 1:
@@ -157,8 +156,7 @@ func (n *Network) RNG() *rng.Source { return n.src }
 
 // Stats returns the wire transmissions and bytes delivered so far. It is the
 // method form of the Sent/Bytes counters, making Network satisfy
-// protocol.Transport so the invitation protocol can run unchanged over this
-// simulated fabric or over real sockets (internal/node/tcptransport).
+// protocol.Transport.
 func (n *Network) Stats() (sent int, bytes int64) { return n.Sent, n.Bytes }
 
 // Register installs the handler for a node. Re-registering replaces it. A
