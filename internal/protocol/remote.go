@@ -73,7 +73,7 @@ func (c *Cluster) Distribute(bounds []int, vms []*trace.VM, call Caller, observe
 	for k := 1; k < len(f.seen); k++ {
 		for id := bounds[k]; id < bounds[k+1]; id++ {
 			c.net.Register(serverNode(id), func(m netsim.Message) {
-				f.exchange(k, appendMessage(f.request(k, tagMessage), m))
+				f.exchange(k, m.Kind, appendMessage(f.request(k, tagMessage), m))
 			})
 		}
 	}
@@ -98,9 +98,10 @@ func (f *fabric) request(k int, work byte) []byte {
 	return append(req, work)
 }
 
-// exchange makes one call to process k and applies its reply. The first
-// failure stops the engine and every later call.
-func (f *fabric) exchange(k int, req []byte) {
+// exchange makes one call to process k and applies its reply; work names
+// the call in an error: the message's kind, scan or sync. The first failure
+// stops the engine and every later call.
+func (f *fabric) exchange(k int, work string, req []byte) {
 	f.req = req
 	if f.err != nil {
 		return
@@ -110,7 +111,7 @@ func (f *fabric) exchange(k int, req []byte) {
 		err = f.c.apply(res)
 	}
 	if err != nil {
-		f.err = fmt.Errorf("protocol: call to process %d at %v: %w", k, f.c.eng.Now(), err)
+		f.err = fmt.Errorf("protocol: %s call to process %d at %v: %w", work, k, f.c.eng.Now(), err)
 		f.c.eng.Stop()
 		return
 	}
@@ -150,14 +151,14 @@ func (f *fabric) scan(now time.Duration) {
 		for _, id := range marks {
 			req = binary.AppendVarint(req, int64(id))
 		}
-		f.exchange(k, req)
+		f.exchange(k, "scan", req)
 	}
 }
 
 // finish brings every other process's replica up to the end of the day.
 func (f *fabric) finish() error {
 	for k := 1; k < len(f.seen); k++ {
-		f.exchange(k, f.request(k, tagSync))
+		f.exchange(k, "sync", f.request(k, tagSync))
 	}
 	return f.err
 }
