@@ -24,7 +24,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/node"
 )
@@ -35,7 +34,7 @@ func main() {
 		self       = flag.Int("node", -1, "this process's node ID (required)")
 		outDir     = flag.String("out", "out", "directory for summary CSVs")
 		impair     = flag.String("impair", "", "make the virtual fabric lossy: drop[,dup] probabilities per message (e.g. 0.2 or 0.2,0.05)")
-		timeout    = flag.Duration("connect-timeout", 30*time.Second, "mesh formation timeout")
+		timeout    = flag.Duration("connect-timeout", node.DefaultConnectTimeout, "how long node 0 waits for each serving node to accept its link, and a serving node for node 0 to dial")
 	)
 	flag.Parse()
 	if *configPath == "" || *self < 0 {

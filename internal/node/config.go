@@ -3,7 +3,8 @@
 // the cluster experiments.ProtocolDay builds. Node 0 runs that day on the
 // netsim fabric at zero latency — an exchange takes no virtual time — and a
 // delivery to a server another process owns becomes one blocking call to
-// that process over the tcptransport mesh. The callee runs the protocol's
+// that process over its tcptransport link: node 0 dials every other
+// process, which only answers its calls. The callee runs the protocol's
 // own handler on its replica of the fleet and returns what the handler did,
 // and node 0 applies it (internal/protocol, remote.go). Every decision is
 // the protocol's, so the merged ecod.csv is the netsim day of the same
@@ -33,9 +34,6 @@ import (
 type Span struct {
 	Lo, Hi int
 }
-
-// Contains reports whether global server ID id falls in the span.
-func (s Span) Contains(id int) bool { return id >= s.Lo && id < s.Hi }
 
 // NodeSpec is one line of the cluster map: which process owns which span,
 // reachable where.
@@ -114,12 +112,10 @@ func (c *ClusterConfig) Validate() error {
 	if err := c.Impairments().Validate(); err != nil {
 		return err
 	}
-	nodes := append([]NodeSpec(nil), c.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	next := 0
-	for i, n := range nodes {
+	for i, n := range c.sortedNodes() {
 		if n.ID != i {
-			return fmt.Errorf("node: node IDs must be 0..%d contiguous, got %d", len(nodes)-1, n.ID)
+			return fmt.Errorf("node: node IDs must be 0..%d contiguous, got %d", len(c.Nodes)-1, n.ID)
 		}
 		if n.Addr == "" {
 			return fmt.Errorf("node: node %d has no address", n.ID)
@@ -134,16 +130,6 @@ func (c *ClusterConfig) Validate() error {
 		return fmt.Errorf("node: spans cover [0, %d), want [0, %d)", next, c.Servers)
 	}
 	return nil
-}
-
-// Owner returns the node whose span contains global server ID id.
-func (c *ClusterConfig) Owner(id int) int {
-	for _, n := range c.Nodes {
-		if n.Span.Contains(id) {
-			return n.ID
-		}
-	}
-	panic(fmt.Sprintf("node: server %d outside every span", id))
 }
 
 // Churn returns the workload generator configuration. Every node generates
@@ -179,13 +165,19 @@ func (c *ClusterConfig) Proto() protocol.Config {
 // bounds returns the spans in the form protocol.Cluster.Distribute takes:
 // node k owns servers [bounds[k], bounds[k+1]).
 func (c *ClusterConfig) bounds() []int {
-	nodes := append([]NodeSpec(nil), c.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	b := []int{0}
-	for _, n := range nodes {
+	for _, n := range c.sortedNodes() {
 		b = append(b, n.Span.Hi)
 	}
 	return b
+}
+
+// sortedNodes returns a copy of Nodes in ID order; once Validate passes,
+// node k is at index k.
+func (c *ClusterConfig) sortedNodes() []NodeSpec {
+	nodes := append([]NodeSpec(nil), c.Nodes...)
+	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
+	return nodes
 }
 
 // Impairments returns the fabric's impairments in the shared netsim form,
@@ -211,9 +203,7 @@ func (c *ClusterConfig) Canonical() string {
 	fmt.Fprintf(&b, "scan_interval = %v\n", c.ScanInterval)
 	fmt.Fprintf(&b, "drop = %v\n", c.Drop)
 	fmt.Fprintf(&b, "dup = %v\n", c.Dup)
-	nodes := append([]NodeSpec(nil), c.Nodes...)
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-	for _, n := range nodes {
+	for _, n := range c.sortedNodes() {
 		fmt.Fprintf(&b, "node = %d %s %d:%d\n", n.ID, n.Addr, n.Span.Lo, n.Span.Hi)
 	}
 	return b.String()

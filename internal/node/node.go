@@ -7,61 +7,41 @@ import (
 
 	"repro/internal/dc"
 	"repro/internal/experiments"
-	"repro/internal/netsim"
 	"repro/internal/node/tcptransport"
 	"repro/internal/protocol"
 	"repro/internal/trace"
 )
 
 // Node is one ecod process. Every node is started from the same
-// ClusterConfig; the transport handshake (config hash + seed) is the only
-// join protocol.
+// ClusterConfig; the link handshake (config hash + seed) is the only join
+// protocol.
 type Node struct {
 	cfg     *ClusterConfig
 	self    int
-	tr      *tcptransport.Transport
+	opts    Options
 	cluster *protocol.Cluster
 	vms     []*trace.VM
 	meter   *meter
-
-	results chan reply    // node 0: the reply to its call in flight
-	done    chan struct{} // other nodes: closed after the last call
-	err     error         // other nodes: why serving stopped
+	// links are this process's links: on node 0, links[k-1] goes to node
+	// k; on a serving process, the one link goes to node 0.
+	links []*tcptransport.Link
 }
 
-// reply is what node 0's call in flight gets back.
-type reply struct {
-	res []byte
-	err error
-}
+// DefaultConnectTimeout bounds how long node 0 waits for each serving
+// process to accept its link, and a serving process for node 0 to dial.
+const DefaultConnectTimeout = 30 * time.Second
 
 // Options tunes process-level wiring; the zero value is right for real
 // deployments. Tests pre-bind listeners so one config (and one hash) can
 // name concrete ports before any node starts.
 type Options struct {
-	Listener       net.Listener  // optional pre-bound listener for cfg's addr
-	ConnectTimeout time.Duration // mesh formation timeout (default 30s)
+	Listener       net.Listener  // optional pre-bound listener for cfg's addr; node 0 dials and never listens
+	ConnectTimeout time.Duration // link formation timeout (default DefaultConnectTimeout)
 }
 
-// The frames on the mesh: node 0 sends calls, and the callee answers each
-// with its result, or with failed and the error's text.
-const (
-	kindCall   = "call"
-	kindResult = "result"
-	kindFailed = "failed"
-)
-
-// blob is a frame payload of opaque bytes.
-type blob []byte
-
-func (b blob) AppendWire(dst []byte) []byte { return append(dst, b...) }
-
-func decodeBlob(r *tcptransport.Reader) (any, error) { return blob(r.Take(r.Len())), r.Err() }
-
 // New builds the node: the workload regenerated locally from the shared
-// seed, the cluster experiments.ProtocolDay builds (on node 0 spread over
-// the other nodes, elsewhere serving node 0's calls), and the transport
-// keyed to the config hash.
+// seed, and the cluster experiments.ProtocolDay builds, on node 0 spread
+// over the other nodes, elsewhere serving node 0's calls.
 func New(cfg *ClusterConfig, self int, opts Options) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -73,119 +53,126 @@ func New(cfg *ClusterConfig, self int, opts Options) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{cfg: cfg, self: self, vms: ws.VMs}
+	if opts.ConnectTimeout <= 0 {
+		opts.ConnectTimeout = DefaultConnectTimeout
+	}
+	n := &Node{cfg: cfg, self: self, opts: opts, vms: ws.VMs}
 	specs, bounds := dc.UniformFleet(cfg.Servers, cfg.Cores, cfg.CoreMHz), cfg.bounds()
 	observe := func(ev dc.Event) { n.meter.observe(ev, n.cluster.Engine().Now()) }
 	if self == 0 {
-		n.results = make(chan reply, 1)
 		n.cluster, err = protocol.New(cfg.Proto(), specs, cfg.Seed+1)
 		if err == nil {
 			err = n.cluster.Distribute(bounds, ws.VMs, n.call, observe)
 		}
 	} else {
-		n.done = make(chan struct{})
 		n.cluster, err = protocol.NewServing(cfg.Proto(), specs, cfg.Seed+1, ws.VMs, observe)
 	}
 	if err != nil {
 		return nil, err
 	}
 	n.meter = newMeter(n.cluster.DC(), bounds)
-
-	codec := tcptransport.NewCodec()
-	for _, kind := range []string{kindCall, kindResult, kindFailed} {
-		codec.Register(kind, decodeBlob)
-	}
-	addrs := make(map[int]string, len(cfg.Nodes))
-	for _, spec := range cfg.Nodes {
-		addrs[spec.ID] = spec.Addr
-	}
-	timeout := opts.ConnectTimeout
-	if timeout <= 0 {
-		timeout = 30 * time.Second
-	}
-	n.tr, err = tcptransport.New(tcptransport.Config{
-		Self:           self,
-		Addrs:          addrs,
-		Listener:       opts.Listener,
-		Codec:          codec,
-		ConfigHash:     cfg.Hash(),
-		Seed:           cfg.Seed,
-		ConnectTimeout: timeout,
-	})
-	if err != nil {
-		return nil, err
-	}
-	n.tr.Register(netsim.NodeID(self), n.handle)
 	return n, nil
 }
 
-// call is node 0's protocol.Caller: one call frame, then the reply.
-func (n *Node) call(node int, req []byte) ([]byte, error) {
-	n.send(node, kindCall, req)
-	r := <-n.results
-	return r.res, r.err
-}
-
-// send writes one frame. The transport encodes it before returning, so b
-// may be reused at once.
-func (n *Node) send(to int, kind string, b []byte) {
-	n.tr.Send(netsim.Message{
-		From: netsim.NodeID(n.self), To: netsim.NodeID(to),
-		Kind: kind, Payload: blob(b), Size: len(b),
-	})
-}
-
-// handle runs on the transport's dispatch goroutine: node 0 takes replies,
-// the other nodes serve calls. A frame of any other kind is dropped.
-func (n *Node) handle(m netsim.Message) {
-	b, _ := m.Payload.(blob)
-	switch {
-	case n.self == 0 && m.Kind == kindResult:
-		n.results <- reply{res: b}
-	case n.self == 0 && m.Kind == kindFailed:
-		n.results <- reply{err: fmt.Errorf("node %d: %s", m.From, b)}
-	case n.self != 0 && m.Kind == kindCall:
-		n.serve(b)
+// connect opens this node's links: node 0 dials every serving process in
+// node order, and a serving process accepts node 0.
+func (n *Node) connect() error {
+	nodes := n.cfg.sortedNodes()
+	id := tcptransport.Identity{Node: n.self, Hash: n.cfg.Hash(), Seed: n.cfg.Seed}
+	if n.self == 0 {
+		for _, spec := range nodes[1:] {
+			id.Node = spec.ID
+			l, err := tcptransport.Dial(spec.Addr, id, n.opts.ConnectTimeout)
+			if err != nil {
+				return err
+			}
+			n.links = append(n.links, l)
+		}
+		return nil
 	}
-}
-
-// serve answers one call from node 0.
-func (n *Node) serve(req []byte) {
-	select {
-	case <-n.done:
-		return // the day is over
-	default:
+	ln := n.opts.Listener
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", nodes[n.self].Addr); err != nil {
+			return fmt.Errorf("node %d: %w", n.self, err)
+		}
 	}
-	res, last, err := n.cluster.Serve(req)
+	defer ln.Close()
+	l, err := tcptransport.Accept(ln, id, n.opts.ConnectTimeout)
 	if err != nil {
-		n.err = err
-		n.send(0, kindFailed, []byte(err.Error()))
-		close(n.done)
-		return
+		return err
 	}
-	n.send(0, kindResult, res)
-	if last {
-		close(n.done)
+	n.links = []*tcptransport.Link{l}
+	return nil
+}
+
+// call is node 0's protocol.Caller: one call frame, then the reply. The
+// reply is valid until the next call, as node 0 applies it before then.
+func (n *Node) call(k int, req []byte) ([]byte, error) {
+	l := n.links[k-1]
+	if err := l.Write(tcptransport.Call, req); err != nil {
+		return nil, fmt.Errorf("node %d: %w", k, err)
+	}
+	kind, res, err := l.Read()
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("node %d: reading the reply: %w", k, err)
+	case kind == tcptransport.Failed:
+		return nil, fmt.Errorf("node %d: %s", k, res)
+	case kind != tcptransport.Result:
+		return nil, fmt.Errorf("node %d answered with a frame of kind %d", k, kind)
+	}
+	return res, nil
+}
+
+// serve answers node 0's calls until the day's last one. A call that fails
+// is answered with failed and the error's text, and stops the node.
+func (n *Node) serve() error {
+	l := n.links[0]
+	for {
+		kind, req, err := l.Read()
+		if err != nil {
+			return fmt.Errorf("node %d: node 0 left before the day ended: %w", n.self, err)
+		}
+		if kind != tcptransport.Call {
+			return fmt.Errorf("node %d: node 0 sent a frame of kind %d", n.self, kind)
+		}
+		res, last, err := n.cluster.Serve(req)
+		if err != nil {
+			// Best effort: node 0 learns why, and this node fails with err
+			// whether or not the frame gets through.
+			_ = l.Write(tcptransport.Failed, []byte(err.Error()))
+			return err
+		}
+		if err := l.Write(tcptransport.Result, res); err != nil {
+			return fmt.Errorf("node %d: %w", n.self, err)
+		}
+		if last {
+			return nil
+		}
 	}
 }
 
-// Run forms the mesh, plays the protocol day — node 0 runs it, the others
+// Run opens the links, plays the protocol day — node 0 runs it, the others
 // serve its calls — and writes this node's summary CSV (plus, on node 0,
 // the merged cluster figure) into outDir when non-empty. The merged figure
 // is returned on node 0, nil elsewhere.
 func (n *Node) Run(outDir string) (*experiments.Figure, error) {
-	if err := n.tr.Start(); err != nil {
+	defer func() {
+		for _, l := range n.links {
+			l.Close()
+		}
+	}()
+	if err := n.connect(); err != nil {
 		return nil, err
 	}
-	defer n.tr.Close()
 	if n.self == 0 {
 		if err := n.cluster.RunDay(n.vms, n.cfg.Horizon); err != nil {
 			return nil, err
 		}
 	} else {
-		<-n.done
-		if n.err != nil {
-			return nil, n.err
+		if err := n.serve(); err != nil {
+			return nil, err
 		}
 		if err := n.cluster.DC().CheckInvariants(); err != nil {
 			return nil, fmt.Errorf("node %d: replica left inconsistent: %v", n.self, err)
@@ -208,6 +195,15 @@ func (n *Node) Run(outDir string) (*experiments.Figure, error) {
 	return merged, nil
 }
 
+// frames returns the frames and payload bytes this process wrote.
+func (n *Node) frames() (frames int, bytes int64) {
+	for _, l := range n.links {
+		f, b := l.Stats()
+		frames, bytes = frames+f, bytes+b
+	}
+	return frames, bytes
+}
+
 // nodeFigure renders this node's span of the day as a one-row figure, with
 // the frames and payload bytes this process wrote.
 func (n *Node) nodeFigure() *experiments.Figure {
@@ -219,7 +215,7 @@ func (n *Node) nodeFigure() *experiments.Figure {
 			active++
 		}
 	}
-	frames, bytes := n.tr.Stats()
+	frames, bytes := n.frames()
 	c := n.meter.counts[k]
 	f := &experiments.Figure{
 		ID:    fmt.Sprintf("ecod_node%d", k),
@@ -255,7 +251,7 @@ func (n *Node) mergedFigure() *experiments.Figure {
 	f.Add(append(row, energy)...)
 	st := n.cluster.Stats
 	hash := n.cfg.Hash()
-	calls, _ := n.tr.Stats()
+	calls, _ := n.frames()
 	f.Notef("%d nodes, %d servers, horizon %v, seed %d (config %x); node 0 made %d calls",
 		len(n.cfg.Nodes), n.cfg.Servers, n.cfg.Horizon, n.cfg.Seed, hash[:6], calls)
 	f.Notef("%d placements, %d migrations (%d aborted), %d wakes; end of day %d of %d servers active, %.3f kWh",

@@ -4,45 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"net"
 	"strings"
 	"testing"
-
-	"repro/internal/netsim"
 )
 
-// testPayload exercises every primitive the helpers offer.
-type testPayload struct {
-	A uint64
-	B int64
-	C float64
-	D string
-	E []byte
-}
-
-func (p testPayload) AppendWire(b []byte) []byte {
-	b = AppendU64(b, p.A)
-	b = AppendI64(b, p.B)
-	b = AppendF64(b, p.C)
-	b = AppendString(b, p.D)
-	b = AppendBytes(b, p.E)
-	return b
-}
-
-func decodeTestPayload(r *Reader) (any, error) {
-	p := testPayload{A: r.U64(), B: r.I64(), C: r.F64(), D: r.String(), E: r.Bytes()}
-	return p, r.Err()
-}
-
-func testCodec() *Codec {
-	c := NewCodec()
-	c.Register("test", decodeTestPayload)
-	c.Register("empty", func(r *Reader) (any, error) { return nil, nil })
-	return c
-}
-
-func mustEncode(t *testing.T, msg netsim.Message) []byte {
+func mustFrame(t testing.TB, kind Kind, payload []byte) []byte {
 	t.Helper()
-	b, err := EncodeFrame(msg, testCodec())
+	b, err := appendFrame(nil, kind, payload)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -50,146 +19,139 @@ func mustEncode(t *testing.T, msg netsim.Message) []byte {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	c := testCodec()
-	want := netsim.Message{
-		From: 3, To: 7, Kind: "test", Size: 4096,
-		Payload: testPayload{A: 1 << 60, B: -42, C: 2.5, D: "vm-1189", E: []byte{0, 1, 2}},
+	// Every kind, back to back on one stream, one of them empty; the stream
+	// then reports a clean EOF, not an error.
+	frames := []struct {
+		kind    Kind
+		payload []byte
+	}{
+		{Hello, bytes.Repeat([]byte{7}, helloLen)},
+		{Call, []byte("call: virtual time, mutations, work")},
+		{Result, []byte{}},
+		{Failed, []byte("protocol: work tag 9")},
 	}
-	frame := mustEncode(t, want)
-	got, err := DecodeFrame(bytes.NewReader(frame), c)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
+	var stream []byte
+	for _, f := range frames {
+		stream = append(stream, mustFrame(t, f.kind, f.payload)...)
 	}
-	if got.From != want.From || got.To != want.To || got.Kind != want.Kind || got.Size != want.Size {
-		t.Fatalf("envelope mismatch: got %+v want %+v", got, want)
-	}
-	gp := got.Payload.(testPayload)
-	wp := want.Payload.(testPayload)
-	if gp.A != wp.A || gp.B != wp.B || gp.C != wp.C || gp.D != wp.D || !bytes.Equal(gp.E, wp.E) {
-		t.Fatalf("payload mismatch: got %+v want %+v", gp, wp)
-	}
-
-	// Two frames back to back decode in sequence; the reader then reports a
-	// clean EOF, not an error.
-	r := bytes.NewReader(append(append([]byte{}, frame...), frame...))
-	for i := 0; i < 2; i++ {
-		if _, err := DecodeFrame(r, c); err != nil {
+	r := bytes.NewReader(stream)
+	var buf []byte
+	for i, want := range frames {
+		kind, payload, err := readFrame(r, buf)
+		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
+		if kind != want.kind || !bytes.Equal(payload, want.payload) {
+			t.Fatalf("frame %d: got kind %d %q, want kind %d %q", i, kind, payload, want.kind, want.payload)
+		}
+		buf = payload
 	}
-	if _, err := DecodeFrame(r, c); err != io.EOF {
+	if _, _, err := readFrame(r, buf); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
 }
 
 func TestWireNilPayload(t *testing.T) {
-	c := testCodec()
-	frame := mustEncode(t, netsim.Message{From: 1, To: 2, Kind: "empty"})
-	got, err := DecodeFrame(bytes.NewReader(frame), c)
-	if err != nil {
-		t.Fatal(err)
+	frame := mustFrame(t, Call, nil)
+	if len(frame) != headerLen {
+		t.Fatalf("a frame with no payload is %d bytes, want the %d-byte header", len(frame), headerLen)
 	}
-	if got.Payload != nil {
-		t.Fatalf("want nil payload, got %#v", got.Payload)
+	kind, payload, err := readFrame(bytes.NewReader(frame), nil)
+	if err != nil || kind != Call || len(payload) != 0 {
+		t.Fatalf("got kind %d, payload %q, err %v", kind, payload, err)
 	}
 }
 
 func TestWireEncodeRejects(t *testing.T) {
-	c := testCodec()
-	if _, err := EncodeFrame(netsim.Message{Kind: "nope"}, c); err == nil {
-		t.Fatal("unregistered kind must not encode")
+	for _, kind := range []Kind{0, Failed + 1} {
+		if _, err := appendFrame(nil, kind, nil); err == nil {
+			t.Errorf("kind %d encoded", kind)
+		}
 	}
-	if _, err := EncodeFrame(netsim.Message{Kind: "test", Payload: 42}, c); err == nil {
-		t.Fatal("non-Marshaler payload must not encode")
+	// Write refuses an oversize payload before it touches the connection
+	// (closed here, so a write would fail otherwise), and does not count it.
+	a, b := net.Pipe()
+	a.Close()
+	b.Close()
+	l := &Link{conn: a}
+	if err := l.Write(Call, make([]byte, MaxBody+1)); err == nil || !strings.Contains(err.Error(), "MaxBody") {
+		t.Fatalf("oversize payload must not be written, got %v", err)
 	}
-	huge := netsim.Message{Kind: "test", Payload: testPayload{E: make([]byte, MaxBody)}}
-	if _, err := EncodeFrame(huge, c); err == nil || !strings.Contains(err.Error(), "MaxBody") {
-		t.Fatalf("oversize body must not encode, got %v", err)
+	if frames, n := l.Stats(); frames != 0 || n != 0 {
+		t.Fatalf("a refused write counted: %d frames, %d bytes", frames, n)
 	}
+}
+
+// headerOnly is a frame's header followed by a test failure: a decoder
+// that reads past it has trusted a header it should have refused.
+type headerOnly struct {
+	t *testing.T
+	r io.Reader
+}
+
+func (h headerOnly) Read(p []byte) (int, error) {
+	if n, err := h.r.Read(p); n > 0 || err != io.EOF {
+		return n, err
+	}
+	h.t.Fatal("read past the header of a frame that should have been refused")
+	return 0, io.EOF
 }
 
 // TestWireDecodeRejectsMalformed is the bad-peer battery: every corrupted
-// frame must come back as an error — never a panic, never a silent success.
+// frame must come back as an error — never a panic, never a silent success
+// — and a bad header is refused before its payload is read.
 func TestWireDecodeRejectsMalformed(t *testing.T) {
-	c := testCodec()
-	good := mustEncode(t, netsim.Message{
-		From: 1, To: 2, Kind: "test", Size: 9,
-		Payload: testPayload{D: "x", E: []byte("y")},
-	})
-	corrupt := func(name string, mutate func(b []byte) []byte) {
+	good := mustFrame(t, Call, []byte("xyz"))
+	refuse := func(name string, mutate func(b []byte) []byte) {
 		t.Helper()
-		b := mutate(append([]byte{}, good...))
-		if _, err := DecodeFrame(bytes.NewReader(b), c); err == nil {
+		hdr := mutate(append([]byte{}, good...))[:headerLen]
+		if _, _, err := readFrame(headerOnly{t, bytes.NewReader(hdr)}, nil); err == nil {
 			t.Errorf("%s: decode accepted a malformed frame", name)
 		}
 	}
-	corrupt("bad magic", func(b []byte) []byte { b[0] = 'x'; return b })
-	corrupt("bad version", func(b []byte) []byte { b[2] = 99; return b })
-	corrupt("truncated header", func(b []byte) []byte { return b[:5] })
-	corrupt("truncated body", func(b []byte) []byte { return b[:len(b)-3] })
-	corrupt("trailing junk inside frame", func(b []byte) []byte {
-		b = append(b, 0xAA)
-		binary.BigEndian.PutUint32(b[3:7], uint32(len(b)-headerLen))
+	refuse("bad magic", func(b []byte) []byte { b[0] = 'x'; return b })
+	refuse("bad version", func(b []byte) []byte { b[2] = 99; return b })
+	refuse("kind 0", func(b []byte) []byte { b[3] = 0; return b })
+	refuse("unknown kind", func(b []byte) []byte { b[3] = byte(Failed + 1); return b })
+	refuse("oversize announcement", func(b []byte) []byte {
+		binary.BigEndian.PutUint32(b[4:], MaxBody+1)
 		return b
 	})
-	corrupt("kind length past body", func(b []byte) []byte { b[headerLen+12] = 0xFF; return b })
-	corrupt("unregistered kind", func(b []byte) []byte { b[headerLen+13] = 'X'; return b })
-	corrupt("oversize announcement", func(b []byte) []byte {
-		binary.BigEndian.PutUint32(b[3:7], MaxBody+1)
-		return b
+	// A frame of the previous wire version: magic, version 1, a 4-byte body
+	// length and no kind byte.
+	refuse("version 1 frame", func([]byte) []byte {
+		return []byte{magic0, magic1, 1, 0, 0, 0, 4, 0, 0, 0, 1}
 	})
-	corrupt("string length past payload", func(b []byte) []byte {
-		// The u32 length prefix of payload field D sits after from/to/size/
-		// kindLen/kind and the three fixed u64 fields.
-		off := headerLen + 12 + 1 + len("test") + 24
-		binary.BigEndian.PutUint32(b[off:], 1<<30)
-		return b
-	})
-
-	// An oversize announcement must be rejected before the body is read, so
-	// a hostile peer cannot make the node allocate or block on MaxBody+1
-	// bytes that never arrive. eofAfterHeader would block forever if the
-	// decoder tried to read the announced body from a net.Conn; with a
-	// short reader it must fail cleanly instead.
-	hdr := []byte{magic0, magic1, wireVersion, 0xFF, 0xFF, 0xFF, 0xFF}
-	if _, err := DecodeFrame(bytes.NewReader(hdr), c); err == nil || strings.Contains(err.Error(), "unexpected EOF") {
-		t.Fatalf("oversize header must be rejected without reading the body, got %v", err)
+	for name, b := range map[string][]byte{
+		"truncated header":  good[:5],
+		"truncated payload": good[:len(good)-1],
+	} {
+		if _, _, err := readFrame(bytes.NewReader(b), nil); err != io.ErrUnexpectedEOF {
+			t.Errorf("%s: got %v, want io.ErrUnexpectedEOF", name, err)
+		}
 	}
 }
 
-// FuzzWireCodec feeds arbitrary bytes to the frame decoder. The invariant a
-// bad peer cares about: DecodeFrame returns (message, nil) or an error —
-// it never panics and never over-reads. Seed corpus includes valid frames so
-// the fuzzer also explores the accept path, where decoded messages must
-// re-encode to the identical bytes (the codec is canonical).
+// FuzzWireCodec feeds arbitrary bytes to the frame decoder, the first code
+// to read what another process sends. readFrame returns a frame or an
+// error, never panics, and an accepted frame re-encodes to the bytes it was
+// read from (the codec is canonical).
 func FuzzWireCodec(f *testing.F) {
-	c := testCodec()
-	f.Add(mustEncodeF(f, netsim.Message{From: 0, To: 1, Kind: "test", Size: 7,
-		Payload: testPayload{A: 1, B: -2, C: 3.5, D: "d", E: []byte{9}}}))
-	f.Add(mustEncodeF(f, netsim.Message{From: 5, To: 0, Kind: "empty"}))
+	f.Add(mustFrame(f, Call, []byte{1, 2, 3}))
+	f.Add(mustFrame(f, Result, nil))
 	f.Add([]byte{})
-	f.Add([]byte{magic0, magic1, wireVersion, 0, 0, 0, 0})
+	f.Add([]byte{magic0, magic1, wireVersion, byte(Hello), 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := DecodeFrame(bytes.NewReader(data), c)
+		kind, payload, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
 			return
 		}
-		re, err := EncodeFrame(msg, c)
+		re, err := appendFrame(nil, kind, payload)
 		if err != nil {
-			t.Fatalf("decoded message failed to re-encode: %v", err)
+			t.Fatalf("decoded frame failed to re-encode: %v", err)
 		}
-		// The accepted prefix must be exactly the canonical encoding.
 		if !bytes.Equal(re, data[:len(re)]) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:len(re)], re)
 		}
 	})
-}
-
-func mustEncodeF(f *testing.F, msg netsim.Message) []byte {
-	f.Helper()
-	b, err := EncodeFrame(msg, testCodec())
-	if err != nil {
-		f.Fatal(err)
-	}
-	return b
 }
