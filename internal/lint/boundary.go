@@ -5,14 +5,14 @@ import "strconv"
 // analyzerBoundary enforces import quarantines: a sim-critical package must
 // not import a quarantined package unless it is one of the boundary's
 // declared adapters. The motivating quarantine is the real-process TCP
-// transport (internal/node/tcptransport): it necessarily owns goroutines,
-// sockets and wall-clock deadlines, and every one of its waivers is justified
-// by "virtual time never flows through this package". That justification
-// holds only as long as the simulation core cannot reach the transport at
-// all — one import from internal/sim or internal/protocol and the waivers
-// quietly start covering sim-critical code. The rule turns the boundary from
-// a convention into a build gate; cross it deliberately with an
-// //ecolint:allow boundary waiver naming the reason.
+// transport (internal/node/tcptransport): it necessarily owns sockets and
+// wall-clock deadlines, and each of its waivers is justified by "virtual time
+// never flows through this package". That justification holds only as long
+// as the simulation core cannot reach the transport at all — one import from
+// internal/sim or internal/protocol and the waivers quietly start covering
+// sim-critical code. The rule turns the boundary from a convention into a
+// build gate; cross it deliberately with an //ecolint:allow boundary waiver
+// naming the reason.
 var analyzerBoundary = &Analyzer{
 	Name:            RuleBoundary,
 	Doc:             "forbids sim-critical packages importing quarantined packages (e.g. the TCP transport) outside their declared adapters",
