@@ -116,9 +116,12 @@ type Network struct {
 	// free lists the deliveries that have fired, ready for reuse, and
 	// eventNames holds the engine event name "netsim:<kind>" per message
 	// kind. Together they keep scheduling a delivery from allocating once
-	// the network has warmed up.
-	free       *delivery
-	eventNames map[string]string
+	// the network has warmed up. lastKind and lastName repeat the latest
+	// lookup: a broadcast's invites, and then their replies, come in runs
+	// of one kind, so most deliveries skip the map.
+	free               *delivery
+	eventNames         map[string]string
+	lastKind, lastName string
 
 	// Counters for the scalability experiments.
 	Sent  int
@@ -147,6 +150,7 @@ func New(eng *sim.Engine, lat LatencyModel, src *rng.Source) *Network {
 	return &Network{
 		eng: eng, lat: lat, src: src,
 		eventNames: make(map[string]string),
+		lastName:   "netsim:", // the name of the empty kind, lastKind's zero value
 	}
 }
 
@@ -216,21 +220,38 @@ func (n *Network) deliver(msg Message) {
 // schedule queues one physical delivery after its own latency draw.
 func (n *Network) schedule(msg Message) {
 	d := n.lat.delay(msg.Size, n.src)
+	if n.free == nil {
+		n.refill()
+	}
 	dl := n.free
-	if dl == nil {
-		dl = &delivery{net: n}
-		dl.fire = dl.deliver
-	} else {
-		n.free = dl.next
-		dl.next = nil
-	}
+	n.free, dl.next = dl.next, nil
 	dl.msg = msg
-	name, ok := n.eventNames[msg.Kind]
-	if !ok {
-		name = "netsim:" + msg.Kind
-		n.eventNames[msg.Kind] = name
+	if msg.Kind != n.lastKind {
+		name, ok := n.eventNames[msg.Kind]
+		if !ok {
+			name = "netsim:" + msg.Kind
+			n.eventNames[msg.Kind] = name
+		}
+		n.lastKind, n.lastName = msg.Kind, name
 	}
-	n.eng.After(d, name, dl.fire)
+	n.eng.After(d, n.lastName, dl.fire)
+}
+
+// deliveryBlock is how many deliveries the free list gains when it runs
+// dry: they share one allocation.
+const deliveryBlock = 16
+
+// refill puts a block of new deliveries on the empty free list.
+func (n *Network) refill() {
+	block := make([]delivery, deliveryBlock)
+	for i := range block {
+		dl := &block[i]
+		dl.net, dl.fire = n, dl.deliver
+		if i+1 < len(block) {
+			dl.next = &block[i+1]
+		}
+	}
+	n.free = &block[0]
 }
 
 // delivery is one message in flight. Deliveries are recycled through the

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/rng"
 	"repro/internal/sim"
 )
@@ -348,6 +349,44 @@ func TestDeliveryZeroAlloc(t *testing.T) {
 	// The warm-up pair, then AllocsPerRun's own warm-up run plus 100 of each.
 	if want := 1 + 8 + 101*(1+8); delivered != want {
 		t.Fatalf("delivered %d messages, want %d", delivered, want)
+	}
+}
+
+// TestEventNamesFollowKind checks each delivery's engine event name while
+// message kinds alternate and repeat, starting with the empty kind: the
+// recorder times every delivery under sim.handler.netsim:<kind>, so a name
+// carried over from the previous kind shows up as a wrong count.
+func TestEventNamesFollowKind(t *testing.T) {
+	eng := sim.New()
+	rec := obs.NewRecorder(nil, nil)
+	eng.SetRecorder(rec)
+	net := New(eng, fixedLatency(time.Millisecond), rng.New(1))
+	got := map[string]int{}
+	net.Register(1, func(m Message) {
+		got[m.Kind]++
+		if m.Kind == "invite" {
+			net.Send(Message{From: 1, To: 1, Kind: "reply", Size: 48})
+		}
+	})
+	for _, kind := range []string{"", "invite", "probe", "invite", "invite", "", "probe", "invite"} {
+		net.Send(Message{From: 0, To: 1, Kind: kind, Size: 64})
+	}
+	eng.Run(0)
+	timers := rec.Snapshot().Timers
+	for _, c := range []struct {
+		kind string
+		want int
+	}{{"invite", 4}, {"reply", 4}, {"probe", 2}, {"", 2}} {
+		if got[c.kind] != c.want {
+			t.Errorf("delivered %d %q messages, want %d", got[c.kind], c.kind, c.want)
+		}
+		name := "sim.handler.netsim:" + c.kind
+		if n := timers[name].Count; n != int64(c.want) {
+			t.Errorf("timer %s counted %d deliveries, want %d", name, n, c.want)
+		}
+	}
+	if len(timers) != 4 {
+		t.Errorf("%d handler timers, want 4: %v", len(timers), timers)
 	}
 }
 
