@@ -141,15 +141,22 @@ func TestStopHaltsDispatch(t *testing.T) {
 }
 
 // TestDispatchOrderContract checks the queue contract itself on a seeded,
-// tie-heavy schedule rather than through a golden: about 2,000 events on
-// eight distinct timestamps, handlers that schedule follow-ups at Now() and
-// later, and a horizon cut. Dispatch must follow strictly increasing
-// (timestamp, scheduling index) pairs, every event at or before the horizon
-// must fire exactly once, and exactly the events past it must stay queued.
+// tie-heavy schedule rather than through a golden: about 2,300 events on
+// ten distinct timestamps, handlers that schedule follow-ups at Now() and
+// later, a Stop mid-run, more events scheduled from outside while stopped,
+// then a resumed run cut by a horizon. Events scheduled outside Run and
+// those handlers schedule wait in different heaps and tie with each other
+// on every timestamp; both heaps hold events when the Stop and the horizon
+// fall. Dispatch must follow strictly increasing (timestamp, scheduling
+// index) pairs across both runs, Pending must count both heaps, every
+// event at or before the horizon must fire exactly once, and exactly the
+// events past it must stay queued.
 func TestDispatchOrderContract(t *testing.T) {
 	const (
 		initial = 1500
-		total   = 2000
+		stopAt  = 600 // dispatches before a handler calls Stop
+		resumed = 300 // events scheduled from outside while stopped
+		total   = 2300
 		horizon = 6 * time.Second
 	)
 	src := rng.New(2013)
@@ -174,10 +181,27 @@ func TestDispatchOrderContract(t *testing.T) {
 			if len(ats) < total && src.Intn(3) == 0 {
 				sched(en.Now() + time.Duration(src.Intn(3))*time.Second)
 			}
+			if len(order) == stopAt {
+				en.Stop()
+			}
 		})
 	}
 	for i := 0; i < initial; i++ {
 		sched(time.Duration(src.Intn(8)) * time.Second)
+	}
+	e.Run(horizon)
+	if len(order) != stopAt {
+		t.Fatalf("Stop after %d dispatches, but %d ran", stopAt, len(order))
+	}
+	if len(e.queue) == 0 || len(e.soon) == 0 {
+		t.Fatalf("stopped with %d queued and %d handler-scheduled events; want both pending", len(e.queue), len(e.soon))
+	}
+	if want := len(ats) - len(order); e.Pending() != want {
+		t.Fatalf("stopped: Pending = %d, want the %d scheduled but not dispatched", e.Pending(), want)
+	}
+	stoppedAt := e.Now()
+	for i := 0; i < resumed; i++ {
+		sched(stoppedAt + time.Duration(src.Intn(4))*time.Second)
 	}
 	e.Run(horizon)
 
@@ -201,8 +225,11 @@ func TestDispatchOrderContract(t *testing.T) {
 	if e.Pending() != late {
 		t.Fatalf("Pending = %d, want the %d events past the horizon", e.Pending(), late)
 	}
-	if len(ats) <= initial || late == 0 || len(order) == 0 {
-		t.Fatalf("degenerate schedule: %d events, %d dispatched, %d past the horizon", len(ats), len(order), late)
+	if len(e.queue) == 0 || len(e.soon) == 0 {
+		t.Fatalf("the horizon left %d queued and %d handler-scheduled events; want it to cut both", len(e.queue), len(e.soon))
+	}
+	if len(ats) != total || len(order) <= stopAt {
+		t.Fatalf("degenerate schedule: %d of %d events scheduled, %d dispatched", len(ats), total, len(order))
 	}
 }
 
@@ -223,6 +250,27 @@ func TestScheduleDispatchZeroAlloc(t *testing.T) {
 		e.Run(0)
 	}); allocs != 0 {
 		t.Fatalf("Schedule + dispatch allocates %v per run of 64 events, want 0", allocs)
+	}
+}
+
+// TestFollowUpDispatchZeroAlloc is TestScheduleDispatchZeroAlloc for the
+// events handlers schedule while Run dispatches: once their heap has grown,
+// scheduling and dispatching them allocate nothing either.
+func TestFollowUpDispatchZeroAlloc(t *testing.T) {
+	e := New()
+	fn := func(*Engine) {}
+	fan := func(en *Engine) {
+		for i := 0; i < 64; i++ {
+			en.After(time.Duration(i%7)*time.Second, "e", fn)
+		}
+	}
+	e.After(0, "fan", fan)
+	e.Run(0)
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.After(0, "fan", fan)
+		e.Run(0)
+	}); allocs != 0 {
+		t.Fatalf("a handler's 64 follow-ups allocate %v per run, want 0", allocs)
 	}
 }
 
@@ -282,28 +330,59 @@ func BenchmarkScheduleAndRun(b *testing.B) {
 	}
 }
 
+// BenchmarkDispatchBehindQueue is a churn day's shape: 4,000 events queued
+// before Run, one a second in shuffled order, each scheduling 20 follow-ups
+// 1-20 us later, as an arrival's broadcast does with its deliveries. Every
+// follow-up fires long before the next queued event.
+func BenchmarkDispatchBehindQueue(b *testing.B) {
+	follow := func(*Engine) {}
+	arrive := func(en *Engine) {
+		for k := 1; k <= 20; k++ {
+			en.After(time.Duration(k)*time.Microsecond, "follow", follow)
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		for j := 0; j < 4000; j++ {
+			e.Schedule(time.Duration(j*7919%4000)*time.Second, "arrive", arrive)
+		}
+		e.Run(0)
+		if e.Processed() != 4000*21 {
+			b.Fatalf("dispatched %d events, want %d", e.Processed(), 4000*21)
+		}
+	}
+}
+
 func TestRecorderCountsEvents(t *testing.T) {
 	e := New()
 	rec := obs.NewRecorder(nil, nil)
 	e.SetRecorder(rec)
 	for i := 0; i < 5; i++ {
-		e.Schedule(time.Duration(i)*time.Second, "tick", func(*Engine) {})
+		e.Schedule(time.Duration(i)*time.Second, "tick", func(en *Engine) {
+			if en.Now() == 0 {
+				for j := 0; j < 3; j++ {
+					en.After(20*time.Second, "late", func(*Engine) {})
+				}
+			}
+		})
 	}
 	e.Schedule(10*time.Second, "other", func(*Engine) {})
 	e.Run(0)
 	s := rec.Snapshot()
-	if got := s.Counters["sim.events"]; got != 6 {
-		t.Errorf("sim.events = %d, want 6", got)
+	if got := s.Counters["sim.events"]; got != 9 {
+		t.Errorf("sim.events = %d, want 9", got)
 	}
-	// All 6 events were queued before dispatch began, so the high-water
-	// mark must have seen the full queue.
-	if got := s.Gauges["sim.queue_depth_max"]; got != 6 {
-		t.Errorf("sim.queue_depth_max = %d, want 6", got)
+	// The first tick queues three late events while Run dispatches. The
+	// second tick's pop then sees them, four events queued before Run and
+	// itself: the high-water mark counts both heaps.
+	if got := s.Gauges["sim.queue_depth_max"]; got != 8 {
+		t.Errorf("sim.queue_depth_max = %d, want 8", got)
 	}
 	if got := s.Timers["sim.handler.tick"].Count; got != 5 {
 		t.Errorf("handler timer count = %d, want 5", got)
 	}
-	if got := s.Gauges["sim.now_ns"]; got != int64(10*time.Second) {
-		t.Errorf("sim.now_ns = %d, want %d", got, int64(10*time.Second))
+	if got := s.Gauges["sim.now_ns"]; got != int64(20*time.Second) {
+		t.Errorf("sim.now_ns = %d, want %d", got, int64(20*time.Second))
 	}
 }
