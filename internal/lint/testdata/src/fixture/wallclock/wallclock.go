@@ -22,6 +22,10 @@ func BadTicker() {
 // host clock.
 func Good(now time.Duration) time.Duration { return now + 5*time.Minute }
 
+// Later compares two instants: the method time.Time.After is pure, unlike
+// the package function time.After, which starts a host-clock timer.
+func Later(a, b time.Time) bool { return a.After(b) }
+
 // Allowed is genuinely wall-clock and annotated at the call site.
 func Allowed() time.Time {
 	return time.Now() //ecolint:allow wallclock — fixture: annotated heartbeat

@@ -52,8 +52,10 @@ var analyzerWallclock = &Analyzer{
 }
 
 // isPkgFunc reports whether obj is a function declared at package level in
-// the package with the given import path.
+// the package with the given import path. A method is not: time.Time.After
+// compares two instants, where time.After reads the clock.
 func isPkgFunc(obj types.Object, pkgPath string) bool {
 	fn, ok := obj.(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath &&
+		fn.Type().(*types.Signature).Recv() == nil
 }
