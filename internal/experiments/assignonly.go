@@ -37,6 +37,9 @@ type AssignOnlyOptions struct {
 	Sample  time.Duration
 }
 
+// paperServers is the fleet size of the paper's Figs. 12-13.
+const paperServers = 100
+
 // DefaultAssignOnlyOptions returns the paper's Fig. 12/13 setup: 100
 // six-core servers, 1,500 initial VMs spread round-robin (a non-consolidated
 // start with most servers at 10–30% load), 18 hours starting at midnight.
@@ -45,7 +48,7 @@ func DefaultAssignOnlyOptions() AssignOnlyOptions {
 	eco.DisableMigration = true
 	churn := trace.DefaultChurnConfig()
 	return AssignOnlyOptions{
-		RunConfig:  RunConfig{Servers: 100, NumVMs: churn.InitialVMs, Horizon: churn.Horizon, Seed: 1},
+		RunConfig:  RunConfig{Servers: paperServers, NumVMs: churn.InitialVMs, Horizon: churn.Horizon, Seed: 1},
 		Cores:      6,
 		Churn:      churn,
 		Eco:        eco,
@@ -161,7 +164,7 @@ func (a *AssignOnlyResult) Fig12() *Figure {
 	cols := append([]string{"time_h", "overall_load"}, serverCols(a.Servers)...)
 	f := &Figure{
 		ID:      "fig12",
-		Title:   "CPU utilization of 100 servers, obtained with simulation",
+		Title:   fmt.Sprintf("CPU utilization of %d servers, obtained with simulation", a.Servers),
 		Columns: cols,
 	}
 	for i, t := range a.Sim.SampleTimes {
@@ -170,8 +173,8 @@ func (a *AssignOnlyResult) Fig12() *Figure {
 		row = append(row, a.Sim.ServerUtil[i]...)
 		f.Add(row...)
 	}
-	f.Notef("final active servers (simulation): %d of %d (paper: 45)",
-		a.Sim.FinalActiveServers, a.Servers)
+	f.Notef("final active servers (simulation): %d of %d%s",
+		a.Sim.FinalActiveServers, a.Servers, a.paper("45"))
 	return f
 }
 
@@ -180,7 +183,7 @@ func (a *AssignOnlyResult) Fig13() *Figure {
 	cols := append([]string{"time_h", "overall_load"}, serverCols(a.Servers)...)
 	f := &Figure{
 		ID:      "fig13",
-		Title:   "CPU utilization of 100 servers, obtained with the analytical model",
+		Title:   fmt.Sprintf("CPU utilization of %d servers, obtained with the analytical model", a.Servers),
 		Columns: cols,
 	}
 	for i, t := range a.Model.Times {
@@ -191,9 +194,19 @@ func (a *AssignOnlyResult) Fig13() *Figure {
 	}
 	simFinal := a.Sim.FinalActiveServers
 	modelFinal := a.Model.FinalActive(a.ActiveThreshold)
-	f.Notef("final active servers (model): %d of %d (paper: 43)", modelFinal, a.Servers)
-	f.Notef("simulation vs model: %d vs %d active servers (paper: 45 vs 43)", simFinal, modelFinal)
+	f.Notef("final active servers (model): %d of %d%s", modelFinal, a.Servers, a.paper("43"))
+	f.Notef("simulation vs model: %d vs %d active servers%s", simFinal, modelFinal, a.paper("45 vs 43"))
 	return f
+}
+
+// paper returns the paper's count as a note's suffix, " (paper: v)", at
+// the paper's fleet size, and nothing at any other, where it does not
+// compare.
+func (a *AssignOnlyResult) paper(v string) string {
+	if a.Servers != paperServers {
+		return ""
+	}
+	return " (paper: " + v + ")"
 }
 
 func serverCols(n int) []string {

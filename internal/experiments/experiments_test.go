@@ -230,6 +230,34 @@ func TestAssignOnlySmallScale(t *testing.T) {
 	}
 }
 
+// TestAssignOnlyNotesQuotePaperAtItsSize checks that Figs. 12-13 quote the
+// paper's active-server counts (45 and 43, at 100 servers) only at 100
+// servers, and that their titles name the fleet that was run.
+func TestAssignOnlyNotesQuotePaperAtItsSize(t *testing.T) {
+	opts := DefaultAssignOnlyOptions()
+	opts.Servers = 200
+	opts.NumVMs = 600
+	opts.Churn.ArrivalPerHour = 300
+	opts.Horizon = 2 * time.Hour
+	res, err := AssignOnly(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Figure{res.Fig12(), res.Fig13()} {
+		if !strings.Contains(f.Title, "of 200 servers") {
+			t.Errorf("%s title %q does not name the 200-server fleet", f.ID, f.Title)
+		}
+		if len(f.Notes) == 0 {
+			t.Errorf("%s has no notes", f.ID)
+		}
+		for _, note := range f.Notes {
+			if strings.Contains(note, "paper:") {
+				t.Errorf("%s at 200 servers quotes the paper's 100-server count: %q", f.ID, note)
+			}
+		}
+	}
+}
+
 func TestComparisonSmallScale(t *testing.T) {
 	opts := DefaultComparisonOptions()
 	opts.Servers = 20
