@@ -60,12 +60,13 @@ parscale:
 figures:
 	$(GO) run ./cmd/ecobench -out out -scale 1.0
 
-# Byte-exact figure gate, run the same way in CI: regenerate every figure at
-# paper scale into ./out-figs and diff each checked-in out/*.csv against it.
+# Byte-exact figure gate, run the same way in CI: regenerate every figure
+# and both assembled reports at paper scale into ./out-figs and diff each
+# checked-in out/*.csv, out/REPORT.md and out/report.html against it.
 # set -e makes any differing file fail the target, not just the last one.
 figures-check:
-	$(GO) run ./cmd/ecobench -out out-figs -scale 1.0 -replicate 5
-	set -e; for f in out/*.csv; do diff "$$f" "out-figs/$$(basename "$$f")"; done
+	$(GO) run ./cmd/ecobench -out out-figs -scale 1.0 -replicate 5 -markdown out-figs/REPORT.md -html out-figs/report.html
+	set -e; for f in out/*.csv out/REPORT.md out/report.html; do diff "$$f" "out-figs/$$(basename "$$f")"; done
 
 # Fault-injection sweep (crashes, wake failures, lossy fabric) at full scale:
 # the MTBF x MTTR grid behind out/faults.csv. See DESIGN.md "Failure semantics".

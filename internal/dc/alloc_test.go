@@ -51,9 +51,16 @@ func TestDemandAtHitPathZeroAlloc(t *testing.T) {
 
 func TestDemandKernelRefillZeroAlloc(t *testing.T) {
 	_, s := allocTestServer(t, 10)
-	// Alternate between two epochs so every lookup lands outside the cached
-	// window and runs the full refill.
-	times := [2]time.Duration{10 * time.Minute, 15 * time.Minute}
+	// Alternate between two times nine epochs apart, so every lookup lands
+	// outside both the cached window and the block of epoch sums and runs
+	// the full refill pass.
+	times := [2]time.Duration{time.Minute, 46 * time.Minute}
+	for i, at := range times {
+		s.DemandAt(at)
+		if _, ok := s.d.hot.kBlock[s.ID].entry(times[1-i]); ok {
+			t.Fatalf("the block filled at %v covers %v", at, times[1-i])
+		}
+	}
 	k := 0
 	if allocs := testing.AllocsPerRun(100, func() {
 		_ = s.DemandAt(times[k&1])

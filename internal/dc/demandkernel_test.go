@@ -50,8 +50,10 @@ func fuzzVM(src *rng.Source, id int, horizon time.Duration, grid fuzzGrid) *trac
 // TestDemandKernelDifferentialFuzz drives random place/remove/migrate/
 // activate/hibernate sequences over a small fleet and asserts, at every
 // step and at adversarial probe times (epoch boundaries, revisits, jumps
-// backwards), that the cached DemandAt is bit-identical to the naive
-// recomputation — the kernel's core contract.
+// backwards, walks through a block of epoch sums), that the cached DemandAt
+// is bit-identical to the naive recomputation — the kernel's core contract
+// — and that each read outside the server's current window counts exactly
+// one miss and each read inside it one hit.
 func TestDemandKernelDifferentialFuzz(t *testing.T) {
 	const horizon = 8 * time.Hour
 	for seed := uint64(1); seed <= 8; seed++ {
@@ -66,6 +68,25 @@ func TestDemandKernelDifferentialFuzz(t *testing.T) {
 			vms[i] = fuzzVM(src.SplitIndex("vm", i), i, horizon, grid)
 		}
 		placed := map[int]*Server{}
+		fromBlock := 0
+
+		read := func(s *Server, at time.Duration) {
+			h := &d.hot
+			inWindow := h.kValid[s.ID] && at >= h.kFrom[s.ID] && at < h.kUntil[s.ID]
+			if _, ok := h.kBlock[s.ID].entry(at); ok && !inWindow {
+				fromBlock++
+			}
+			before := d.DemandCacheStats()
+			want := s.recomputeDemandAt(at)
+			if got := s.DemandAt(at); got != want {
+				t.Fatalf("seed %d: server %d at %v: cached %v != naive %v", seed, s.ID, at, got, want)
+			}
+			after := d.DemandCacheStats()
+			misses, hits := after.Misses-before.Misses, after.Hits-before.Hits
+			if inWindow && (misses != 0 || hits != 1) || !inWindow && (misses != 1 || hits != 0) {
+				t.Fatalf("seed %d: server %d at %v (in window %v): %d misses, %d hits", seed, s.ID, at, inWindow, misses, hits)
+			}
+		}
 
 		probe := func(now time.Duration) {
 			times := []time.Duration{
@@ -79,16 +100,17 @@ func TestDemandKernelDifferentialFuzz(t *testing.T) {
 				k := src.Intn(len(vm.Demand) + 1)
 				times = append(times, vm.Start+time.Duration(k)*vm.Epoch, vm.End)
 			}
+			// Walk the grid epoch by epoch through and past a block, skip
+			// ahead, jump back inside the block and before it, and end
+			// inside a block, so the next mutation lands mid-block.
+			for _, j := range []time.Duration{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 4, -1, 0, 1, 2} {
+				times = append(times, now+j*grid.epoch)
+			}
 			for _, s := range d.Servers {
 				for _, at := range times {
-					want := s.recomputeDemandAt(at)
-					if got := s.DemandAt(at); got != want {
-						t.Fatalf("seed %d: server %d at %v: cached %v != naive %v", seed, s.ID, at, got, want)
-					}
+					read(s, at)
 					// Second lookup must be a pure cache hit with the same bits.
-					if got := s.DemandAt(at); got != want {
-						t.Fatalf("seed %d: server %d at %v: cache hit drifted", seed, s.ID, at)
-					}
+					read(s, at)
 				}
 			}
 		}
@@ -153,6 +175,9 @@ func TestDemandKernelDifferentialFuzz(t *testing.T) {
 		st := d.DemandCacheStats()
 		if st.Hits == 0 || st.Misses == 0 || st.Invalidations == 0 {
 			t.Fatalf("seed %d: degenerate cache traffic %+v", seed, st)
+		}
+		if fromBlock == 0 {
+			t.Fatalf("seed %d: no miss was served from a block", seed)
 		}
 	}
 }
@@ -232,11 +257,24 @@ func TestDemandKernelStatsAndWindows(t *testing.T) {
 
 // BenchmarkRefill measures the demand kernel's refill layer on the daily
 // run's shape: 3,000 generated trace VMs spread over 74 active servers
-// (~40 each), every server refilled once per 5-minute epoch of a day. In a
-// trace-driven run every VM's sample changes at every epoch, so each refill
-// reads every hosted VM afresh. One op is the whole day; ns/vm-epoch divides
-// it by the 3,000 × 288 VM reads.
+// (~40 each), every server refilled once per 5-minute epoch of a day. The
+// VMs share one sampling grid, so one refill in blockEpochs reads every
+// hosted VM and sums the block, and the others install their entry from
+// it. One op is the whole day; ns/vm-epoch divides it by the 3,000 × 288
+// VM-epochs served.
 func BenchmarkRefill(b *testing.B) {
+	benchmarkRefill(b, 0)
+}
+
+// BenchmarkRefillWithMigrations is BenchmarkRefill with four VMs moved to
+// the next server before each epoch's refills: about the daily run's rate
+// (1,088 migrations over 288 epochs), so blocks are thrown away before
+// their end.
+func BenchmarkRefillWithMigrations(b *testing.B) {
+	benchmarkRefill(b, 4)
+}
+
+func benchmarkRefill(b *testing.B, movesPerEpoch int) {
 	const servers = 74
 	gen := trace.DefaultGenConfig()
 	gen.NumVMs = 3000
@@ -260,8 +298,17 @@ func BenchmarkRefill(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
+	moved := 0
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < epochs; k++ {
+			for m := 0; m < movesPerEpoch; m++ {
+				id := ws.VMs[moved%len(ws.VMs)].ID
+				moved++
+				host, _ := d.HostOf(id)
+				if err := d.Migrate(id, d.Servers[(host.ID+1)%len(d.Servers)]); err != nil {
+					b.Fatal(err)
+				}
+			}
 			t := time.Duration(k) * gen.Epoch
 			for _, s := range d.Servers {
 				sink += s.refill(t)

@@ -32,7 +32,8 @@ type hotState struct {
 	capMHz      []float64 // == Spec.CapacityMHz(), precomputed once
 
 	// Demand-kernel aggregate per server (see demandkernel.go): the cached
-	// sum, its validity window [kFrom, kUntil), and the access counters.
+	// sum, its validity window [kFrom, kUntil), the access counters, and the
+	// block of epoch sums the next refills install from.
 	// Counters are per-server — not one shared word — so a sharded warm
 	// phase can increment them without a data race.
 	kValid  []bool
@@ -42,6 +43,7 @@ type hotState struct {
 	kHits   []uint64
 	kMisses []uint64
 	kInval  []uint64
+	kBlock  []demandBlock
 }
 
 // newHotState allocates the arrays for n servers (all hibernated, all cold).
@@ -59,6 +61,7 @@ func newHotState(n int) hotState {
 		kHits:       make([]uint64, n),
 		kMisses:     make([]uint64, n),
 		kInval:      make([]uint64, n),
+		kBlock:      make([]demandBlock, n),
 	}
 }
 

@@ -136,6 +136,66 @@ func TestRestoreRepopulatesHotState(t *testing.T) {
 	}
 }
 
+// A snapshot taken mid-block restores with every block empty, since the
+// snapshot does not carry them. For the rest of the day the restored fleet
+// returns the bits and counts the hits and misses of the original, which
+// keeps serving its misses from the block it had.
+func TestRestoreMidBlockStartsEmpty(t *testing.T) {
+	const epoch = 5 * time.Minute
+	specs := UniformFleet(3, 4, 2000)
+	ws := &trace.Set{RefCapacityMHz: 8000}
+	for i := 0; i < 9; i++ {
+		d := make([]float64, 288)
+		for j := range d {
+			d[j] = 50 + float64(i) + float64(j%17)/3
+		}
+		ws.VMs = append(ws.VMs, &trace.VM{ID: i, End: 24 * time.Hour, Epoch: epoch, Demand: d})
+	}
+	orig := New(specs)
+	for _, s := range orig.Servers {
+		if err := orig.Activate(s, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, vm := range ws.VMs {
+		if err := orig.Place(vm, orig.Servers[i%3]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := 0; k < 3; k++ {
+		for _, s := range orig.Servers {
+			s.DemandAt(time.Duration(k)*epoch + time.Minute)
+		}
+	}
+	for i := range orig.Servers {
+		if b := orig.hot.kBlock[i]; b.n != blockEpochs || b.from != 0 {
+			t.Fatalf("server %d: block of %d from %v before the snapshot, want %d from 0", i, b.n, b.from, blockEpochs)
+		}
+	}
+	restored, err := Restore(specs, ws, orig.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range restored.Servers {
+		if b := restored.hot.kBlock[i]; b.n != 0 {
+			t.Fatalf("server %d: restored with a block of %d", i, b.n)
+		}
+	}
+	for k := 2; k < 288; k++ {
+		for _, off := range []time.Duration{time.Minute, 3 * time.Minute} {
+			at := time.Duration(k)*epoch + off
+			for i, s := range restored.Servers {
+				if got, want := s.DemandAt(at), orig.Servers[i].DemandAt(at); got != want {
+					t.Fatalf("server %d at %v: restored %x, original %x", i, at, got, want)
+				}
+			}
+			if got, want := restored.DemandCacheStats(), orig.DemandCacheStats(); got != want {
+				t.Fatalf("at %v: restored stats %+v, original %+v", at, got, want)
+			}
+		}
+	}
+}
+
 // Pre-extension snapshots (no kernel or RAM fields) must still restore:
 // placements exact, cache cold, counters zero. So must files that carry the
 // per-VM "cursors" key snapshots held before the kernel became stateless;

@@ -139,16 +139,16 @@ func (v *VM) demandIndexAt(t time.Duration) (idx int, from, until time.Duration)
 // containing t over which that sum holds: the intersection of the VMs'
 // constant-demand windows. An empty slice sums to 0 over all time.
 //
-// In a trace-driven fleet the VMs usually share one sampling grid. When every
-// VM has the same Start and Epoch, lives through the whole epoch containing
-// t and is not on its last sample, all of their windows are that epoch, so
-// the epoch index is divided out once and each VM costs one sample read.
-// Otherwise each VM's own window is located and intersected.
+// In a trace-driven fleet the VMs usually share one sampling grid. Then all
+// of their windows are the epoch containing t, and SumDemandAt is SumEpochs
+// over one entry. Otherwise each VM's own window is located and
+// intersected.
 //
 // It keeps no state, so concurrent callers may share the VMs.
 func SumDemandAt(vms []*VM, t time.Duration) (sum float64, from, until time.Duration) {
-	if sum, from, until, ok := sumSharedEpoch(vms, t); ok {
-		return sum, from, until
+	var one [1]float64
+	if n, from, epoch := SumEpochs(vms, t, one[:]); n == 1 {
+		return one[0], from, from + epoch
 	}
 	sum, from, until = 0, minTime, maxTime
 	for _, v := range vms {
@@ -168,27 +168,67 @@ func SumDemandAt(vms []*VM, t time.Duration) (sum float64, from, until time.Dura
 	return sum, from, until
 }
 
-// sumSharedEpoch is SumDemandAt's shared-grid path. It reports ok = false as
-// soon as one VM leaves the grid (another Start or Epoch, an End inside the
-// epoch, or its last sample, whose window runs to End).
-func sumSharedEpoch(vms []*VM, t time.Duration) (sum float64, from, until time.Duration, ok bool) {
-	if len(vms) == 0 {
-		return 0, 0, 0, false
+// SumEpochs sums vms over a block of consecutive epochs of their shared
+// sampling grid, starting with epoch k, the one that contains t. It adds
+// each VM's samples k … k+n−1 into sums[0 … n−1], in slice order, so sums[j]
+// has the bits SumDemandAt returns anywhere in epoch k+j, which spans
+// [from+j·epoch, from+(j+1)·epoch). A first pass over the VMs checks the
+// grid and adds sample k; a last one adds the rest from the cache lines the
+// first brought in, since a VM's samples k … k+7 share one or two lines. So
+// a block costs about the memory traffic of one epoch, and a one-entry call
+// makes the first pass only.
+//
+// n is at most len(sums). It stops at the first epoch in which some VM ends
+// or reaches its last sample, whose window runs to the VM's End. It is 0,
+// and sums holds nothing of use, when the VMs share no grid at t: the slice
+// is empty, some VM has another Start or Epoch, t is before Start, or some
+// VM ends inside epoch k or is already on its last sample there. That is
+// exactly when SumDemandAt locates each VM's own window instead.
+func SumEpochs(vms []*VM, t time.Duration, sums []float64) (n int, from, epoch time.Duration) {
+	if len(vms) == 0 || len(sums) == 0 {
+		return 0, 0, 0
 	}
-	start, epoch := vms[0].Start, vms[0].Epoch
-	if epoch <= 0 || t < start {
-		return 0, 0, 0, false
+	start := vms[0].Start
+	if epoch = vms[0].Epoch; epoch <= 0 || t < start {
+		return 0, 0, 0
 	}
 	k := int((t - start) / epoch)
 	from = start + time.Duration(k)*epoch
-	until = from + epoch
+	until := from + epoch
+	// The first pass sums epoch k and checks that every VM covers it.
+	sum := 0.0
 	for _, v := range vms {
-		if v.Start != start || v.Epoch != epoch || until > v.End || k >= len(v.Demand)-1 {
-			return 0, 0, 0, false
+		if v.Start != start || v.Epoch != epoch || v.End < until || len(v.Demand) <= k+1 {
+			return 0, 0, 0
 		}
 		sum += v.Demand[k]
 	}
-	return sum, from, until, true
+	sums[0] = sum
+	if len(sums) == 1 {
+		return 1, from, epoch
+	}
+	// The block runs to the first epoch in which some VM ends or reaches its
+	// last sample. The last pass finds the rest of the block's samples on
+	// the cache lines the first pass brought in.
+	minEnd, minLen := maxTime, math.MaxInt
+	for _, v := range vms {
+		minEnd, minLen = min(minEnd, v.End), min(minLen, len(v.Demand))
+	}
+	n = min(len(sums), minLen-1-k)
+	if minEnd < from+time.Duration(n)*epoch {
+		n = int((minEnd - from) / epoch)
+	}
+	if n > 1 {
+		rest := sums[1:n]
+		clear(rest)
+		for _, v := range vms {
+			d := v.Demand[k+1 : k+n]
+			for j := range rest {
+				rest[j] += d[j]
+			}
+		}
+	}
+	return n, from, epoch
 }
 
 // Avg returns the mean demand over the VM's samples (MHz).

@@ -178,14 +178,198 @@ func TestSumDemandAtMatchesDemandAt(t *testing.T) {
 			}
 		}
 	}
-	// The shared grid takes the one-division path inside its first five
-	// epochs, and only there.
+	// The shared grid takes the grid path, a one-entry SumEpochs, inside its
+	// first five epochs, and only there.
 	vms := cases[0].vms
+	var one [1]float64
 	for _, p := range probes {
-		_, _, _, ok := sumSharedEpoch(vms, p)
-		if want := p >= start && p < start+5*epoch; ok != want {
-			t.Fatalf("shared grid at %v: shared path %v, want %v", p, ok, want)
+		n, _, _ := SumEpochs(vms, p, one[:])
+		if want := p >= start && p < start+5*epoch; (n == 1) != want {
+			t.Fatalf("shared grid at %v: shared path %v, want %v", p, n == 1, want)
 		}
+	}
+}
+
+// gridEpochs is SumEpochs's block length by definition, at most limit: the
+// VMs share vms[0]'s Start and positive Epoch, t is not before Start, and
+// entry j exists while every VM lives through epoch k+j and has a sample
+// after it.
+func gridEpochs(vms []*VM, t time.Duration, limit int) int {
+	if len(vms) == 0 {
+		return 0
+	}
+	start, epoch := vms[0].Start, vms[0].Epoch
+	if epoch <= 0 || t < start {
+		return 0
+	}
+	for _, v := range vms {
+		if v.Start != start || v.Epoch != epoch {
+			return 0
+		}
+	}
+	k := int((t - start) / epoch)
+	n := 0
+	for ; n < limit; n++ {
+		until := start + time.Duration(k+n+1)*epoch
+		for _, v := range vms {
+			if until > v.End || k+n >= len(v.Demand)-1 {
+				return n
+			}
+		}
+	}
+	return n
+}
+
+// epochVMSet draws a fuzz-style VM set with random sample counts and
+// lifetimes: most sets on one shared grid, the rest with each VM moved off
+// it by Start or Epoch, cut to one constant sample, or given the zero Epoch
+// of the churn workloads.
+func epochVMSet(src *rng.Source, start, epoch time.Duration) []*VM {
+	vms := make([]*VM, 1+src.Intn(10))
+	onGrid := src.Bernoulli(0.6)
+	for i := range vms {
+		v := &VM{ID: i, Start: start, Epoch: epoch, Demand: make([]float64, 1+src.Intn(24))}
+		v.End = start + time.Duration(src.Intn(int(30*epoch)))
+		if src.Bernoulli(0.5) {
+			v.End = start + time.Duration(len(v.Demand)+src.Intn(4))*epoch
+		}
+		if !onGrid {
+			switch src.Intn(4) {
+			case 0:
+				v.Start += epoch
+			case 1:
+				v.Epoch = epoch / 2
+			case 2:
+				v.Demand = v.Demand[:1]
+			case 3:
+				v.Epoch, v.Demand = 0, v.Demand[:1]
+			}
+		}
+		for j := range v.Demand {
+			v.Demand[j] = src.Float64()*2400 + 1/3.0
+		}
+		vms[i] = v
+	}
+	return vms
+}
+
+// checkSumEpochs holds SumEpochs(vms, t, sums) to its definition: n is
+// gridEpochs's, 0 exactly when SumDemandAt locates each VM's window, and
+// each sums[j] has the bits and the window SumDemandAt (and a DemandAt
+// loop) gives at the start of epoch k+j; epoch k+n is off the grid unless
+// the block is full.
+func checkSumEpochs(t *testing.T, name string, vms []*VM, at time.Duration, sums []float64) {
+	t.Helper()
+	for i := range sums {
+		sums[i] = math.NaN() // SumEpochs must not read what it has not written
+	}
+	n, from, epoch := SumEpochs(vms, at, sums)
+	if want := gridEpochs(vms, at, len(sums)); n != want {
+		t.Fatalf("%s at %v: n = %d, want %d", name, at, n, want)
+	}
+	// SumDemandAt takes its grid path exactly when a one-entry block fills.
+	var one [1]float64
+	if m, _, _ := SumEpochs(vms, at, one[:]); (n == 0) != (m == 0) {
+		t.Fatalf("%s at %v: block of %d, one-entry block of %d", name, at, n, m)
+	}
+	if n == 0 {
+		return
+	}
+	if at < from || at >= from+epoch {
+		t.Fatalf("%s at %v: block starts with epoch [%v, %v)", name, at, from, from+epoch)
+	}
+	for j := 0; j < n; j++ {
+		tj := from + time.Duration(j)*epoch
+		want, f, u := SumDemandAt(vms, tj)
+		if math.Float64bits(sums[j]) != math.Float64bits(want) {
+			t.Fatalf("%s at %v: sums[%d] = %v, SumDemandAt(%v) = %v", name, at, j, sums[j], tj, want)
+		}
+		if f != tj || u != tj+epoch {
+			t.Fatalf("%s at %v: entry %d spans [%v, %v), SumDemandAt window [%v, %v)", name, at, j, tj, tj+epoch, f, u)
+		}
+		loop := 0.0
+		for _, v := range vms {
+			loop += v.DemandAt(tj)
+		}
+		if math.Float64bits(loop) != math.Float64bits(sums[j]) {
+			t.Fatalf("%s at %v: sums[%d] = %v, DemandAt loop %v", name, at, j, sums[j], loop)
+		}
+	}
+	if next := from + time.Duration(n)*epoch; n < len(sums) && gridEpochs(vms, next, 1) != 0 {
+		t.Fatalf("%s at %v: block of %d stops at %v, still on the grid", name, at, n, next)
+	}
+}
+
+// SumEpochs must give, for each epoch of its block, exactly what SumDemandAt
+// gives there, on random VM sets at every grid boundary, 1 ns either side
+// and mid-epoch, for blocks of 1, 3 and 8.
+func TestSumEpochsMatchesSumDemandAt(t *testing.T) {
+	const (
+		start = time.Hour
+		epoch = 5 * time.Minute
+	)
+	sizes := []int{1, 3, 8}
+	blocks := 0
+	for seed := uint64(1); seed <= 300; seed++ {
+		src := rng.New(seed)
+		vms := epochVMSet(src, start, epoch)
+		for k := -2; k <= 32; k++ {
+			b := start + time.Duration(k)*epoch
+			for _, at := range []time.Duration{b - 1, b, b + 1, b + epoch/2} {
+				for _, size := range sizes {
+					sums := make([]float64, size)
+					checkSumEpochs(t, fmt.Sprintf("seed %d", seed), vms, at, sums)
+					if n, _, _ := SumEpochs(vms, at, sums); n == 8 {
+						blocks++
+					}
+				}
+			}
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("no probe filled a block of 8")
+	}
+}
+
+// The block stops where a VM ends or reaches its last sample, never
+// reaches before Start, and a VM that never ends (End = MaxInt64) does not
+// overflow it.
+func TestSumEpochsBlockEnds(t *testing.T) {
+	const (
+		start = 2 * time.Hour
+		epoch = 5 * time.Minute
+	)
+	grid := func(id, samples int, end time.Duration) *VM {
+		d := make([]float64, samples)
+		for i := range d {
+			d[i] = 10*float64(id+1) + float64(i)/3
+		}
+		return &VM{ID: id, Start: start, End: end, Epoch: epoch, Demand: d}
+	}
+	long := start + 100*epoch
+	cases := []struct {
+		name string
+		vms  []*VM
+		at   time.Duration
+		n    int
+	}{
+		{"full block", []*VM{grid(0, 40, long), grid(1, 40, long)}, start + 3*epoch, 8},
+		{"end inside the block", []*VM{grid(0, 40, long), grid(1, 40, start+7*epoch+epoch/2), grid(2, 40, long)}, start + 2*epoch, 5},
+		{"end on a block epoch boundary", []*VM{grid(0, 40, long), grid(1, 40, start+6*epoch)}, start + 2*epoch, 4},
+		{"last sample inside the block", []*VM{grid(0, 40, long), grid(1, 6, long), grid(2, 40, long)}, start + epoch, 4},
+		{"end inside the first epoch", []*VM{grid(0, 40, long), grid(1, 40, start+2*epoch+1)}, start + 2*epoch, 0},
+		{"on the last sample", []*VM{grid(0, 40, long), grid(1, 3, long)}, start + 2*epoch, 0},
+		{"before start", []*VM{grid(0, 40, long)}, start - 1, 0},
+		{"never ends", []*VM{grid(0, 40, long), grid(1, 40, math.MaxInt64)}, start + 30*epoch, 8},
+		{"never ends, last sample", []*VM{grid(0, 40, math.MaxInt64)}, start + 35*epoch, 4},
+	}
+	for _, c := range cases {
+		sums := make([]float64, 8)
+		n, _, _ := SumEpochs(c.vms, c.at, sums)
+		if n != c.n {
+			t.Fatalf("%s: n = %d, want %d", c.name, n, c.n)
+		}
+		checkSumEpochs(t, c.name, c.vms, c.at, sums)
 	}
 }
 
