@@ -258,11 +258,14 @@ func (s Stats) MeanMigrationLatency() time.Duration {
 // inviteReq is one round's invitation. It also holds the round's two
 // possible replies: a server answers with a pointer to one of them, so a
 // reply allocates nothing, and the manager reads who replied from
-// Message.From.
+// Message.From. The round's first invitee in a process builds the
+// acceptance test under ta, and every later one reuses it.
 type inviteReq struct {
 	roundID        int
 	demand         float64
 	ta             float64 // effective acceptance threshold for this round
+	trial          ecocloud.Round
+	built          bool // trial holds the acceptance test under ta
 	accept, reject reply
 }
 
@@ -614,9 +617,11 @@ func (c *Cluster) onServerMessage(s *dc.Server, m netsim.Message) {
 			return // crashed after the invitation went out: dead servers are silent
 		}
 		req := m.Payload.(*inviteReq)
+		if !req.built {
+			req.trial, req.built = c.core.Round(req.ta), true
+		}
 		inv := ecocloud.Invitee{U: s.UtilizationAt(now), CapMHz: s.CapacityMHz(), Grace: c.core.InGrace(now, s.ActivatedAt())}
-		trial := c.core.Round(req.ta)
-		accept := trial.Accept(&c.servers, s.ID, req.demand, 0, inv)
+		accept := req.trial.Accept(&c.servers, s.ID, req.demand, 0, inv)
 		if accept || !c.cfg.SilentReject {
 			rep := &req.reject
 			if accept {
