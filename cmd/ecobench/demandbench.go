@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"time"
 
 	"repro/internal/cluster"
@@ -21,10 +22,16 @@ import (
 //
 // Wall-clock timing is inherently nondeterministic; that is fine here because
 // the timings are reporting-only and never feed back into simulation state.
+// To steady them, one untimed run warms the process up first, and each cell
+// is the fastest of demandBenchRuns fresh runs, cached and naive taking
+// turns; every run of a cell must equal its first.
 
 // demandBenchSizes is the 400 -> 4,000 server sweep from the issue. The
 // VM count scales with the fleet (15 VMs per server, the paper's ratio).
 var demandBenchSizes = []int{400, 1000, 2000, 4000}
+
+// demandBenchRuns is the number of timed runs per cell.
+const demandBenchRuns = 3
 
 type demandBenchRow struct {
 	Servers       int     `json:"servers"`
@@ -68,26 +75,46 @@ func demandBenchConfig(servers int, seed uint64, disable bool) (cluster.RunConfi
 	}, pol, nil
 }
 
+// timeDemandRun runs a fresh scenario of the given size after a garbage
+// collection, so no earlier run's garbage is collected on its time, and
+// returns its result and wall time in seconds.
+func timeDemandRun(servers int, seed uint64, disable bool) (*cluster.Result, float64, error) {
+	cfg, pol, err := demandBenchConfig(servers, seed, disable)
+	if err != nil {
+		return nil, 0, err
+	}
+	runtime.GC()
+	start := time.Now()
+	res, err := cluster.Run(cfg, pol)
+	return res, time.Since(start).Seconds(), err
+}
+
 func runDemandBench(outDir string, seed uint64) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	if _, _, err := timeDemandRun(demandBenchSizes[0], seed, false); err != nil {
 		return err
 	}
 	report := demandBenchReport{Seed: seed}
 	for _, servers := range demandBenchSizes {
 		var timings [2]float64 // cached, naive
 		var results [2]*cluster.Result
-		for i, disable := range []bool{false, true} {
-			cfg, pol, err := demandBenchConfig(servers, seed, disable)
-			if err != nil {
-				return err
+		for run := 0; run < demandBenchRuns; run++ {
+			for i, disable := range []bool{false, true} {
+				res, secs, err := timeDemandRun(servers, seed, disable)
+				if err != nil {
+					return err
+				}
+				if run == 0 {
+					timings[i], results[i] = secs, res
+					continue
+				}
+				if err := demandBenchIdentical(results[i], res); err != nil {
+					return fmt.Errorf("demand-bench: %d servers: run %d differs from run 1: %w", servers, run+1, err)
+				}
+				timings[i] = min(timings[i], secs)
 			}
-			start := time.Now()
-			res, err := cluster.Run(cfg, pol)
-			if err != nil {
-				return err
-			}
-			timings[i] = time.Since(start).Seconds()
-			results[i] = res
 		}
 		if err := demandBenchIdentical(results[0], results[1]); err != nil {
 			return fmt.Errorf("demand-bench: %d servers: cached and naive runs diverge: %w", servers, err)
