@@ -12,7 +12,8 @@
 // control tick is provably the last event at its timestamp under the
 // engine's FIFO-within-timestamp ordering, so "state at end of control@T"
 // is a well-defined cut of the whole simulation. cluster.Run enforces that
-// by accepting only positive multiples of ControlInterval as CheckpointAt.
+// by accepting only positive multiples of ControlInterval as the capture
+// time of cluster.WithCheckpointAt.
 //
 // Fork produces an independent branch: rng streams are re-labeled through
 // rng.State.Fork, so sibling branches with distinct labels diverge
@@ -56,13 +57,6 @@ type Checkpoint struct {
 	// Obs carries the counter/gauge values of the run's telemetry registry.
 	// Timers are excluded: they measure host wall time, not simulation state.
 	Obs *obs.Snapshot `json:"obs,omitempty"`
-
-	// Protocol and Faults are opaque sections for the message-level protocol
-	// cluster and the fault injector (see protocol.Cluster.CheckpointState
-	// and faults.Injector.State). They ride along for assemblies that use
-	// those components; cluster.Run leaves them empty.
-	Protocol json.RawMessage `json:"protocol,omitempty"`
-	Faults   json.RawMessage `json:"faults,omitempty"`
 
 	// Meta is informational provenance (seed, fleet size, experiment name)
 	// written by the assembling layer so a resume can sanity-check that it
@@ -111,19 +105,19 @@ type RoundCount struct {
 	N   int   `json:"n"`
 }
 
-// Checkpointable is implemented by policies (and other components) whose
-// private non-rng state must survive a checkpoint: cooldown clocks, group
-// rotation counters, pending books. MarshalCheckpoint must return a
-// self-contained JSON value; UnmarshalCheckpoint must reinstate it on a
-// freshly constructed instance with the same configuration.
+// Checkpointable is implemented by cluster.Run policies whose private
+// non-rng state must survive a checkpoint: cooldown clocks, group rotation
+// counters. MarshalCheckpoint must return a self-contained JSON value;
+// UnmarshalCheckpoint must reinstate it on a freshly constructed instance
+// with the same configuration.
 type Checkpointable interface {
 	MarshalCheckpoint() (json.RawMessage, error)
 	UnmarshalCheckpoint(json.RawMessage) error
 }
 
-// StreamOwner is implemented by components that own live rng streams. The
-// labels must be stable across processes (derive them from IDs, not from
-// creation order) and globally unique within one checkpoint.
+// StreamOwner is implemented by cluster.Run policies that own live rng
+// streams. The labels must be stable across processes (derive them from
+// IDs, not from creation order) and globally unique within one checkpoint.
 type StreamOwner interface {
 	// RegisterStreams adds every currently live stream to reg under its
 	// stable label.
@@ -154,9 +148,7 @@ func (c *Checkpoint) Validate() error {
 // with label. The empty label is the identity: the fork replays the original
 // run bit for bit. Any other label re-seeds every stream deterministically
 // from its captured state and the label, so branches with distinct labels
-// diverge while remaining reproducible. The opaque Protocol/Faults sections
-// are copied verbatim — components that keep rng state in there must be
-// re-registered through StreamOwner to take part in forking.
+// diverge while remaining reproducible.
 func (c *Checkpoint) Fork(label string) (*Checkpoint, error) {
 	raw, err := json.Marshal(c)
 	if err != nil {

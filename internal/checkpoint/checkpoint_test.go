@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
+	"repro/internal/dc"
 	"repro/internal/rng"
+	"repro/internal/trace"
 )
 
 func sampleCheckpoint() *Checkpoint {
@@ -126,4 +129,86 @@ func TestForkDeterministicDivergence(t *testing.T) {
 	if f1.RNG["a"] == f1.RNG["b"] {
 		t.Fatal("fork collapsed distinct streams")
 	}
+}
+
+func TestReadRejectsGarbage(t *testing.T) {
+	for _, input := range []string{"not json", "{}", "["} {
+		if _, err := Read(bytes.NewBufferString(input)); err == nil {
+			t.Errorf("Read(%q) accepted", input)
+		}
+	}
+}
+
+// fuzzFleet is the fixed fleet and workload FuzzRead restores DC sections
+// on: four servers and six constant-demand VMs.
+func fuzzFleet() ([]dc.Spec, *trace.Set) {
+	ws := &trace.Set{RefCapacityMHz: 2000}
+	for id := 0; id < 6; id++ {
+		ws.VMs = append(ws.VMs, &trace.VM{ID: id, End: 2 * time.Hour, Epoch: 2 * time.Hour, Demand: []float64{300}})
+	}
+	return dc.UniformFleet(4, 6, 2000), ws
+}
+
+// writtenCheckpoint is sampleCheckpoint carrying a data center that hosts
+// fuzzFleet's VMs on two active servers, as Write encodes it.
+func writtenCheckpoint(f *testing.F) []byte {
+	specs, ws := fuzzFleet()
+	d := dc.New(specs)
+	for i, vm := range ws.VMs {
+		s := d.Servers[i%2]
+		if s.State() != dc.Active {
+			if err := d.Activate(s, 0); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := d.Place(vm, s); err != nil {
+			f.Fatal(err)
+		}
+	}
+	d.Servers[0].DemandAt(time.Hour) // fill one server's kernel aggregate
+	ck := sampleCheckpoint()
+	ck.DC = d.Snapshot()
+	var buf bytes.Buffer
+	if err := Write(&buf, ck); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// FuzzRead holds the reader ecosim -resume runs to its contract: for any
+// bytes, Read fails or returns a checkpoint whose encoding is stable after
+// one more Write/Read round, and whose DC section fails dc.Restore or
+// restores a data center that passes CheckInvariants. Nothing panics.
+func FuzzRead(f *testing.F) {
+	f.Add(writtenCheckpoint(f))
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`[`))
+	specs, ws := fuzzFleet()
+	f.Fuzz(func(t *testing.T, input []byte) {
+		ck, err := Read(bytes.NewReader(input))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := Write(&first, ck); err != nil {
+			t.Fatalf("an accepted checkpoint fails to write: %v", err)
+		}
+		again, err := Read(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("a written checkpoint fails to read: %v", err)
+		}
+		if err := Write(&second, again); err != nil {
+			t.Fatalf("rewrite: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("encoding not stable:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+		d, err := dc.Restore(specs, ws, ck.DC)
+		if err != nil {
+			return
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("restored data center: %v", err)
+		}
+	})
 }

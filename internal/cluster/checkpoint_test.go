@@ -9,6 +9,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/ecocloud"
+	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -103,5 +104,40 @@ func TestCheckpointSinkErrorAbortsRun(t *testing.T) {
 	_, err := cluster.Run(cfg, pol, cluster.WithCheckpointAt(time.Hour, sink))
 	if err == nil || !strings.Contains(err.Error(), "sink failed") {
 		t.Errorf("sink error: err = %v", err)
+	}
+}
+
+// TestResumeRejectsZeroStreams: a checkpoint whose streams carry the
+// all-zero xoshiro state, which draws 0 forever, fails the resume instead
+// of hanging it in a draw's rejection loop.
+func TestResumeRejectsZeroStreams(t *testing.T) {
+	var vms []*trace.VM
+	for i := 0; i < 12; i++ {
+		vms = append(vms, constVM(i, 400, 0, 2*time.Hour))
+	}
+	ws := &trace.Set{RefCapacityMHz: 8000, VMs: vms}
+	var ck *checkpoint.Checkpoint
+	_, err := cluster.Run(baseConfig(ws), newEcoPolicy(t),
+		cluster.WithCheckpointAt(time.Hour, func(c *checkpoint.Checkpoint) error { ck = c; return nil }),
+		cluster.WithCheckpointStop())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label := range ck.RNG {
+		ck.RNG[label] = rng.State{}
+	}
+	pol := newEcoPolicy(t)
+	done := make(chan error, 1)
+	go func() {
+		_, err := cluster.Run(baseConfig(ws), pol, cluster.WithResume(ck))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "all-zero state") {
+			t.Fatalf("resume from zeroed streams: err = %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("resume from zeroed streams still running after 5 s")
 	}
 }

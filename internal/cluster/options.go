@@ -31,27 +31,29 @@ func WithObs(r *obs.Recorder) Option {
 
 // WithCheckpointAt makes Run capture a full checkpoint at the end of the
 // control tick at virtual time at — a positive multiple of ControlInterval,
-// before the horizon — and hand it to sink (see RunConfig.CheckpointAt).
-// Capture is pure reads: the run's results are bit-identical with or without
-// a checkpoint in the middle.
+// before the horizon — and hand it to sink. A non-nil error from sink aborts
+// the run and is returned from Run. Capture is pure reads: the run's results
+// are bit-identical with or without a checkpoint in the middle.
 func WithCheckpointAt(at time.Duration, sink func(*checkpoint.Checkpoint) error) Option {
 	return func(c *RunConfig) {
-		c.CheckpointAt = at
-		c.CheckpointSink = sink
+		c.checkpointAt = at
+		c.checkpointSink = sink
 	}
 }
 
 // WithCheckpointStop stops the run right after the checkpoint is captured
-// and delivered; the Result then covers only the prefix [0, CheckpointAt].
+// and delivered; the Result then covers only the prefix up to the capture.
 // Use it to warm a prefix once and fork many continuations from it.
 func WithCheckpointStop() Option {
-	return func(c *RunConfig) { c.CheckpointStop = true }
+	return func(c *RunConfig) { c.checkpointStop = true }
 }
 
-// WithResume starts the run from a checkpoint instead of t=0 (see
-// RunConfig.Resume). The configuration must rebuild the same fleet, workload
-// and cadences the checkpoint was captured under; the continued run is then
+// WithResume starts the run from a checkpoint instead of t=0: the data
+// center, policy state, rng streams, driver accounting and obs counters are
+// reinstated, and arrivals and departures before the capture point are
+// skipped. The configuration must rebuild the same fleet, workload and
+// cadences the checkpoint was captured under; the continued run is then
 // bit-identical to the uninterrupted one.
 func WithResume(ck *checkpoint.Checkpoint) Option {
-	return func(c *RunConfig) { c.Resume = ck }
+	return func(c *RunConfig) { c.resume = ck }
 }

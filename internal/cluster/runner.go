@@ -78,21 +78,22 @@ type RunConfig struct {
 	// scalability benchmarks.
 	DisableDemandCache bool
 
-	// CheckpointAt, when nonzero, makes Run capture a full checkpoint at the
+	// checkpointAt, when nonzero, makes Run capture a full checkpoint at the
 	// end of the control tick at that virtual time and hand it to
-	// CheckpointSink. The control tick is the last event at its timestamp
+	// checkpointSink. The control tick is the last event at its timestamp
 	// (for t > 0), so the capture is a well-defined cut of the simulation;
-	// CheckpointAt must be a positive multiple of ControlInterval and before
+	// checkpointAt must be a positive multiple of ControlInterval and before
 	// the horizon. Capture is pure reads: a checkpointing run's results are
-	// bit-identical to a non-checkpointing one.
-	CheckpointAt time.Duration
-	// CheckpointSink receives the captured checkpoint. A non-nil error
+	// bit-identical to a non-checkpointing one. Set via WithCheckpointAt.
+	checkpointAt time.Duration
+	// checkpointSink receives the captured checkpoint. A non-nil error
 	// aborts the run and is returned from Run.
-	CheckpointSink func(*checkpoint.Checkpoint) error
-	// CheckpointStop stops the run right after the capture is delivered; the
-	// returned Result then covers only the prefix [0, CheckpointAt].
-	CheckpointStop bool
-	// Resume, when set, starts the run from the checkpoint instead of t=0:
+	checkpointSink func(*checkpoint.Checkpoint) error
+	// checkpointStop stops the run right after the capture is delivered; the
+	// returned Result then covers only the prefix [0, checkpointAt]. Set via
+	// WithCheckpointStop.
+	checkpointStop bool
+	// resume, when set, starts the run from the checkpoint instead of t=0:
 	// the data center, policy state, rng streams, driver accounting and obs
 	// counters are reinstated, arrivals and departures before the capture
 	// point are skipped, and the tick cadences continue exactly where the
@@ -100,7 +101,7 @@ type RunConfig struct {
 	// journal) to the uninterrupted one. The rest of the configuration must
 	// rebuild the same fleet, workload and cadences the checkpoint was
 	// captured under. Set via WithResume.
-	Resume *checkpoint.Checkpoint
+	resume *checkpoint.Checkpoint
 
 	// obs receives run telemetry; set via WithObs. Nil (the default) costs
 	// the run nothing.
@@ -129,20 +130,20 @@ func (c RunConfig) Validate() error {
 	case c.Workers < 0:
 		return fmt.Errorf("cluster: Workers = %d", c.Workers)
 	}
-	if c.CheckpointAt != 0 {
+	if c.checkpointAt != 0 {
 		switch {
-		case c.CheckpointAt < 0:
-			return fmt.Errorf("cluster: CheckpointAt = %v", c.CheckpointAt)
-		case c.CheckpointAt%c.ControlInterval != 0:
-			return fmt.Errorf("cluster: CheckpointAt %v is not a multiple of the control interval %v", c.CheckpointAt, c.ControlInterval)
-		case c.CheckpointAt >= c.Horizon:
-			return fmt.Errorf("cluster: CheckpointAt %v is not before the horizon %v", c.CheckpointAt, c.Horizon)
-		case c.CheckpointSink == nil:
-			return fmt.Errorf("cluster: CheckpointAt without a CheckpointSink")
+		case c.checkpointAt < 0:
+			return fmt.Errorf("cluster: checkpoint at %v is negative", c.checkpointAt)
+		case c.checkpointAt%c.ControlInterval != 0:
+			return fmt.Errorf("cluster: checkpoint at %v is not a multiple of the control interval %v", c.checkpointAt, c.ControlInterval)
+		case c.checkpointAt >= c.Horizon:
+			return fmt.Errorf("cluster: checkpoint at %v is not before the horizon %v", c.checkpointAt, c.Horizon)
+		case c.checkpointSink == nil:
+			return fmt.Errorf("cluster: WithCheckpointAt without a sink")
 		}
 	}
-	if c.CheckpointStop && c.CheckpointAt == 0 {
-		return fmt.Errorf("cluster: CheckpointStop without CheckpointAt")
+	if c.checkpointStop && c.checkpointAt == 0 {
+		return fmt.Errorf("cluster: WithCheckpointStop without WithCheckpointAt")
 	}
 	return nil
 }
@@ -244,7 +245,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	if err := cfg.Workload.Validate(); err != nil {
 		return nil, err
 	}
-	resume := cfg.Resume
+	resume := cfg.resume
 	var resumeAt time.Duration
 	if resume != nil {
 		if err := resume.Validate(); err != nil {
@@ -258,8 +259,8 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			return nil, fmt.Errorf("cluster: checkpoint at %v is not before the horizon %v", resumeAt, cfg.Horizon)
 		case resumeAt%cfg.ControlInterval != 0:
 			return nil, fmt.Errorf("cluster: checkpoint at %v is not aligned to the control interval %v", resumeAt, cfg.ControlInterval)
-		case cfg.CheckpointAt != 0 && cfg.CheckpointAt <= resumeAt:
-			return nil, fmt.Errorf("cluster: CheckpointAt %v is not after the resume point %v", cfg.CheckpointAt, resumeAt)
+		case cfg.checkpointAt != 0 && cfg.checkpointAt <= resumeAt:
+			return nil, fmt.Errorf("cluster: checkpoint at %v is not after the resume point %v", cfg.checkpointAt, resumeAt)
 		}
 	}
 
@@ -542,21 +543,21 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			cfg.obs.Gauge("cluster.active_servers", int64(d.ActiveCount()))
 			cfg.obs.Gauge("cluster.vms_placed", int64(d.NumPlaced()))
 		}
-		// Checkpoint capture: the end of the control tick at CheckpointAt is
+		// Checkpoint capture: the end of the control tick at checkpointAt is
 		// the last instruction executed at that timestamp, so the captured
-		// state is exactly "the simulation after time CheckpointAt". Capture
+		// state is exactly "the simulation after time checkpointAt". Capture
 		// reads; it never mutates — the run's own results are unchanged.
-		if cfg.CheckpointAt != 0 && now == cfg.CheckpointAt {
+		if cfg.checkpointAt != 0 && now == cfg.checkpointAt {
 			ck, err := captureCheckpoint(&cfg, policy, Env{Now: now, DC: d, Rec: rec, Pool: pool}, res, rec, &acc, now)
 			if err == nil {
-				err = cfg.CheckpointSink(ck)
+				err = cfg.checkpointSink(ck)
 			}
 			if err != nil {
 				capErr = fmt.Errorf("cluster: checkpoint at %v: %w", now, err)
 				e.Stop()
 				return
 			}
-			if cfg.CheckpointStop {
+			if cfg.checkpointStop {
 				e.Stop()
 			}
 		}

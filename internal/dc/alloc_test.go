@@ -39,9 +39,9 @@ func allocTestServer(t *testing.T, nVMs int) (*DataCenter, *Server) {
 }
 
 func TestDemandAtHitPathZeroAlloc(t *testing.T) {
-	_, s := allocTestServer(t, 10)
+	d, s := allocTestServer(t, 10)
 	now := 10 * time.Second
-	s.WarmDemandCache(now)
+	d.WarmSpan(0, len(d.Servers), now)
 	if allocs := testing.AllocsPerRun(100, func() {
 		_ = s.DemandAt(now)
 	}); allocs != 0 {

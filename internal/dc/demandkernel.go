@@ -110,7 +110,7 @@ func (s *Server) demandAt(t time.Duration) float64 {
 // entry when the block covers t, else entry 0 of a block refilled with
 // trace.SumEpochs, else (off the shared grid) trace.SumDemandAt's sum and
 // window. Each is the exact summation (VM-ID order) the naive path runs. It
-// does not touch the hit/miss counters; demandAt and WarmDemandCache
+// does not touch the hit/miss counters; demandAt and DataCenter.WarmSpan
 // account for their own accesses.
 //
 //ecolint:hotpath
@@ -129,27 +129,6 @@ func (s *Server) refill(t time.Duration) float64 {
 	from := b.from + time.Duration(j)*b.epoch
 	h.kValid[s.ID], h.kFrom[s.ID], h.kUntil[s.ID], h.kSum[s.ID] = true, from, from+b.epoch, b.sums[j]
 	return b.sums[j]
-}
-
-// WarmDemandCache refills the server's demand aggregate for time t without
-// counting the access, so a prewarmed run reports the same total number of
-// demand lookups as a sequential one (the hit/miss split shifts toward hits;
-// the sum of the two is what the accounting tests pin down). It exists for
-// the parallel control round: workers warm every server's cache up front —
-// a per-server mutation, safe to shard — and the sequential policy scan that
-// follows then takes the hit path for every server. The installed value is
-// bit-identical to what a miss at t would have installed, so warming never
-// changes any demand a later read returns. No-op when the kernel is disabled
-// or the cached window already covers t.
-func (s *Server) WarmDemandCache(t time.Duration) {
-	if s.d.kernelDisabled {
-		return
-	}
-	h := &s.d.hot
-	if h.kValid[s.ID] && t >= h.kFrom[s.ID] && t < h.kUntil[s.ID] {
-		return
-	}
-	s.refill(t)
 }
 
 // DemandCacheStats aggregates the demand kernel's counters across a fleet.

@@ -1,7 +1,6 @@
 package dc
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -167,15 +166,7 @@ func TestSnapshotRoundTripsFailedState(t *testing.T) {
 	if _, err := d.Fail(d.Servers[2], time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, d.Snapshot()); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := ReadSnapshot(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Restore(specs, ws, snap)
+	got, err := Restore(specs, ws, jsonRoundTrip(t, d.Snapshot()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -148,8 +148,15 @@ func (d *DataCenter) ObserveSpan(lo, hi int, now time.Duration, out []TickSample
 }
 
 // WarmSpan refills the demand aggregate of every active server in [lo, hi)
-// without counting the access (see Server.WarmDemandCache). Safe to shard:
-// it mutates only words indexed by server ID.
+// whose cached window does not cover now, without counting the access. It
+// exists for the parallel control round: workers warm every server up
+// front, and the sequential policy scan that follows takes the hit path. A
+// prewarmed run therefore reports the same total number of demand lookups
+// as a sequential one (the hit/miss split shifts toward hits). The
+// installed value is bit-identical to what a miss at now would have
+// installed, so warming never changes a demand a later read returns. No-op
+// when the kernel is disabled. Safe to shard: it mutates only words indexed
+// by server ID.
 //
 //ecolint:hotpath
 func (d *DataCenter) WarmSpan(lo, hi int, now time.Duration) {

@@ -276,8 +276,8 @@ func withCursorsKey(t *testing.T, snap Snapshot) Snapshot {
 	if !bytes.Contains(raw, []byte(`"cursors":[{`)) {
 		t.Fatal("fixture carries no cursor memo")
 	}
-	out, err := ReadSnapshot(bytes.NewReader(raw))
-	if err != nil {
+	var out Snapshot
+	if err := json.Unmarshal(raw, &out); err != nil {
 		t.Fatal(err)
 	}
 	return out

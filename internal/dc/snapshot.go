@@ -1,9 +1,7 @@
 package dc
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"time"
 
 	"repro/internal/trace"
@@ -166,20 +164,4 @@ func Restore(specs []Spec, ws *trace.Set, snap Snapshot) (*DataCenter, error) {
 		return nil, fmt.Errorf("dc: restored state inconsistent: %v", err)
 	}
 	return d, nil
-}
-
-// WriteSnapshot serializes the snapshot as JSON.
-func WriteSnapshot(w io.Writer, snap Snapshot) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
-}
-
-// ReadSnapshot parses a snapshot written by WriteSnapshot.
-func ReadSnapshot(r io.Reader) (Snapshot, error) {
-	var snap Snapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return Snapshot{}, fmt.Errorf("dc: reading snapshot: %v", err)
-	}
-	return snap, nil
 }

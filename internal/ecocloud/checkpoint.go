@@ -50,7 +50,7 @@ type serverClock struct {
 func (p *Policy) RegisterStreams(reg *rng.Registry) {
 	reg.Add(masterStream, p.master)
 	reg.Add(managerStream, p.mgr)
-	p.servers.Register(reg, serverStreamPrefix)
+	p.servers.Register(reg)
 }
 
 // AdoptStreams implements checkpoint.StreamOwner: it installs the captured
@@ -60,7 +60,7 @@ func (p *Policy) AdoptStreams(states map[string]rng.State) error {
 	reg := rng.NewRegistry()
 	reg.Add(masterStream, p.master)
 	reg.Add(managerStream, p.mgr)
-	if err := p.servers.Adopt(reg, serverStreamPrefix, states); err != nil {
+	if err := p.servers.Adopt(reg, states); err != nil {
 		return fmt.Errorf("ecocloud: %w", err)
 	}
 	return reg.Restore(states)

@@ -50,24 +50,24 @@ func (st *Streams) set(id int, src *rng.Source) {
 	st.srcs[id] = src
 }
 
-// Register adds every derived stream to reg under prefix + its decimal ID,
-// in ID order.
-func (st *Streams) Register(reg *rng.Registry, prefix string) {
+// Register adds every derived stream to reg under serverStreamPrefix + its
+// decimal ID, in ID order.
+func (st *Streams) Register(reg *rng.Registry) {
 	for id, src := range st.srcs {
 		if src != nil {
-			reg.Add(prefix+strconv.Itoa(id), src)
+			reg.Add(serverStreamPrefix+strconv.Itoa(id), src)
 		}
 	}
 }
 
 // Adopt registers with reg the entry of every label in states that carries
-// prefix, creating the entries not derived yet, so that reg.Restore installs
-// the captured states into the table. Other labels are the caller's. An ID
-// must be written as Register writes it: "04" or "+4" beside "4" would
-// restore one entry twice, in map order.
-func (st *Streams) Adopt(reg *rng.Registry, prefix string, states map[string]rng.State) error {
+// serverStreamPrefix, creating the entries not derived yet, so that
+// reg.Restore installs the captured states into the table. Other labels are
+// the caller's. An ID must be written as Register writes it: "04" or "+4"
+// beside "4" would restore one entry twice, in map order.
+func (st *Streams) Adopt(reg *rng.Registry, states map[string]rng.State) error {
 	for label := range states {
-		digits, ok := strings.CutPrefix(label, prefix)
+		digits, ok := strings.CutPrefix(label, serverStreamPrefix)
 		if !ok {
 			continue
 		}

@@ -44,9 +44,6 @@ type Config struct {
 	// MTTR is the mean time to repair a crashed server (exponential).
 	// Required positive when MTBF is set.
 	MTTR time.Duration
-	// KillVMs makes a crash destroy its hosted VMs (their remaining demand
-	// is lost) instead of evacuating them into a re-placement storm.
-	KillVMs bool
 
 	// WakeFailProb is the probability a wake command is silently ignored by
 	// the hardware. WakeDelayProb is the probability a successful wake
@@ -88,24 +85,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Enabled reports whether the configuration injects anything at all.
-func (c Config) Enabled() bool {
-	return c.MTBF > 0 || c.WakeFailProb > 0 || c.WakeDelayProb > 0
-}
-
 // Stats aggregates what the faults experiment reports.
 type Stats struct {
 	Crashes    int
 	Recoveries int
 
-	VMsEvacuated int // crash survivors sent back into placement
-	VMsKilled    int // crash casualties (KillVMs)
+	VMsEvacuated int // crash victims sent back into placement
 	Replaced     int // evacuated VMs that landed again
 
-	// LostVMSeconds is remaining-runtime destroyed by kills; DowntimeSeconds
-	// is eviction-to-re-placement time accumulated by evacuated VMs
-	// (including windows still open at the horizon).
-	LostVMSeconds   float64
+	// DowntimeSeconds is eviction-to-re-placement time accumulated by
+	// evacuated VMs (including windows still open at the horizon).
 	DowntimeSeconds float64
 
 	// MaxStorm is the largest single-crash evacuation burst.
@@ -119,16 +108,16 @@ type Stats struct {
 }
 
 // Availability is the fraction of demanded VM-seconds actually served,
-// given the workload's total VM-seconds over the horizon.
+// 1 - downtime/total, given the workload's total VM-seconds over the
+// horizon.
 func (s Stats) Availability(totalVMSeconds float64) float64 {
 	if totalVMSeconds <= 0 {
 		return 1
 	}
-	lost := s.LostVMSeconds + s.DowntimeSeconds
-	if lost >= totalVMSeconds {
+	if s.DowntimeSeconds >= totalVMSeconds {
 		return 0
 	}
-	return 1 - lost/totalVMSeconds
+	return 1 - s.DowntimeSeconds/totalVMSeconds
 }
 
 // MeanRepair is the mean crash-to-recovery latency over completed repairs.
@@ -155,13 +144,6 @@ type Injector struct {
 	downAt      map[int]time.Duration // failed server -> crash time
 	outstanding map[int]evacWindow    // evacuated VM -> open downtime window
 
-	// nextEvent tracks each server's pending crash-or-repair clock as an
-	// absolute virtual time. Crash and repair alternate strictly per server,
-	// so one slot suffices; the pending kind is derivable (a down server's
-	// next event is its repair). Checkpointing needs this because the clocks
-	// themselves live in the engine's queue, which is not serializable.
-	nextEvent map[int]time.Duration
-
 	Stats Stats
 }
 
@@ -173,9 +155,9 @@ type evacWindow struct {
 }
 
 // New builds an injector over servers numbered [0, servers). The horizon
-// bounds loss accounting (a killed VM only loses runtime it still had
-// inside the horizon). Streams split off seed, independent of any other
-// consumer of the same seed.
+// bounds downtime accounting (Finish charges an open window only up to
+// it). Streams split off seed, independent of any other consumer of the
+// same seed.
 func New(cfg Config, servers int, horizon time.Duration, seed uint64) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -192,7 +174,6 @@ func New(cfg Config, servers int, horizon time.Duration, seed uint64) (*Injector
 		wake:        make(map[int]*rng.Source),
 		downAt:      make(map[int]time.Duration),
 		outstanding: make(map[int]evacWindow),
-		nextEvent:   make(map[int]time.Duration),
 	}, nil
 }
 
@@ -238,13 +219,12 @@ func (in *Injector) drawExp(src *rng.Source, mean time.Duration) time.Duration {
 }
 
 func (in *Injector) scheduleCrash(id int, after time.Duration) {
-	in.nextEvent[id] = in.eng.Now() + after
 	in.eng.After(after, "fault:crash", func(*sim.Engine) { in.crashNow(id) })
 }
 
-// crashNow fails server id, disposes of its VMs per config, and schedules
-// the repair. Crash and repair alternate strictly per server, so the target
-// is never asked to crash an already-failed machine.
+// crashNow fails server id, sends its VMs back into placement, and
+// schedules the repair. Crash and repair alternate strictly per server, so
+// the target is never asked to crash an already-failed machine.
 func (in *Injector) crashNow(id int) {
 	now := in.eng.Now()
 	evicted := in.tgt.CrashServer(id)
@@ -255,14 +235,6 @@ func (in *Injector) crashNow(id int) {
 		in.Stats.MaxStorm = len(evicted)
 	}
 	for _, vm := range evicted {
-		if in.cfg.KillVMs {
-			in.Stats.VMsKilled++
-			in.cfg.Obs.Count("faults.vms_killed", 1)
-			if end := min(vm.End, in.horizon); end > now {
-				in.Stats.LostVMSeconds += (end - now).Seconds()
-			}
-			continue
-		}
 		in.Stats.VMsEvacuated++
 		in.cfg.Obs.Count("faults.vms_evacuated", 1)
 		if _, open := in.outstanding[vm.ID]; !open {
@@ -271,7 +243,6 @@ func (in *Injector) crashNow(id int) {
 		in.tgt.ReplaceVM(vm)
 	}
 	repair := in.drawExp(in.crashSrc(id), in.cfg.MTTR)
-	in.nextEvent[id] = now + repair
 	in.eng.After(repair, "fault:recover", func(*sim.Engine) {
 		in.recoverNow(id)
 	})

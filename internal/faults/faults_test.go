@@ -64,12 +64,6 @@ func TestConfigValidation(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if (Config{}).Enabled() {
-		t.Fatal("zero config claims to inject")
-	}
-	if !DefaultConfig().Enabled() {
-		t.Fatal("default config claims to inject nothing")
-	}
 }
 
 func TestCrashRecoverAlternates(t *testing.T) {
@@ -154,35 +148,6 @@ func TestEvacuationAccounting(t *testing.T) {
 	}
 }
 
-func TestKillVMsLosesRemainingRuntime(t *testing.T) {
-	horizon := 4 * time.Hour
-	in, err := New(Config{MTBF: time.Hour, MTTR: 10 * time.Minute, KillVMs: true}, 1, horizon, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.New()
-	tgt := newFakeTarget()
-	tgt.evicted[0] = []*trace.VM{vmUntil(1, horizon), vmUntil(2, 30*time.Hour)}
-	in.Start(eng, tgt)
-	eng.Run(horizon)
-	if in.Stats.VMsKilled != 2 || in.Stats.VMsEvacuated != 0 {
-		t.Fatalf("killed = %d evacuated = %d", in.Stats.VMsKilled, in.Stats.VMsEvacuated)
-	}
-	for _, entry := range tgt.log {
-		if entry == "replace 1" || entry == "replace 2" {
-			t.Fatal("killed VM re-entered placement")
-		}
-	}
-	if in.Stats.LostVMSeconds <= 0 {
-		t.Fatalf("lost = %v", in.Stats.LostVMSeconds)
-	}
-	// VM 2's loss is capped at the horizon, so the total can never exceed
-	// two full-horizon lifetimes.
-	if max := 2 * horizon.Seconds(); in.Stats.LostVMSeconds > max {
-		t.Fatalf("lost %v s > cap %v", in.Stats.LostVMSeconds, max)
-	}
-}
-
 func TestWakeOutcomeStats(t *testing.T) {
 	in, err := New(Config{WakeFailProb: 0.5, WakeDelayProb: 0.5, WakeDelay: time.Minute}, 4, time.Hour, 9)
 	if err != nil {
@@ -215,7 +180,7 @@ func TestAvailabilityGuards(t *testing.T) {
 	if got := (Stats{}).Availability(0); got != 1 {
 		t.Fatalf("availability over empty workload = %v", got)
 	}
-	s := Stats{LostVMSeconds: 25, DowntimeSeconds: 25}
+	s := Stats{DowntimeSeconds: 50}
 	//ecolint:allow float-eq — exact decimal arithmetic
 	if got := s.Availability(100); got != 0.5 {
 		t.Fatalf("availability = %v, want 0.5", got)

@@ -86,10 +86,6 @@ type Config struct {
 	OffU float64
 	// MassEps triggers activation when sum_i fa(u_i) falls below it.
 	MassEps float64
-
-	// Migration enables the beyond-the-paper low-migration flux extension
-	// (see migration.go). Zero value = disabled, the paper's model.
-	Migration MigrationConfig
 }
 
 // DefaultConfig returns the Fig. 13 setup: 100 six-core servers and the
@@ -266,7 +262,6 @@ func (m *model) deriv(out, u []float64, t time.Duration) {
 		}
 		out[s] = -decay*us + arr
 	}
-	m.migrationFlux(out, u)
 }
 
 // derivExact evaluates Eq. (5)–(9). The full availability polynomial
@@ -306,7 +301,6 @@ func (m *model) derivExact(out, u []float64, lambda, decay float64) {
 		}
 		out[s] = -decay*us + arr
 	}
-	m.migrationFlux(out, u)
 }
 
 // deflate divides the degree-n polynomial c by the linear factor (a + b*x),

@@ -234,6 +234,30 @@ func TestDecayOnlyMatchesExponential(t *testing.T) {
 	}
 }
 
+// The equations have no migration term (§IV compares them with a simulation
+// whose migrations are inhibited), so without churn nothing moves.
+func TestMigrationDisabledModelIsInertWithoutChurn(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Ns = 20
+	cfg.Lambda = ConstRate(0)
+	cfg.Mu = ConstRate(0)
+	cfg.MassEps = 0 // no activation seeding
+	init := make([]float64, cfg.Ns)
+	for i := range init {
+		init[i] = 0.15 + 0.20*float64(i)/float64(cfg.Ns-1)
+	}
+	res, err := Run(cfg, init, 6*time.Hour, time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := res.U[len(res.U)-1]
+	for i := range init {
+		if math.Abs(final[i]-init[i]) > 1e-9 {
+			t.Fatalf("paper model moved without churn: server %d %v -> %v", i, init[i], final[i])
+		}
+	}
+}
+
 func TestRunSampleCadence(t *testing.T) {
 	cfg := testConfig(false)
 	res, err := Run(cfg, make([]float64, cfg.Ns), 2*time.Hour, 30*time.Minute)

@@ -154,10 +154,6 @@ func New(eng *sim.Engine, lat LatencyModel, src *rng.Source) *Network {
 	}
 }
 
-// RNG exposes the network's jitter stream so checkpointing layers can
-// capture and restore its position alongside the other simulation streams.
-func (n *Network) RNG() *rng.Source { return n.src }
-
 // Stats returns the wire transmissions and bytes delivered so far. It is the
 // method form of the Sent/Bytes counters, making Network satisfy
 // protocol.Transport.

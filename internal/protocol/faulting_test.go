@@ -284,7 +284,7 @@ func TestLossyFabricPlacesEveryVM(t *testing.T) {
 	// Duplicated assigns must not double-place: every VM hosted exactly once
 	// is already asserted by CheckInvariants' index audit; the drop counter
 	// proves the fabric actually was hostile.
-	if c.nsim.Dropped == 0 {
+	if c.net.(*netsim.Network).Dropped == 0 {
 		t.Fatal("fabric dropped nothing; the test proved nothing")
 	}
 }

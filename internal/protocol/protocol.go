@@ -335,13 +335,10 @@ type Cluster struct {
 	core ecocloud.Core
 
 	eng *sim.Engine
-	// net is the message fabric every send goes through. nsim is the
-	// simulated fabric New builds it over; the checkpoint layer needs it for
-	// its traffic counters and jitter stream. A serving cluster (NewServing)
-	// has none.
-	net  Transport
-	nsim *netsim.Network
-	dc   *dc.DataCenter
+	// net is the message fabric every send goes through: the netsim fabric
+	// New builds, or a serving process's stand-in (NewServing).
+	net Transport
+	dc  *dc.DataCenter
 
 	// A cluster spread over processes (remote.go) has fab set on node 0
 	// and serving set on every other process; in one process both are nil.
@@ -351,7 +348,6 @@ type Cluster struct {
 	vmTable []*trace.VM
 
 	mgr     *rng.Source
-	master  *rng.Source
 	servers ecocloud.Streams
 
 	rounds    map[int]*round
@@ -421,12 +417,7 @@ func New(cfg Config, specs []dc.Spec, seed uint64) (*Cluster, error) {
 	eng := sim.New()
 	nsim := netsim.New(eng, cfg.Latency, master.Split("net"))
 	nsim.SetImpairments(cfg.Impairments)
-	c, err := newOn(cfg, specs, master, eng, nsim)
-	if err != nil {
-		return nil, err
-	}
-	c.nsim = nsim
-	return c, nil
+	return newOn(cfg, specs, master, eng, nsim)
 }
 
 // newOn is the shared constructor body: wire the manager, the servers, the
@@ -443,7 +434,6 @@ func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr 
 		net:          tr,
 		dc:           dc.New(specs),
 		mgr:          master.Split("manager"),
-		master:       master,
 		servers:      ecocloud.NewStreams(master, len(specs)),
 		rounds:       make(map[int]*round),
 		inflight:     make(map[int]bool),

@@ -61,7 +61,7 @@ func runDay(t *testing.T, wrap bool, rec *obs.Recorder) (*Cluster, *countingTran
 	}
 	var ct *countingTransport
 	if wrap {
-		ct = &countingTransport{inner: c.nsim}
+		ct = &countingTransport{inner: c.net}
 		c.net = ct
 	}
 	if err := c.RunDay(ws.VMs, churn.Horizon); err != nil {

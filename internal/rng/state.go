@@ -9,8 +9,9 @@ import (
 // words, the seed material Split children derive from, and the Marsaglia
 // spare cache. Restoring a State reproduces the source bit for bit — every
 // subsequent draw, and every subsequently derived child stream, matches the
-// original. The zero State is not a valid generator state; only values
-// produced by Source.State round-trip.
+// original. The zero State is not a valid generator state (xoshiro256++
+// would draw 0 forever); only values produced by Source.State round-trip,
+// and Registry.Restore rejects a state whose four words are all zero.
 type State struct {
 	S         [4]uint64 `json:"s"`
 	Base      uint64    `json:"base"`
@@ -112,12 +113,15 @@ func (r *Registry) States() map[string]State {
 }
 
 // Restore installs the captured states into the registered sources. Every
-// registered label must be present in states and vice versa; on a mismatch
-// it fails before installing anything.
+// registered label must be present in states and vice versa, and no state
+// may have four zero words; otherwise it fails before installing anything.
 func (r *Registry) Restore(states map[string]State) error {
-	for label := range states {
+	for label, st := range states {
 		if _, ok := r.srcs[label]; !ok {
 			return fmt.Errorf("rng: registry restore: captured stream %q has no registered source", label)
+		}
+		if st.S == [4]uint64{} {
+			return fmt.Errorf("rng: registry restore: captured stream %q has the all-zero state", label)
 		}
 	}
 	if len(states) != len(r.srcs) {

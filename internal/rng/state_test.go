@@ -220,6 +220,26 @@ func TestRegistryRoundTrip(t *testing.T) {
 	}
 }
 
+// The all-zero xoshiro state draws 0 forever, so a corrupt checkpoint that
+// carried it would hang any rejection loop that draws from the stream.
+func TestRegistryRestoreRejectsZeroState(t *testing.T) {
+	reg := NewRegistry()
+	a, b := New(1), New(2)
+	reg.Add("a", a)
+	reg.Add("b", b)
+	states := reg.States()
+	before := a.State()
+	states["a"] = New(3).State()
+	states["b"] = State{Base: 7}
+	err := reg.Restore(states)
+	if err == nil || !strings.Contains(err.Error(), `"b"`) {
+		t.Fatalf("restore of a zero state: %v", err)
+	}
+	if a.State() != before {
+		t.Fatal("a failed restore installed a state")
+	}
+}
+
 func TestRegistryAddPanics(t *testing.T) {
 	cases := []struct {
 		name string
