@@ -110,13 +110,13 @@ func runDemandBench(outDir string, seed uint64) error {
 					timings[i], results[i] = secs, res
 					continue
 				}
-				if err := demandBenchIdentical(results[i], res); err != nil {
+				if err := cluster.SameResult(results[i], res); err != nil {
 					return fmt.Errorf("demand-bench: %d servers: run %d differs from run 1: %w", servers, run+1, err)
 				}
 				timings[i] = min(timings[i], secs)
 			}
 		}
-		if err := demandBenchIdentical(results[0], results[1]); err != nil {
+		if err := cluster.SameResult(results[0], results[1]); err != nil {
 			return fmt.Errorf("demand-bench: %d servers: cached and naive runs diverge: %w", servers, err)
 		}
 		cache := results[0].DemandCache
@@ -148,36 +148,5 @@ func runDemandBench(outDir string, seed uint64) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", path)
-	return nil
-}
-
-// demandBenchIdentical spot-checks the kernel's bit-identity contract on the
-// run aggregates: every simulation decision flows through DemandAt, so any
-// cached-vs-naive divergence surfaces in these totals.
-func demandBenchIdentical(cached, naive *cluster.Result) error {
-	//ecolint:allow float-eq — the demand kernel's contract is bit-identity, so the aggregates must match exactly
-	if cached.EnergyKWh != naive.EnergyKWh {
-		return fmt.Errorf("EnergyKWh %v != %v", cached.EnergyKWh, naive.EnergyKWh)
-	}
-	//ecolint:allow float-eq — same contract as above
-	if cached.MeanActiveServers != naive.MeanActiveServers {
-		return fmt.Errorf("MeanActiveServers %v != %v", cached.MeanActiveServers, naive.MeanActiveServers)
-	}
-	//ecolint:allow float-eq — same contract as above
-	if cached.VMOverloadTimeFrac != naive.VMOverloadTimeFrac {
-		return fmt.Errorf("VMOverloadTimeFrac %v != %v", cached.VMOverloadTimeFrac, naive.VMOverloadTimeFrac)
-	}
-	if cached.TotalLowMigrations != naive.TotalLowMigrations ||
-		cached.TotalHighMigrations != naive.TotalHighMigrations {
-		return fmt.Errorf("migrations (%d,%d) != (%d,%d)",
-			cached.TotalLowMigrations, cached.TotalHighMigrations,
-			naive.TotalLowMigrations, naive.TotalHighMigrations)
-	}
-	if cached.TotalActivations != naive.TotalActivations ||
-		cached.TotalHibernations != naive.TotalHibernations {
-		return fmt.Errorf("activations/hibernations (%d,%d) != (%d,%d)",
-			cached.TotalActivations, cached.TotalHibernations,
-			naive.TotalActivations, naive.TotalHibernations)
-	}
 	return nil
 }

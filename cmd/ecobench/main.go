@@ -78,7 +78,7 @@ func main() {
 }
 
 func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
-	outDir string, scale float64, exact bool, replicate int, only, markdown, htmlPath string) error {
+	outDir string, scale float64, exact bool, replicate int, only, markdown, htmlPath string) (err error) {
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("scale %v outside (0,1]", scale)
 	}
@@ -100,7 +100,7 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 	if err != nil {
 		return err
 	}
-	defer scope.Close()
+	defer func() { err = scope.Close(err) }()
 	rc.Obs = scope.Rec
 
 	var figures []*experiments.Figure
@@ -186,7 +186,7 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 		}
 		fmt.Printf("wrote %s\n", htmlPath)
 	}
-	return scope.Close()
+	return nil
 }
 
 // selectExperiments resolves the -experiments filter against the registry,

@@ -114,7 +114,7 @@ func runParBench(outDir string, seed uint64, floorPath string) error {
 				baseline, baselineSec = res, sec
 				row.Speedup, row.Identical = 1, true
 			} else {
-				if err := demandBenchIdentical(res, baseline); err != nil {
+				if err := cluster.SameResult(baseline, res); err != nil {
 					return fmt.Errorf("par-bench: %d servers: Workers=%d diverges from sequential: %w",
 						servers, workers, err)
 				}

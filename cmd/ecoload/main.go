@@ -129,7 +129,7 @@ func run(a runArgs) error {
 	return a.runSingle()
 }
 
-func (a runArgs) runSingle() error {
+func (a runArgs) runSingle() (err error) {
 	lc, err := a.loadFlags.Config(a.horizon, a.coreMHz*float64(a.cores), a.seed)
 	if err != nil {
 		return err
@@ -148,7 +148,7 @@ func (a runArgs) runSingle() error {
 	if err != nil {
 		return err
 	}
-	defer scope.Close()
+	defer func() { err = scope.Close(err) }()
 
 	res, err := cluster.Run(cluster.RunConfig{
 		Specs:           dc.UniformFleet(a.servers, a.cores, a.coreMHz),
@@ -185,10 +185,10 @@ func (a runArgs) runSingle() error {
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
-	return scope.Close()
+	return nil
 }
 
-func (a runArgs) runRamp() error {
+func (a runArgs) runRamp() (err error) {
 	template, err := a.loadFlags.Config(a.rampSlot, a.coreMHz*float64(a.cores), a.seed)
 	if err != nil {
 		return err
@@ -201,7 +201,7 @@ func (a runArgs) runRamp() error {
 	if err != nil {
 		return err
 	}
-	defer scope.Close()
+	defer func() { err = scope.Close(err) }()
 
 	runner := load.NewClusterRunner(load.ClusterRunnerConfig{
 		Specs:     dc.UniformFleet(a.servers, a.cores, a.coreMHz),
@@ -255,7 +255,7 @@ func (a runArgs) runRamp() error {
 		}
 		fmt.Printf("wrote %s\n", path)
 	}
-	return scope.Close()
+	return nil
 }
 
 // writeSeriesCSV dumps the sampled series of a single run.

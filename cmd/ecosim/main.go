@@ -112,7 +112,7 @@ func bindCheckpointFlags(opts *experiments.DailyOptions, at time.Duration, path 
 	return nil
 }
 
-func run(opts experiments.DailyOptions, obsFlags cli.ObsFlags, outDir, plDir string, plRef float64) error {
+func run(opts experiments.DailyOptions, obsFlags cli.ObsFlags, outDir, plDir string, plRef float64) (err error) {
 	if err := cli.Validate(opts.Eco); err != nil {
 		return err
 	}
@@ -120,7 +120,7 @@ func run(opts experiments.DailyOptions, obsFlags cli.ObsFlags, outDir, plDir str
 	if err != nil {
 		return err
 	}
-	defer scope.Close()
+	defer func() { err = scope.Close(err) }()
 	opts.Obs = scope.Rec
 
 	start := time.Now()
@@ -186,7 +186,7 @@ func run(opts experiments.DailyOptions, obsFlags cli.ObsFlags, outDir, plDir str
 			fmt.Printf("wrote %s\n", path)
 		}
 	}
-	return scope.Close()
+	return nil
 }
 
 // runPlanetLab runs the daily scenario on a real CoMon/PlanetLab archive

@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -27,8 +28,8 @@ func (f *ObsFlags) Bind(fs *flag.FlagSet) {
 
 // Scope is one run's telemetry: the recorder to thread into the experiment,
 // plus the journal, manifest, profiles and progress reporter that Close
-// finalizes. The zero Scope (all telemetry off) is valid and Close on it is
-// a no-op, so callers can unconditionally `defer scope.Close()`.
+// finalizes. The zero Scope (all telemetry off) is valid and Close on it
+// returns the run's error unchanged.
 type Scope struct {
 	Rec *obs.Recorder
 
@@ -95,46 +96,51 @@ func (f ObsFlags) Start(experiment string, config any, seed uint64, outDir strin
 }
 
 // Close stops the progress reporter, finalizes the profiles, writes the run
-// manifest and closes the journal. Safe on a zero or nil Scope.
-func (s *Scope) Close() error {
+// manifest with runErr, the run's own error, in its error field, and closes
+// the journal. It returns runErr ahead of any error of its own. Safe on a
+// zero or nil Scope.
+func (s *Scope) Close(runErr error) error {
 	if s == nil {
-		return nil
+		return runErr
 	}
 	if s.stopProgress != nil {
 		s.stopProgress()
 		s.stopProgress = nil
 	}
+	firstErr := runErr
 	if s.cpuFile != nil {
 		pprof.StopCPUProfile()
 		s.cpuFile.Close()
 		s.cpuFile = nil
-		hf, err := os.Create(s.heapPath)
-		if err != nil {
-			return err
-		}
-		runtime.GC() // publish accurate live-heap numbers
-		if err := pprof.Lookup("heap").WriteTo(hf, 0); err != nil {
-			hf.Close()
-			return err
-		}
-		if err := hf.Close(); err != nil {
-			return err
-		}
+		firstErr = cmp.Or(firstErr, writeHeapProfile(s.heapPath))
 	}
-	var firstErr error
 	if s.manifest != nil {
+		if runErr != nil {
+			s.manifest.Error = runErr.Error()
+		}
 		s.manifest.Finish(s.Rec)
 		if path, err := s.manifest.WriteFile(s.outDir); err != nil {
-			firstErr = err
+			firstErr = cmp.Or(firstErr, err)
 		} else {
 			fmt.Fprintf(s.logw, "wrote %s\n", path)
 		}
 		s.manifest = nil
 	}
-	if err := s.closeFiles(); err != nil && firstErr == nil {
-		firstErr = err
+	return cmp.Or(firstErr, s.closeFiles())
+}
+
+// writeHeapProfile writes the live heap's profile to path.
+func writeHeapProfile(path string) error {
+	hf, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return firstErr
+	runtime.GC() // publish accurate live-heap numbers
+	if err := pprof.Lookup("heap").WriteTo(hf, 0); err != nil {
+		hf.Close()
+		return err
+	}
+	return hf.Close()
 }
 
 func (s *Scope) closeFiles() error {

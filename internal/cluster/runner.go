@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
 	"time"
 
@@ -195,12 +196,26 @@ type Result struct {
 	// disruption the paper argues against for centralized schemes.
 	MaxConcurrentMigrations  int
 	MeanConcurrentMigrations float64
-	// SwitchEnergyKWh is the transition-energy share already included in
-	// EnergyKWh (nonzero only when the power model prices switches).
-	SwitchEnergyKWh float64
 	// DemandCache reports the demand kernel's hit/miss/invalidation traffic
 	// for the run (all zero when DisableDemandCache was set).
 	DemandCache dc.DemandCacheStats
+}
+
+// SameResult is the exact oracle between two runs of one simulation: it
+// returns nil when got equals want under reflect.DeepEqual in every field
+// but DemandCache, and otherwise an error naming the first field that
+// differs. DemandCache is left out because its hit/miss split depends on
+// the engine that ran the simulation (the naive path, the pool's prewarm),
+// not on the simulation itself.
+func SameResult(want, got *Result) error {
+	w, g := reflect.ValueOf(want).Elem(), reflect.ValueOf(got).Elem()
+	for i := 0; i < w.NumField(); i++ {
+		name := w.Type().Field(i).Name
+		if name != "DemandCache" && !reflect.DeepEqual(w.Field(i).Interface(), g.Field(i).Interface()) {
+			return fmt.Errorf("cluster: results differ in %s", name)
+		}
+	}
+	return nil
 }
 
 // observeDCEvent counts one data-center mutation into the telemetry
@@ -632,8 +647,6 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	res.MaxMigrationsPerHour = rec.MaxMigrationsPerHour()
 	res.MaxConcurrentMigrations = rec.MaxConcurrentMigrations()
 	res.MeanConcurrentMigrations = rec.MeanConcurrentMigrations()
-	res.SwitchEnergyKWh = cfg.PowerModel.SwitchEnergyKWh(d.Activations + d.Hibernations)
-	res.EnergyKWh += res.SwitchEnergyKWh
 	res.DemandCache = d.DemandCacheStats()
 	if cfg.obs.Enabled() {
 		cfg.obs.Count("dc.demand_cache.hits", int64(res.DemandCache.Hits))

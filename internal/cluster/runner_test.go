@@ -3,6 +3,8 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -315,13 +317,8 @@ func TestRunDemandCacheDifferential(t *testing.T) {
 		return res
 	}
 	cached, naive := run(false), run(true)
-	if cached.EnergyKWh != naive.EnergyKWh ||
-		cached.MeanActiveServers != naive.MeanActiveServers ||
-		cached.TotalLowMigrations != naive.TotalLowMigrations ||
-		cached.TotalHighMigrations != naive.TotalHighMigrations ||
-		cached.TotalActivations != naive.TotalActivations ||
-		cached.VMOverloadTimeFrac != naive.VMOverloadTimeFrac {
-		t.Fatalf("cached and naive runs diverged:\ncached %+v\nnaive  %+v", cached, naive)
+	if err := cluster.SameResult(cached, naive); err != nil {
+		t.Fatalf("cached and naive runs diverged: %v", err)
 	}
 	if cached.DemandCache.Hits == 0 {
 		t.Fatal("cached run recorded no cache hits")
@@ -408,12 +405,107 @@ func TestRunEcoCloudDeterministic(t *testing.T) {
 		return res
 	}
 	a, b := run(), run()
-	if a.EnergyKWh != b.EnergyKWh ||
-		a.TotalLowMigrations != b.TotalLowMigrations ||
-		a.TotalHighMigrations != b.TotalHighMigrations ||
-		a.TotalActivations != b.TotalActivations {
-		t.Fatalf("identical runs diverged: %+v vs %+v", a, b)
+	if err := cluster.SameResult(a, b); err != nil {
+		t.Fatalf("identical runs diverged: %v", err)
 	}
+	if a.DemandCache != b.DemandCache {
+		t.Fatalf("identical runs' demand caches differ: %+v vs %+v", a.DemandCache, b.DemandCache)
+	}
+}
+
+// The oracle compares every field of a Result but DemandCache: a real result
+// with any one field perturbed, through reflection, must make it name that
+// field. A field the test cannot perturb fails it, so a field added to
+// Result later is covered or fails loudly.
+func TestSameResultNamesEveryField(t *testing.T) {
+	gcfg := trace.DefaultGenConfig()
+	gcfg.NumVMs = 40
+	gcfg.Horizon = 2 * time.Hour
+	ws, err := trace.Generate(gcfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig(ws)
+	cfg.RecordServerUtil = true
+	want, err := cluster.Run(cfg, newEcoPolicy(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.SameResult(want, want); err != nil {
+		t.Fatalf("a result differs from itself: %v", err)
+	}
+	w := reflect.ValueOf(want).Elem()
+	for i := 0; i < w.NumField(); i++ {
+		name := w.Type().Field(i).Name
+		v, ok := perturbed(w.Field(i))
+		if !ok {
+			t.Fatalf("cannot perturb Result.%s of type %s", name, w.Field(i).Type())
+		}
+		got := *want
+		reflect.ValueOf(&got).Elem().Field(i).Set(v)
+		err := cluster.SameResult(want, &got)
+		switch {
+		case name == "DemandCache" && err != nil:
+			t.Errorf("the oracle compares DemandCache: %v", err)
+		case name != "DemandCache" && (err == nil || err.Error() != "cluster: results differ in "+name):
+			t.Errorf("Result.%s perturbed: err = %v", name, err)
+		}
+	}
+}
+
+// perturbed returns a value of v's type that reflect.DeepEqual tells apart
+// from v, leaving v and all it points to untouched: a float moves by one ulp,
+// an integer by one, a slice, struct or pointer by one element, field or
+// pointee. ok is false when no part of v can be changed that way.
+func perturbed(v reflect.Value) (out reflect.Value, ok bool) {
+	out = reflect.New(v.Type()).Elem()
+	switch v.Kind() {
+	case reflect.Bool:
+		out.SetBool(!v.Bool())
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		out.SetInt(v.Int() + 1)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		out.SetUint(v.Uint() + 1)
+	case reflect.Float64:
+		out.SetFloat(math.Nextafter(v.Float(), math.Inf(1)))
+	case reflect.String:
+		out.SetString(v.String() + "x")
+	case reflect.Slice:
+		if v.Len() == 0 {
+			return reflect.MakeSlice(v.Type(), 1, 1), true
+		}
+		last, ok := perturbed(v.Index(v.Len() - 1))
+		if !ok {
+			return out, false
+		}
+		out.Set(reflect.AppendSlice(reflect.MakeSlice(v.Type(), 0, v.Len()), v))
+		out.Index(v.Len() - 1).Set(last)
+	case reflect.Pointer:
+		if v.IsNil() {
+			return reflect.New(v.Type().Elem()), true
+		}
+		elem, ok := perturbed(v.Elem())
+		if !ok {
+			return out, false
+		}
+		out.Set(reflect.New(v.Type().Elem()))
+		out.Elem().Set(elem)
+	case reflect.Struct:
+		out.Set(v)
+		for j := v.NumField() - 1; j >= 0; j-- {
+			if !out.Field(j).CanSet() {
+				continue
+			}
+			if f, ok := perturbed(v.Field(j)); ok {
+				out.Field(j).Set(f)
+				return out, true
+			}
+		}
+		return out, false
+	default:
+		return out, false
+	}
+	return out, true
 }
 
 // Property: for arbitrary seeds and small random workloads, the driver's

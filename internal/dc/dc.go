@@ -77,25 +77,12 @@ type PowerModel struct {
 	PeakW        float64 // draw at 100% utilization
 	IdleFraction float64 // idle draw as a fraction of peak (paper: 0.65–0.70)
 	HibernateW   float64 // draw while hibernated (sleep-mode residual)
-
-	// SwitchKJ is the energy cost of one power-state transition
-	// (activation or hibernation) in kilojoules — e.g. a 2-minute boot at
-	// peak draw is 250 W * 120 s = 30 kJ. The paper treats switches as
-	// instantaneous; a nonzero value quantifies why Fig. 10's low switch
-	// frequency matters. Default 0 preserves the paper's semantics.
-	SwitchKJ float64
 }
 
 // DefaultPowerModel returns the calibration used in the experiments:
 // 250 W peak, 65% idle fraction, 5 W hibernated.
 func DefaultPowerModel() PowerModel {
-	return PowerModel{PeakW: 250, IdleFraction: 0.65, HibernateW: 5, SwitchKJ: 0}
-}
-
-// SwitchEnergyKWh converts a number of power-state transitions into the
-// energy they cost under this model, in kWh.
-func (p PowerModel) SwitchEnergyKWh(switches int) float64 {
-	return p.SwitchKJ * float64(switches) / 3600
+	return PowerModel{PeakW: 250, IdleFraction: 0.65, HibernateW: 5}
 }
 
 // Power returns the draw of a server in the given state at utilization u

@@ -461,17 +461,6 @@ func BenchmarkUtilizationAt400Servers(b *testing.B) {
 	_ = sink
 }
 
-func TestSwitchEnergy(t *testing.T) {
-	pm := DefaultPowerModel()
-	if pm.SwitchEnergyKWh(10) != 0 {
-		t.Fatal("default model should not price switches")
-	}
-	pm.SwitchKJ = 36 // 36 kJ per switch = 0.01 kWh
-	if got := pm.SwitchEnergyKWh(100); math.Abs(got-1.0) > 1e-12 {
-		t.Fatalf("switch energy = %v kWh, want 1.0", got)
-	}
-}
-
 func TestMinServersFor(t *testing.T) {
 	specs := StandardFleet(6) // 2x8000, 2x12000, 2x16000 MHz
 	cases := []struct {

@@ -34,12 +34,6 @@ type Config struct {
 	// (see DESIGN.md). Overload-relief migrations are never throttled.
 	Cooldown time.Duration
 
-	// HighMigTaFactor tightens the acceptance threshold during destination
-	// selection for a high migration: Ta' = HighMigTaFactor * u_source
-	// (paper: 0.9), which guarantees the VM lands on a less-loaded server
-	// and prevents ping-pong.
-	HighMigTaFactor float64
-
 	// InviteSubset, when positive, sends each invitation to a uniform random
 	// subset of that many active servers instead of broadcasting.
 	InviteSubset int
@@ -101,15 +95,14 @@ func DefaultRAMConfig() *RAMConfig {
 // Tl=0.50, Th=0.95, alpha=beta=0.25, 30-minute grace.
 func DefaultConfig() Config {
 	return Config{
-		Ta:              0.90,
-		P:               3,
-		Tl:              0.50,
-		Th:              0.95,
-		Alpha:           0.25,
-		Beta:            0.25,
-		Grace:           30 * time.Minute,
-		Cooldown:        5 * time.Minute,
-		HighMigTaFactor: 0.9,
+		Ta:       0.90,
+		P:        3,
+		Tl:       0.50,
+		Th:       0.95,
+		Alpha:    0.25,
+		Beta:     0.25,
+		Grace:    30 * time.Minute,
+		Cooldown: 5 * time.Minute,
 	}
 }
 
@@ -133,9 +126,6 @@ func (c Config) Validate() error {
 		}
 		if c.Alpha <= 0 || c.Beta <= 0 {
 			return fmt.Errorf("ecocloud: alpha/beta = %v/%v must be positive", c.Alpha, c.Beta)
-		}
-		if c.HighMigTaFactor <= 0 || c.HighMigTaFactor > 1 {
-			return fmt.Errorf("ecocloud: HighMigTaFactor = %v outside (0,1]", c.HighMigTaFactor)
 		}
 	}
 	if c.Grace < 0 {

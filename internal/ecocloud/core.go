@@ -189,10 +189,10 @@ func (k *Core) MigrationVM(src *rng.Source, vms []*trace.VM, now time.Duration, 
 }
 
 // HighMigTa is the tightened acceptance threshold of a high migration off a
-// server at utilization u: Ta' = min(HighMigTaFactor·u, Ta). Any acceptor
-// ends up less loaded than the source was, so the VM cannot ping-pong.
+// server at utilization u: §II's Ta' = min(0.9·u, Ta). Any acceptor ends up
+// less loaded than the source was, so the VM cannot ping-pong.
 func (k *Core) HighMigTa(u float64) float64 {
-	ta := k.HighMigTaFactor * u
+	ta := 0.9 * u
 	if ta > k.Ta {
 		ta = k.Ta
 	}

@@ -157,7 +157,7 @@ func TestCoreMigrationVM(t *testing.T) {
 }
 
 func TestCoreHighMigTa(t *testing.T) {
-	k := mustCore(t, DefaultConfig()) // factor 0.9, Ta 0.9
+	k := mustCore(t, DefaultConfig()) // Ta 0.9
 	if got := k.HighMigTa(0.96); got != 0.9*0.96 {
 		t.Fatalf("Ta'(0.96) = %v, want 0.9·u", got)
 	}

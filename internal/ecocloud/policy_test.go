@@ -39,8 +39,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		func(c *Config) { c.Tl = 0.96 }, // above Th
 		func(c *Config) { c.Alpha = 0 },
 		func(c *Config) { c.Beta = -1 },
-		func(c *Config) { c.HighMigTaFactor = 0 },
-		func(c *Config) { c.HighMigTaFactor = 1.5 },
 		func(c *Config) { c.Grace = -time.Second },
 		func(c *Config) { c.Cooldown = -time.Second },
 		func(c *Config) { c.InviteSubset = -1 },

@@ -126,71 +126,6 @@ func ParScaleCell(opts ParScaleOptions, servers, workers int) (cluster.RunConfig
 	return ccfg, pol, nil
 }
 
-// sameResult reports whether two runs of the same cell produced bit-identical
-// results, checking the aggregate floats exactly and every sampled series
-// point for point. It is the parity gate between the sequential engine and
-// the pooled one.
-func sameResult(a, b *cluster.Result) error {
-	//ecolint:allow float-eq — bit-identity across worker counts is the property under verification; tolerances would mask engine drift
-	floatEq := func(name string, x, y float64) error {
-		if x != y { //ecolint:allow float-eq — see above
-			return fmt.Errorf("%s: %x != %x", name, x, y)
-		}
-		return nil
-	}
-	checks := []struct {
-		name string
-		a, b float64
-	}{
-		{"energy_kwh", a.EnergyKWh, b.EnergyKWh},
-		{"mean_active_servers", a.MeanActiveServers, b.MeanActiveServers},
-		{"vm_overload_time_frac", a.VMOverloadTimeFrac, b.VMOverloadTimeFrac},
-		{"granted_frac_in_overload", a.GrantedFracInOverload, b.GrantedFracInOverload},
-		{"max_migrations_per_hour", a.MaxMigrationsPerHour, b.MaxMigrationsPerHour},
-	}
-	for _, c := range checks {
-		if err := floatEq(c.name, c.a, c.b); err != nil {
-			return err
-		}
-	}
-	ints := []struct {
-		name string
-		a, b int
-	}{
-		{"low_migrations", a.TotalLowMigrations, b.TotalLowMigrations},
-		{"high_migrations", a.TotalHighMigrations, b.TotalHighMigrations},
-		{"activations", a.TotalActivations, b.TotalActivations},
-		{"hibernations", a.TotalHibernations, b.TotalHibernations},
-		{"final_active", a.FinalActiveServers, b.FinalActiveServers},
-		{"saturations", a.Saturations, b.Saturations},
-	}
-	for _, c := range ints {
-		if c.a != c.b {
-			return fmt.Errorf("%s: %d != %d", c.name, c.a, c.b)
-		}
-	}
-	series := []struct {
-		name string
-		a, b []float64
-	}{
-		{"active_servers", a.ActiveServers.V, b.ActiveServers.V},
-		{"power_w", a.PowerW.V, b.PowerW.V},
-		{"overall_load", a.OverallLoad.V, b.OverallLoad.V},
-		{"overdemand_pct", a.OverDemandPct.V, b.OverDemandPct.V},
-	}
-	for _, s := range series {
-		if len(s.a) != len(s.b) {
-			return fmt.Errorf("%s: %d points != %d points", s.name, len(s.a), len(s.b))
-		}
-		for i := range s.a {
-			if err := floatEq(fmt.Sprintf("%s[%d]", s.name, i), s.a[i], s.b[i]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
 // ParScale runs the sweep: per fleet size, one sequential baseline plus one
 // run per non-zero worker count, each verified bit-identical to the
 // baseline. A parity violation is an engine bug and fails the experiment.
@@ -221,7 +156,7 @@ func ParScale(opts ParScaleOptions) ([]ParScalePoint, error) {
 				// The first configured count anchors parity; the default
 				// sweep puts 0 (the pristine sequential engine) first.
 				baseline = res
-			} else if err := sameResult(baseline, res); err != nil {
+			} else if err := cluster.SameResult(baseline, res); err != nil {
 				return nil, fmt.Errorf("experiments: parscale %d servers: Workers=%d diverged from Workers=%d: %v",
 					servers, w, opts.WorkerCounts[0], err)
 			}

@@ -24,6 +24,8 @@ type Manifest struct {
 
 	Start time.Time `json:"start"`
 	End   time.Time `json:"end,omitempty"`
+	// Error is the error the run failed with; a run that finished has none.
+	Error string `json:"error,omitempty"`
 
 	WallSeconds    float64 `json:"wall_seconds"`
 	CPUUserSeconds float64 `json:"cpu_user_seconds"`

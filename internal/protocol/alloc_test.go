@@ -40,7 +40,7 @@ func TestInviteReplyZeroAlloc(t *testing.T) {
 		for _, s := range d.Servers {
 			c.onServerMessage(s, netsim.Message{
 				From: managerNode, To: serverNode(s.ID), Kind: "invite",
-				Payload: req, Size: c.cfg.InviteSize,
+				Payload: req, Size: inviteSize,
 			})
 		}
 		c.eng.Run(0)

@@ -75,10 +75,9 @@ type Config struct {
 	Subset int // subset size when Mode == Subset
 
 	// SilentReject drops REJECT replies: only available servers answer, and
-	// the manager closes the round after DecisionWindow instead of counting
+	// the manager closes the round after decisionWindow instead of counting
 	// replies. Fewer messages, bounded extra latency.
-	SilentReject   bool
-	DecisionWindow time.Duration
+	SilentReject bool
 
 	// Migration procedure (off unless EnableMigration). Tl/Th/Alpha/Beta
 	// follow ecocloud.Config; ScanInterval is the local monitoring cadence;
@@ -87,7 +86,6 @@ type Config struct {
 	EnableMigration bool
 	Tl, Th          float64
 	Alpha, Beta     float64
-	HighMigTaFactor float64
 	ScanInterval    time.Duration
 	TransferBytes   int
 
@@ -117,9 +115,6 @@ type Config struct {
 	// future scans.
 	MigTimeout time.Duration
 
-	// Message sizes in bytes (headers + payload), for the bandwidth share.
-	InviteSize, ReplySize, AssignSize int
-
 	// Workers shards the migration scan's per-server decision phase (demand
 	// read + Bernoulli trial on the server's private stream) across an
 	// internal/par pool (0 = no pool: the same two phases run inline). The
@@ -136,25 +131,29 @@ type Config struct {
 	Obs *obs.Recorder `json:"-"`
 }
 
+// Message sizes in bytes (headers + payload), for the bandwidth share, and
+// the silent-reject round's decision window.
+const (
+	inviteSize     = 64
+	replySize      = 48
+	assignSize     = 256
+	decisionWindow = 500 * time.Microsecond
+)
+
 // DefaultConfig returns the §II protocol on a 10 GbE fabric.
 func DefaultConfig() Config {
 	return Config{
-		Ta:              0.90,
-		P:               3,
-		Grace:           30 * time.Minute,
-		Mode:            Broadcast,
-		DecisionWindow:  500 * time.Microsecond,
-		Latency:         netsim.DefaultLatency(),
-		InviteSize:      64,
-		ReplySize:       48,
-		AssignSize:      256,
-		Tl:              0.50,
-		Th:              0.95,
-		Alpha:           0.25,
-		Beta:            0.25,
-		HighMigTaFactor: 0.9,
-		ScanInterval:    5 * time.Minute,
-		TransferBytes:   4 << 30, // 4 GiB of VM RAM
+		Ta:            0.90,
+		P:             3,
+		Grace:         30 * time.Minute,
+		Mode:          Broadcast,
+		Latency:       netsim.DefaultLatency(),
+		Tl:            0.50,
+		Th:            0.95,
+		Alpha:         0.25,
+		Beta:          0.25,
+		ScanInterval:  5 * time.Minute,
+		TransferBytes: 4 << 30, // 4 GiB of VM RAM
 	}
 }
 
@@ -170,10 +169,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("protocol: Groups mode with %d groups", c.Groups)
 	case c.Mode == Subset && c.Subset < 1:
 		return fmt.Errorf("protocol: Subset mode with size %d", c.Subset)
-	case c.SilentReject && c.DecisionWindow <= 0:
-		return fmt.Errorf("protocol: silent reject needs a positive DecisionWindow")
-	case c.InviteSize <= 0 || c.ReplySize <= 0 || c.AssignSize <= 0:
-		return fmt.Errorf("protocol: non-positive message size")
 	case c.RoundTimeout < 0 || c.AssignRetry < 0 || c.MigTimeout < 0:
 		return fmt.Errorf("protocol: negative fault-tolerance timeout")
 	case c.Workers < 0:
@@ -190,8 +185,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("protocol: migration thresholds Tl=%v Th=%v", c.Tl, c.Th)
 		case c.Alpha <= 0 || c.Beta <= 0:
 			return fmt.Errorf("protocol: migration shapes alpha=%v beta=%v", c.Alpha, c.Beta)
-		case c.HighMigTaFactor <= 0 || c.HighMigTaFactor > 1:
-			return fmt.Errorf("protocol: HighMigTaFactor = %v", c.HighMigTaFactor)
 		case c.ScanInterval <= 0:
 			return fmt.Errorf("protocol: ScanInterval = %v", c.ScanInterval)
 		case c.TransferBytes <= 0:
@@ -208,7 +201,6 @@ func (c Config) Core() (ecocloud.Core, error) {
 	return ecocloud.NewCore(ecocloud.Config{
 		Ta: c.Ta, P: c.P, Grace: c.Grace,
 		Tl: c.Tl, Th: c.Th, Alpha: c.Alpha, Beta: c.Beta,
-		HighMigTaFactor: c.HighMigTaFactor,
 	})
 }
 
@@ -499,7 +491,7 @@ func (c *Cluster) PlaceVM(vm *trace.VM) {
 			id := r.accepts[c.mgr.Intn(len(r.accepts))]
 			c.net.Send(netsim.Message{
 				From: managerNode, To: serverNode(id), Kind: "assign",
-				Payload: assignReq{vm: vm, start: start}, Size: c.cfg.AssignSize,
+				Payload: assignReq{vm: vm, start: start}, Size: assignSize,
 			})
 			return
 		}
@@ -543,9 +535,9 @@ func (c *Cluster) openRound(ta, demand float64, excludeID int, decide func(*roun
 		seen:    make([]uint64, (len(c.dc.Servers)+63)/64), decide: decide,
 	}
 	c.rounds[r.id] = r
-	c.net.Broadcast(managerNode, nodes, "invite", newInvite(r.id, demand, ta), c.cfg.InviteSize)
+	c.net.Broadcast(managerNode, nodes, "invite", newInvite(r.id, demand, ta), inviteSize)
 	if c.cfg.SilentReject {
-		c.eng.After(c.cfg.DecisionWindow, "decision-window", func(*sim.Engine) {
+		c.eng.After(decisionWindow, "decision-window", func(*sim.Engine) {
 			c.closeRound(r)
 		})
 	} else if c.cfg.RoundTimeout > 0 {
@@ -619,7 +611,7 @@ func (c *Cluster) onServerMessage(s *dc.Server, m netsim.Message) {
 			}
 			c.net.Send(netsim.Message{
 				From: serverNode(s.ID), To: managerNode, Kind: "reply",
-				Payload: rep, Size: c.cfg.ReplySize,
+				Payload: rep, Size: replySize,
 			})
 		}
 	case "assign":
@@ -801,7 +793,7 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 		c.reserveWake(wake.ID, demand, isFresh)
 		c.net.Send(netsim.Message{
 			From: managerNode, To: serverNode(wake.ID), Kind: "assign",
-			Payload: assignReq{vm: vm, wake: true, start: start}, Size: c.cfg.AssignSize,
+			Payload: assignReq{vm: vm, wake: true, start: start}, Size: assignSize,
 		})
 		return
 	}
@@ -814,7 +806,7 @@ func (c *Cluster) wakeAssign(vm *trace.VM, start time.Duration) {
 	}
 	c.net.Send(netsim.Message{
 		From: managerNode, To: serverNode(best), Kind: "assign",
-		Payload: assignReq{vm: vm, start: start}, Size: c.cfg.AssignSize,
+		Payload: assignReq{vm: vm, start: start}, Size: assignSize,
 	})
 }
 
@@ -1101,7 +1093,7 @@ func (c *Cluster) sendMigReq(s *dc.Server, now time.Duration, u float64, kind st
 	c.net.Send(netsim.Message{
 		From: serverNode(s.ID), To: managerNode, Kind: "migreq",
 		Payload: migReq{serverID: s.ID, vmID: vm.ID, kind: kind, u: u},
-		Size:    c.cfg.ReplySize,
+		Size:    replySize,
 	})
 }
 
@@ -1158,7 +1150,7 @@ func (c *Cluster) onMigReq(req migReq) {
 				c.net.Send(netsim.Message{
 					From: managerNode, To: serverNode(req.serverID), Kind: "migrate",
 					Payload: migrateOrder{vmID: req.vmID, destID: wake, kind: req.kind, start: start},
-					Size:    c.cfg.AssignSize,
+					Size:    assignSize,
 				})
 				return
 			}
@@ -1173,7 +1165,7 @@ func (c *Cluster) onMigReq(req migReq) {
 			c.net.Send(netsim.Message{
 				From: managerNode, To: serverNode(req.serverID), Kind: "migrate",
 				Payload: migrateOrder{vmID: req.vmID, destID: destID, kind: req.kind, start: start},
-				Size:    c.cfg.AssignSize,
+				Size:    assignSize,
 			})
 			return
 		}
@@ -1212,7 +1204,7 @@ func (c *Cluster) migrationWake(demand, ta float64) int {
 	c.cfg.Obs.Count("protocol.wakeups", 1)
 	c.net.Send(netsim.Message{
 		From: managerNode, To: serverNode(id), Kind: "wake",
-		Payload: nil, Size: c.cfg.AssignSize,
+		Payload: nil, Size: assignSize,
 	})
 	return id
 }

@@ -33,9 +33,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Grace = -time.Second },
 		func(c *Config) { c.Mode = Groups; c.Groups = 1 },
 		func(c *Config) { c.Mode = Subset; c.Subset = 0 },
-		func(c *Config) { c.SilentReject = true; c.DecisionWindow = 0 },
-		func(c *Config) { c.InviteSize = 0 },
-		func(c *Config) { c.ReplySize = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := fixedConfig()
@@ -116,7 +113,6 @@ func TestReplyAllRound(t *testing.T) {
 func TestSilentRejectSavesMessages(t *testing.T) {
 	cfg := fixedConfig()
 	cfg.SilentReject = true
-	cfg.DecisionWindow = 5 * time.Millisecond
 	c, err := New(cfg, dc.UniformFleet(6, 6, 2000), 3)
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +133,7 @@ func TestSilentRejectSavesMessages(t *testing.T) {
 		t.Fatalf("wakes = %d, want 1 (nobody accepted)", c.Stats.Wakes)
 	}
 	// Latency includes the decision window: window + assign hop.
-	want := 5*time.Millisecond + time.Millisecond
+	want := decisionWindow + time.Millisecond
 	if c.Stats.MeanLatency() != want {
 		t.Fatalf("latency = %v, want %v", c.Stats.MeanLatency(), want)
 	}
@@ -316,7 +312,6 @@ func TestMigrationConfigValidation(t *testing.T) {
 		func(c *Config) { c.Th = 1.0 },
 		func(c *Config) { c.Alpha = 0 },
 		func(c *Config) { c.Beta = -1 },
-		func(c *Config) { c.HighMigTaFactor = 0 },
 		func(c *Config) { c.ScanInterval = 0 },
 		func(c *Config) { c.TransferBytes = 0 },
 	}

@@ -39,13 +39,6 @@ func (s *Source) Restore(st State) {
 	s.haveSpare = st.HaveSpare
 }
 
-// FromState returns a new Source initialized to st.
-func FromState(st State) *Source {
-	s := &Source{}
-	s.Restore(st)
-	return s
-}
-
 // Fork derives the state of a branch stream from st and a branch label. The
 // empty label is the identity (the branch continues the original stream
 // unchanged); any other label yields a fresh stream seeded from the

@@ -68,6 +68,13 @@ func TestBernoulliPanicsOnNaN(t *testing.T) {
 	}
 }
 
+// restored returns a new Source set to st by Source.Restore.
+func restored(st State) *Source {
+	s := new(Source)
+	s.Restore(st)
+	return s
+}
+
 func TestStateRoundTrip(t *testing.T) {
 	s := New(77)
 	for i := 0; i < 123; i++ {
@@ -79,7 +86,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	st := s.State()
-	clone := FromState(st)
+	clone := restored(st)
 	for i := 0; i < 500; i++ {
 		if s.NormFloat64() != clone.NormFloat64() {
 			t.Fatalf("restored source diverged at draw %d", i)
@@ -89,13 +96,13 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 	}
 	// Derived streams must round-trip too.
-	a := FromState(st).Split("x")
-	b := FromState(st).Split("x")
+	a := restored(st).Split("x")
+	b := restored(st).Split("x")
 	if a.Uint64() != b.Uint64() {
 		t.Fatal("restored sources derive different children")
 	}
 	fresh := New(77).Split("x")
-	if FromState(st).Split("x").Uint64() != fresh.Uint64() {
+	if restored(st).Split("x").Uint64() != fresh.Uint64() {
 		t.Fatal("restored source derives different children than the original lineage")
 	}
 }
@@ -139,7 +146,7 @@ func TestForkDeterministicAndDivergent(t *testing.T) {
 	if f3 == f1 {
 		t.Fatal("distinct-label forks coincide")
 	}
-	a, b, orig := FromState(f1), FromState(f3), FromState(st)
+	a, b, orig := restored(f1), restored(f3), restored(st)
 	same13, same1o := 0, 0
 	for i := 0; i < 100; i++ {
 		ov := orig.Uint64()
@@ -178,7 +185,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 	states := reg.States()
 	want := map[string]uint64{}
 	for label, src := range srcs {
-		want[label] = FromState(src.State()).Uint64()
+		want[label] = restored(src.State()).Uint64()
 	}
 
 	// Trash every source, then restore.
