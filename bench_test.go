@@ -303,15 +303,10 @@ func BenchmarkAblationNoGrace(b *testing.B) {
 	ablationDaily(b, func(o *experiments.DailyOptions) { o.Eco.Grace = time.Nanosecond })
 }
 
-// BenchmarkAblationNoCooldown removes the low-migration pacing.
-func BenchmarkAblationNoCooldown(b *testing.B) {
-	ablationDaily(b, func(o *experiments.DailyOptions) { o.Eco.Cooldown = 0 })
-}
-
 // BenchmarkAblationParallelControlRound routes the control round (demand
-// prewarm, overload observation, invitation fan-outs) through a 4-worker
-// internal/par pool (bit-identical results; this measures the wall-clock
-// effect at bench scale).
+// prewarm, overload observation) through a 4-worker internal/par pool
+// (bit-identical results; this measures the wall-clock effect at bench
+// scale).
 func BenchmarkAblationParallelControlRound(b *testing.B) {
 	ablationDaily(b, func(o *experiments.DailyOptions) { o.Workers = 4 })
 }

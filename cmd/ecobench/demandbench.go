@@ -22,16 +22,16 @@ import (
 //
 // Wall-clock timing is inherently nondeterministic; that is fine here because
 // the timings are reporting-only and never feed back into simulation state.
-// To steady them, one untimed run warms the process up first, and each cell
-// is the fastest of demandBenchRuns fresh runs, cached and naive taking
-// turns; every run of a cell must equal its first.
+// To steady them, one untimed run warms the process up first, and timeCell
+// times each cell as the fastest of benchRuns fresh runs, every one held to
+// the cell's first. -par-bench times its cells the same way.
 
 // demandBenchSizes is the 400 -> 4,000 server sweep from the issue. The
 // VM count scales with the fleet (15 VMs per server, the paper's ratio).
 var demandBenchSizes = []int{400, 1000, 2000, 4000}
 
-// demandBenchRuns is the number of timed runs per cell.
-const demandBenchRuns = 3
+// benchRuns is the number of timed runs per cell.
+const benchRuns = 3
 
 type demandBenchRow struct {
 	Servers       int     `json:"servers"`
@@ -75,46 +75,67 @@ func demandBenchConfig(servers int, seed uint64, disable bool) (cluster.RunConfi
 	}, pol, nil
 }
 
-// timeDemandRun runs a fresh scenario of the given size after a garbage
-// collection, so no earlier run's garbage is collected on its time, and
-// returns its result and wall time in seconds.
-func timeDemandRun(servers int, seed uint64, disable bool) (*cluster.Result, float64, error) {
-	cfg, pol, err := demandBenchConfig(servers, seed, disable)
-	if err != nil {
-		return nil, 0, err
+// timeCell times one benchmark cell as the fastest of benchRuns fresh runs.
+// Each run builds its scenario with build and collects garbage before the
+// clock starts, so no earlier run's garbage is collected on its time, and
+// each must equal the first (cluster.SameResult). It returns the first
+// run's result and the fastest wall time in seconds.
+func timeCell(build func() (cluster.RunConfig, cluster.Policy, error)) (*cluster.Result, float64, error) {
+	var first *cluster.Result
+	best := 0.0
+	for run := 1; run <= benchRuns; run++ {
+		cfg, pol, err := build()
+		if err != nil {
+			return nil, 0, err
+		}
+		runtime.GC()
+		start := time.Now()
+		res, err := cluster.Run(cfg, pol)
+		secs := time.Since(start).Seconds()
+		if err != nil {
+			return nil, 0, err
+		}
+		if first == nil {
+			first, best = res, secs
+			continue
+		}
+		if err := cluster.SameResult(first, res); err != nil {
+			return nil, 0, fmt.Errorf("run %d differs from run 1: %w", run, err)
+		}
+		best = min(best, secs)
 	}
-	runtime.GC()
-	start := time.Now()
-	res, err := cluster.Run(cfg, pol)
-	return res, time.Since(start).Seconds(), err
+	return first, best, nil
+}
+
+// warmUp runs one scenario untimed, so the first timed cell does not pay
+// for the process's start.
+func warmUp(cfg cluster.RunConfig, pol cluster.Policy, err error) error {
+	if err != nil {
+		return err
+	}
+	_, err = cluster.Run(cfg, pol)
+	return err
 }
 
 func runDemandBench(outDir string, seed uint64) error {
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
-	if _, _, err := timeDemandRun(demandBenchSizes[0], seed, false); err != nil {
+	if err := warmUp(demandBenchConfig(demandBenchSizes[0], seed, false)); err != nil {
 		return err
 	}
 	report := demandBenchReport{Seed: seed}
 	for _, servers := range demandBenchSizes {
 		var timings [2]float64 // cached, naive
 		var results [2]*cluster.Result
-		for run := 0; run < demandBenchRuns; run++ {
-			for i, disable := range []bool{false, true} {
-				res, secs, err := timeDemandRun(servers, seed, disable)
-				if err != nil {
-					return err
-				}
-				if run == 0 {
-					timings[i], results[i] = secs, res
-					continue
-				}
-				if err := cluster.SameResult(results[i], res); err != nil {
-					return fmt.Errorf("demand-bench: %d servers: run %d differs from run 1: %w", servers, run+1, err)
-				}
-				timings[i] = min(timings[i], secs)
+		for i, disable := range []bool{false, true} {
+			res, secs, err := timeCell(func() (cluster.RunConfig, cluster.Policy, error) {
+				return demandBenchConfig(servers, seed, disable)
+			})
+			if err != nil {
+				return fmt.Errorf("demand-bench: %d servers, demand cache disabled %v: %w", servers, disable, err)
 			}
+			timings[i], results[i] = secs, res
 		}
 		if err := cluster.SameResult(results[0], results[1]); err != nil {
 			return fmt.Errorf("demand-bench: %d servers: cached and naive runs diverge: %w", servers, err)

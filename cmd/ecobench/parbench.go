@@ -15,13 +15,14 @@ import (
 // The parallel-engine scalability study lives next to the demand-kernel one
 // and for the same reason: it measures the simulator, not the paper, and
 // wall-clock timing is banned from internal packages by the determinism
-// contract. Each fleet size runs the parscale steady-band cell once per
-// worker count, checks every pooled run bit-identical to the sequential
-// baseline, and records the wall-clock speedup curve. Results land in
-// BENCH_parallel_scale.json under -out; gomaxprocs and num_cpu are recorded
-// alongside so a reader knows whether a curve was measured on real cores or
-// on an oversubscribed box (num_cpu < gomaxprocs), where pooled speedup
-// cannot exceed ~1x no matter how good the engine is.
+// contract. After one untimed warm-up, each fleet size times the parscale
+// steady-band cell at every worker count with timeCell (the fastest of
+// benchRuns fresh runs), checks every pooled run bit-identical to the
+// sequential baseline, and records the wall-clock speedup curve. Results
+// land in BENCH_parallel_scale.json under -out; gomaxprocs and num_cpu are
+// recorded alongside so a reader knows whether a curve was measured on real
+// cores or on an oversubscribed box (num_cpu < gomaxprocs), where pooled
+// speedup cannot exceed ~1x no matter how good the engine is.
 
 // parBenchSizes extends the footnote-1 sweep into the territory where the
 // control round dominates — the top size is 100k servers hosting 1M VMs.
@@ -89,20 +90,19 @@ func runParBench(outDir string, seed uint64, floorPath string) error {
 		NumCPU:         runtime.NumCPU(),
 		Oversubscribed: runtime.NumCPU() < procs,
 	}
+	if err := warmUp(experiments.ParScaleCell(opts, parBenchSizes[0], 0)); err != nil {
+		return err
+	}
 	for _, servers := range parBenchSizes {
 		var baseline *cluster.Result
 		var baselineSec float64
 		for _, workers := range parBenchWorkersFor(servers) {
-			cfg, pol, err := experiments.ParScaleCell(opts, servers, workers)
-			if err != nil {
-				return err
-			}
-			start := time.Now()
-			res, err := cluster.Run(cfg, pol)
+			res, sec, err := timeCell(func() (cluster.RunConfig, cluster.Policy, error) {
+				return experiments.ParScaleCell(opts, servers, workers)
+			})
 			if err != nil {
 				return fmt.Errorf("par-bench: %d servers, %d workers: %w", servers, workers, err)
 			}
-			sec := time.Since(start).Seconds()
 			row := parBenchRow{
 				Servers:   servers,
 				VMs:       servers * opts.VMsPerServer,

@@ -106,8 +106,8 @@ type RoundCount struct {
 }
 
 // Checkpointable is implemented by cluster.Run policies whose private
-// non-rng state must survive a checkpoint: cooldown clocks, group rotation
-// counters. MarshalCheckpoint must return a self-contained JSON value;
+// non-rng state must survive a checkpoint, such as ecoCloud's invitation
+// group cursor. MarshalCheckpoint must return a self-contained JSON value;
 // UnmarshalCheckpoint must reinstate it on a freshly constructed instance
 // with the same configuration.
 type Checkpointable interface {

@@ -38,7 +38,6 @@ func BindEco(fs *flag.FlagSet, cfg *ecocloud.Config) {
 	fs.Float64Var(&cfg.Alpha, "alpha", cfg.Alpha, "low-migration shape alpha")
 	fs.Float64Var(&cfg.Beta, "beta", cfg.Beta, "high-migration shape beta")
 	fs.DurationVar(&cfg.Grace, "grace", cfg.Grace, "post-activation always-accept window")
-	fs.DurationVar(&cfg.Cooldown, "cooldown", cfg.Cooldown, "minimum gap between low migrations per server")
 	fs.IntVar(&cfg.InviteSubset, "invite-subset", cfg.InviteSubset, "invite a random subset of this many servers (0 = broadcast)")
 	fs.IntVar(&cfg.InviteGroups, "invite-groups", cfg.InviteGroups, "partition the fleet into this many invitation groups (0/1 = off)")
 }

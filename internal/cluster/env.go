@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/dc"
 	"repro/internal/metrics"
-	"repro/internal/par"
 	"repro/internal/trace"
 )
 
@@ -20,11 +19,6 @@ type Env struct {
 	Now time.Duration
 	DC  *dc.DataCenter
 	Rec *Recorder
-	// Pool is the run's fork-join worker pool (nil when RunConfig.Workers
-	// is 0). Policies may shard read-only per-server fan-outs across it —
-	// e.g. evaluating utilization over an invited set — under internal/par's
-	// determinism contract: per-item slots, ordered reduction, per-item rng.
-	Pool *par.Pool
 }
 
 // Policy is a VM consolidation algorithm. The driver invokes OnArrival for

@@ -387,7 +387,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		preplaced := spread && vm.Start == 0
 		if vm.Start > resumeAt || (resume == nil && !preplaced) {
 			eng.Schedule(vm.Start, "arrival", func(e *sim.Engine) {
-				policy.OnArrival(Env{Now: e.Now(), DC: d, Rec: rec, Pool: pool}, vm)
+				policy.OnArrival(Env{Now: e.Now(), DC: d, Rec: rec}, vm)
 			})
 		}
 		if vm.End > resumeAt && vm.End < cfg.Horizon {
@@ -488,7 +488,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 				d.WarmSpan(sp.Lo, sp.Hi, now)
 			})
 		}
-		policy.OnControl(Env{Now: now, DC: d, Rec: rec, Pool: pool})
+		policy.OnControl(Env{Now: now, DC: d, Rec: rec})
 		if d.Checked() {
 			// Structural invariants are verified per mutation in checked
 			// mode; the numeric audit is per control tick — sharded across
@@ -563,7 +563,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		// state is exactly "the simulation after time checkpointAt". Capture
 		// reads; it never mutates — the run's own results are unchanged.
 		if cfg.checkpointAt != 0 && now == cfg.checkpointAt {
-			ck, err := captureCheckpoint(&cfg, policy, Env{Now: now, DC: d, Rec: rec, Pool: pool}, res, rec, &acc, now)
+			ck, err := captureCheckpoint(&cfg, policy, Env{Now: now, DC: d, Rec: rec}, res, rec, &acc, now)
 			if err == nil {
 				err = cfg.checkpointSink(ck)
 			}

@@ -41,9 +41,9 @@ import (
 //
 // Concurrency: a server's cache is mutated on reads. That is safe under the
 // project's execution model — the engine is single-threaded, and the only
-// parallel fan-outs (ecocloud's invitation round, the experiment registry,
-// the control round's span dispatch) partition servers, or whole data
-// centers, across workers, and every cached word is indexed by server ID.
+// parallel fan-outs (the experiment registry, the control round's span
+// dispatch, the protocol's scan) partition servers, or whole data centers,
+// across workers, and every cached word is indexed by server ID.
 // Workloads shared between concurrent runs stay read-only: refills only read
 // trace.VM.
 

@@ -3,7 +3,6 @@ package ecocloud
 import (
 	"encoding/json"
 	"fmt"
-	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/rng"
@@ -15,11 +14,10 @@ var (
 )
 
 // Checkpoint support: the policy's mutable state is its rng streams (the
-// manager stream, the master and every lazily derived per-server stream),
-// the cooldown clocks, and the invitation-group rotation counter. The
-// configuration and the assignment functions are NOT state — a resume
-// constructs the policy from the same Config and seed and then adopts the
-// captured state on top.
+// manager stream, the master and every lazily derived per-server stream)
+// and the invitation-group cursor. The configuration and the assignment
+// functions are NOT state — a resume constructs the policy from the same
+// Config and seed and then adopts the captured state on top.
 
 // Stream labels. Per-server streams use serverStreamPrefix + decimal ID so
 // the label set is stable across processes and runs.
@@ -30,16 +28,10 @@ const (
 )
 
 // policyState is the serializable non-rng state (see MarshalCheckpoint).
+// Decoding ignores fields it does not name, such as the per-server
+// consolidation clocks ("last_mig_ns") that earlier checkpoints carry.
 type policyState struct {
-	// LastMigNS holds the cooldown clocks as (server ID, virtual time) pairs
-	// sorted by ID, so the encoded bytes are deterministic.
-	LastMigNS []serverClock `json:"last_mig_ns,omitempty"`
-	NextGroup int           `json:"next_group,omitempty"`
-}
-
-type serverClock struct {
-	Server int   `json:"server"`
-	AtNS   int64 `json:"at_ns"`
+	NextGroup int `json:"next_group,omitempty"`
 }
 
 // RegisterStreams implements checkpoint.StreamOwner: it registers the
@@ -68,13 +60,7 @@ func (p *Policy) AdoptStreams(states map[string]rng.State) error {
 
 // MarshalCheckpoint implements checkpoint.Checkpointable.
 func (p *Policy) MarshalCheckpoint() (json.RawMessage, error) {
-	st := policyState{NextGroup: p.nextGroup}
-	for id, at := range p.lastMig {
-		if at != noMig {
-			st.LastMigNS = append(st.LastMigNS, serverClock{Server: id, AtNS: int64(at)})
-		}
-	}
-	return json.Marshal(st)
+	return json.Marshal(policyState{NextGroup: p.nextGroup})
 }
 
 // UnmarshalCheckpoint implements checkpoint.Checkpointable.
@@ -84,13 +70,6 @@ func (p *Policy) UnmarshalCheckpoint(raw json.RawMessage) error {
 		if err := json.Unmarshal(raw, &st); err != nil {
 			return fmt.Errorf("ecocloud: checkpoint state: %w", err)
 		}
-	}
-	p.lastMig = nil
-	for _, c := range st.LastMigNS {
-		if c.Server < 0 || c.Server >= maxServerID {
-			return fmt.Errorf("ecocloud: checkpoint cooldown of bad server ID %d", c.Server)
-		}
-		p.lastMig.set(c.Server, time.Duration(c.AtNS))
 	}
 	p.nextGroup = st.NextGroup
 	return nil

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -14,8 +13,8 @@ import (
 )
 
 // newCheckpointFixture builds a policy with warmed-up mutable state: derived
-// per-server streams that have consumed draws, cooldown clocks, and a
-// rotated invitation group.
+// per-server streams that have consumed draws and a rotated invitation
+// group.
 func newCheckpointFixture(t *testing.T) *Policy {
 	t.Helper()
 	p, err := New(DefaultConfig(), 99)
@@ -29,8 +28,6 @@ func newCheckpointFixture(t *testing.T) *Policy {
 		}
 	}
 	p.mgr.Float64()
-	p.lastMig.set(4, 40*time.Minute)
-	p.lastMig.set(1, 10*time.Minute)
 	p.nextGroup = 5
 	return p
 }
@@ -62,11 +59,6 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	if q.nextGroup != p.nextGroup {
 		t.Fatalf("nextGroup %d want %d", q.nextGroup, p.nextGroup)
 	}
-	// The whole table, unset entries included: a cooldown restored onto a
-	// server that had none would fail here.
-	if !slices.Equal(q.lastMig, p.lastMig) {
-		t.Fatalf("lastMig %v want %v", q.lastMig, p.lastMig)
-	}
 	// Every stream — including the per-server ones the fresh policy had not
 	// derived — continues exactly where the original left off.
 	for _, id := range []int{4, 1, 7} {
@@ -84,6 +76,16 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	// identically on both sides (Split is draw-order independent).
 	if a, b := p.serverSrc(30).Float64(), q.serverSrc(30).Float64(); a != b {
 		t.Fatalf("post-adopt derivation diverged: %v vs %v", a, b)
+	}
+
+	// A checkpoint from before the consolidation cooldown was deleted still
+	// carries its per-server clocks; they are ignored.
+	old := mustPolicy(t, DefaultConfig(), 99)
+	if err := old.UnmarshalCheckpoint(json.RawMessage(`{"last_mig_ns":[{"server":1,"at_ns":0}],"next_group":5}`)); err != nil {
+		t.Fatalf("earlier checkpoint state: %v", err)
+	}
+	if old.nextGroup != 5 {
+		t.Fatalf("earlier checkpoint state: nextGroup %d, want 5", old.nextGroup)
 	}
 }
 
@@ -104,10 +106,10 @@ func TestAdoptStreamsRejectsUnknownLabel(t *testing.T) {
 }
 
 // TestPolicyCheckpointRejectsBadServerID adds to a valid checkpoint one
-// stream label or cooldown naming a server ID outside [0, 2^24), which must
-// fail rather than size a per-server table to it, or a label writing ID 4
-// in a form RegisterStreams never writes, which would restore one stream
-// twice in map order.
+// stream label naming a server ID outside [0, 2^24), which must fail rather
+// than size a per-server table to it, or a label writing ID 4 in a form
+// RegisterStreams never writes, which would restore one stream twice in
+// map order.
 func TestPolicyCheckpointRejectsBadServerID(t *testing.T) {
 	reg := rng.NewRegistry()
 	newCheckpointFixture(t).RegisterStreams(reg)
@@ -119,22 +121,13 @@ func TestPolicyCheckpointRejectsBadServerID(t *testing.T) {
 			t.Errorf("stream label %q accepted", label)
 		}
 	}
-	for _, raw := range []string{
-		`{"last_mig_ns":[{"server":-1,"at_ns":0}]}`,
-		`{"last_mig_ns":[{"server":16777216,"at_ns":0}]}`,
-	} {
-		q := mustPolicy(t, DefaultConfig(), 99)
-		if err := q.UnmarshalCheckpoint(json.RawMessage(raw)); err == nil {
-			t.Errorf("cooldown state %s accepted", raw)
-		}
-	}
 }
 
 // TestPolicyCheckpointEncodingPinned pins the policy's checkpoint bytes and
 // stream labels on state built through the control path: server 1 makes a
 // consolidation migration at t = 0 and server 4 one at 10 min, both onto
 // server 7, which stays in its grace period; the scans derive streams 1, 4
-// and 7. A cooldown recorded at t = 0 is written out, not taken for "never".
+// and 7. Without invitation groups the policy has no non-rng state.
 func TestPolicyCheckpointEncodingPinned(t *testing.T) {
 	d := dc.New(dc.UniformFleet(8, 6, 2000)) // 12,000 MHz each
 	for _, c := range []struct {
@@ -163,7 +156,7 @@ func TestPolicyCheckpointEncodingPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantState = `{"last_mig_ns":[{"server":1,"at_ns":0},{"server":4,"at_ns":600000000000}]}`
+	const wantState = `{}`
 	if string(raw) != wantState {
 		t.Fatalf("checkpoint state\n got %s\nwant %s", raw, wantState)
 	}

@@ -27,13 +27,6 @@ type Config struct {
 	// before they gather a critical mass of VMs.
 	Grace time.Duration
 
-	// Cooldown is the minimum gap between successful consolidation (low)
-	// migrations issued by the same server. The paper monitors utilization
-	// every few seconds yet reports <200 migrations/hour across 400
-	// servers; the cooldown is the calibration knob that spaces the drain
-	// (see DESIGN.md). Overload-relief migrations are never throttled.
-	Cooldown time.Duration
-
 	// InviteSubset, when positive, sends each invitation to a uniform random
 	// subset of that many active servers instead of broadcasting.
 	InviteSubset int
@@ -95,14 +88,13 @@ func DefaultRAMConfig() *RAMConfig {
 // Tl=0.50, Th=0.95, alpha=beta=0.25, 30-minute grace.
 func DefaultConfig() Config {
 	return Config{
-		Ta:       0.90,
-		P:        3,
-		Tl:       0.50,
-		Th:       0.95,
-		Alpha:    0.25,
-		Beta:     0.25,
-		Grace:    30 * time.Minute,
-		Cooldown: 5 * time.Minute,
+		Ta:    0.90,
+		P:     3,
+		Tl:    0.50,
+		Th:    0.95,
+		Alpha: 0.25,
+		Beta:  0.25,
+		Grace: 30 * time.Minute,
 	}
 }
 
@@ -130,9 +122,6 @@ func (c Config) Validate() error {
 	}
 	if c.Grace < 0 {
 		return fmt.Errorf("ecocloud: Grace = %v negative", c.Grace)
-	}
-	if c.Cooldown < 0 {
-		return fmt.Errorf("ecocloud: Cooldown = %v negative", c.Cooldown)
 	}
 	if c.InviteSubset < 0 {
 		return fmt.Errorf("ecocloud: InviteSubset = %d negative", c.InviteSubset)

@@ -11,12 +11,12 @@ import (
 // Core is ecoCloud's decision logic — Fig. 1 of §II plus the §V memory
 // extension — written once. Every method is a pure function of the
 // configuration and its arguments: it reads no clock and no server state of
-// its own accord, mutates nothing, and draws only from the stream it is
-// handed, in a fixed order. Policy (the cluster driver) and protocol.Cluster
-// (netsim messages, in one process or spread over ecod processes) decide
-// through a Core and keep only their own sequencing: which servers are
-// asked, when, and how the answers travel (see DESIGN.md "One ecoCloud
-// core").
+// its own accord, mutates nothing but the scratch and cursor it is handed
+// (Invitees), and draws only from the stream it is handed, in a fixed
+// order. Policy (the cluster driver) and protocol.Cluster (netsim messages,
+// in one process or spread over ecod processes) decide through a Core and
+// keep only their own sequencing: when servers are asked and how the
+// answers travel (see DESIGN.md "One ecoCloud core").
 type Core struct {
 	Config
 	fa    AssignProbFunc // fa of Eq. (1–2)
@@ -44,6 +44,37 @@ func NewCore(cfg Config) (Core, error) {
 // post-activation grace period at now (§IV): it then accepts every
 // invitation whose VM fits, and neither hibernates nor asks to be drained.
 func (k *Core) InGrace(now, activatedAt time.Duration) bool { return now-activatedAt < k.Grace }
+
+// Invitees selects one invitation round's invitees from active, the active
+// servers in ID order, filtering it in place. With InviteGroups above 1 it
+// keeps the group *cursor modulo InviteGroups (server ID modulo
+// InviteGroups) and advances the cursor, so rounds rotate round-robin over
+// the groups (footnote 1). It drops server exclude, a migration's source
+// (-1 for none). With InviteSubset positive and more servers left than
+// that, it then takes a uniform random subset of InviteSubset of them,
+// drawn with one Perm on mgr and kept in draw order.
+func (k *Core) Invitees(mgr *rng.Source, active []*dc.Server, exclude int, cursor *int) []*dc.Server {
+	group := -1
+	if k.InviteGroups > 1 {
+		group = *cursor % k.InviteGroups
+		*cursor++
+	}
+	invited := active[:0]
+	for _, s := range active {
+		if s.ID != exclude && (group < 0 || s.ID%k.InviteGroups == group) {
+			invited = append(invited, s)
+		}
+	}
+	if n := k.InviteSubset; n > 0 && len(invited) > n {
+		perm := mgr.Perm(len(invited))
+		subset := make([]*dc.Server, n)
+		for i := range subset {
+			subset[i] = invited[perm[i]]
+		}
+		invited = subset
+	}
+	return invited
+}
 
 // Invitee is an invited server's local state, as the accept trial reads it.
 type Invitee struct {
@@ -131,13 +162,11 @@ const (
 // Scan is an active server's monitoring decision (§II: each server checks
 // whether its utilization lies between Tl and Th). An empty server
 // hibernates once its grace period is over. A loaded one at utilization u
-// below Tl — past its grace period, and not cooling down from a
-// consolidation migration at lastMig (0 = never; only Policy sets a
-// Cooldown) — requests a low migration with probability f_l(u); one above
-// Th requests a high migration with probability f_h(u). The trial draws on
-// src, the server's own stream; an empty server draws nothing, so src may
-// then be nil.
-func (k *Core) Scan(src *rng.Source, numVMs int, u float64, now, activatedAt, lastMig time.Duration) ScanAction {
+// below Tl and past its grace period requests a low migration with
+// probability f_l(u); one above Th requests a high migration with
+// probability f_h(u). The trial draws on src, the server's own stream; an
+// empty server draws nothing, so src may then be nil.
+func (k *Core) Scan(src *rng.Source, numVMs int, u float64, now, activatedAt time.Duration) ScanAction {
 	grace := k.InGrace(now, activatedAt)
 	if numVMs == 0 {
 		if grace {
@@ -147,10 +176,6 @@ func (k *Core) Scan(src *rng.Source, numVMs int, u float64, now, activatedAt, la
 	}
 	switch {
 	case u < k.Tl && !grace:
-		// The cooldown paces only consolidation; overload relief never waits.
-		if lastMig != 0 && now-lastMig < k.Cooldown {
-			return ScanNone
-		}
 		if src.Bernoulli(MigrateLowProb(u, k.Tl, k.Alpha)) {
 			return ScanLow
 		}

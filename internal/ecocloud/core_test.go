@@ -98,26 +98,23 @@ func TestCoreScan(t *testing.T) {
 		numVMs        int
 		u             float64
 		activatedAt   time.Duration
-		lastMig       time.Duration
 		want          ScanAction
 		mayDraw       bool
 		nilSrcAllowed bool
 	}{
-		{"empty in grace", 0, 0, fresh, 0, ScanNone, false, true},
-		{"empty past grace", 0, 0, old, 0, ScanHibernate, false, true},
-		{"low in grace", 1, 0.2, fresh, 0, ScanNone, false, false},
-		{"low cooling down", 1, 0.2, old, now - time.Minute, ScanNone, false, false},
-		{"low", 1, 0.2, old, 0, ScanLow, true, false},
-		{"low after cooldown", 1, 0.2, old, now - time.Hour, ScanLow, true, false},
-		{"in band", 1, 0.7, old, 0, ScanNone, false, false},
-		{"overload, even in grace", 1, 1.2, fresh, 0, ScanHigh, true, false},
+		{"empty in grace", 0, 0, fresh, ScanNone, false, true},
+		{"empty past grace", 0, 0, old, ScanHibernate, false, true},
+		{"low in grace", 1, 0.2, fresh, ScanNone, false, false},
+		{"low", 1, 0.2, old, ScanLow, true, false},
+		{"in band", 1, 0.7, old, ScanNone, false, false},
+		{"overload, even in grace", 1, 1.2, fresh, ScanHigh, true, false},
 	}
 	for _, c := range cases {
 		var src *rng.Source
 		if !c.nilSrcAllowed {
 			src = rng.New(7)
 		}
-		if got := k.Scan(src, c.numVMs, c.u, now, c.activatedAt, c.lastMig); got != c.want {
+		if got := k.Scan(src, c.numVMs, c.u, now, c.activatedAt); got != c.want {
 			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
 		}
 		if src != nil && !c.mayDraw {

@@ -2,14 +2,10 @@ package ecocloud
 
 import (
 	"fmt"
-	"math"
-	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dc"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -31,47 +27,15 @@ type Policy struct {
 	servers Streams
 	master  *rng.Source
 
-	// lastMig holds each server's last successful consolidation migration,
-	// for the cooldown.
-	lastMig cooldowns
-
-	// nextGroup rotates which static server group receives the next
-	// invitation when InviteGroups is enabled.
+	// nextGroup is Core.Invitees' group cursor: which static server group
+	// receives the next invitation when InviteGroups is enabled.
 	nextGroup int
 
 	// Invitation-round scratch, reused by every selectDestination call so
 	// arrivals and migration attempts do not allocate, and migrate's copy
 	// of the source's VMs.
 	invited, accepted, sleeping []*dc.Server
-	utils                       []float64
 	vms                         []*trace.VM
-}
-
-// cooldowns is a dense per-server table of the virtual time of each
-// server's last successful consolidation migration, indexed by ID. Entries
-// hold noMig until the first one, so a migration recorded at t = 0 — which
-// cluster.Run's pre-activated fleets allow — stays distinct from none: the
-// checkpoint writes the one and not the other.
-type cooldowns []time.Duration
-
-// noMig marks a server that has not migrated.
-const noMig = time.Duration(math.MinInt64)
-
-// set records server id's migration at t.
-func (c *cooldowns) set(id int, t time.Duration) {
-	for len(*c) <= id {
-		*c = append(*c, noMig)
-	}
-	(*c)[id] = t
-}
-
-// at returns server id's last migration time in Core.Scan's terms: 0 when
-// it has none.
-func (c cooldowns) at(id int) time.Duration {
-	if id < len(c) && c[id] != noMig {
-		return c[id]
-	}
-	return 0
 }
 
 var _ cluster.Policy = (*Policy)(nil)
@@ -157,7 +121,7 @@ func (p *Policy) OnControl(env cluster.Env) {
 			continue
 		}
 		u := s.UtilizationAt(env.Now)
-		if act := p.core.Scan(p.serverSrc(id), s.NumVMs(), u, env.Now, s.ActivatedAt(), p.lastMig.at(id)); act == ScanLow || act == ScanHigh {
+		if act := p.core.Scan(p.serverSrc(id), s.NumVMs(), u, env.Now, s.ActivatedAt()); act == ScanLow || act == ScanHigh {
 			p.migrate(env, s, u, act == ScanHigh)
 		}
 	}
@@ -191,9 +155,6 @@ func (p *Policy) migrate(env cluster.Env, s *dc.Server, u float64, high bool) {
 	if high {
 		return
 	}
-	// The cooldown clock starts at the successful migration, so a server
-	// that merely failed to find a destination retries at the next scan.
-	p.lastMig.set(s.ID, env.Now)
 	// A server emptied by its last migration hibernates right away.
 	if s.NumVMs() == 0 && !p.inGrace(s, env.Now) {
 		if err := env.DC.Hibernate(s); err != nil {
@@ -203,8 +164,8 @@ func (p *Policy) migrate(env cluster.Env, s *dc.Server, u float64, high bool) {
 }
 
 // selectDestination runs one invitation round under the acceptance
-// threshold ta: collect the active servers (minus exclude), possibly sample
-// an invitation subset, let each run its accept trial, and pick uniformly
+// threshold ta: Core.Invitees picks the invited active servers (never
+// exclude), each runs its accept trial, and the manager picks uniformly
 // among the accepting ones. With no acceptor and allowWake set, a
 // hibernated server is woken and returned (its grace period starts now).
 // Returns nil when no destination exists.
@@ -215,41 +176,12 @@ func (p *Policy) migrate(env cluster.Env, s *dc.Server, u float64, high bool) {
 // a VM that would push it past the threshold, which matters for the heavy
 // tail of CPU-hungry VMs.
 func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, allowWake bool, demandMHz, ramMB float64) *dc.Server {
-	group := -1
-	if g := p.core.InviteGroups; g > 1 {
-		group = p.nextGroup % g
-		p.nextGroup++
-	}
-	invited := env.DC.AppendActive(p.invited[:0])
-	if exclude >= 0 || group >= 0 {
-		n := 0
-		for _, s := range invited {
-			if s.ID != exclude && (group < 0 || s.ID%p.core.InviteGroups == group) {
-				invited[n] = s
-				n++
-			}
-		}
-		invited = invited[:n]
-	}
-	p.invited = invited
-	if k := p.core.InviteSubset; k > 0 && len(invited) > k {
-		perm := p.mgr.Perm(len(invited))
-		subset := make([]*dc.Server, k)
-		for i := 0; i < k; i++ {
-			subset[i] = invited[perm[i]]
-		}
-		// Keep ID order so per-server trial draws stay schedule-independent.
-		sort.Slice(subset, func(i, j int) bool { return subset[i].ID < subset[j].ID })
-		invited = subset
-	}
-
-	p.utils = slices.Grow(p.utils[:0], len(invited))[:len(invited)]
-	utils := p.utils
-	utilizations(env.Pool, invited, env.Now, utils)
+	p.invited = env.DC.AppendActive(p.invited[:0])
+	invited := p.core.Invitees(p.mgr, p.invited, exclude, &p.nextGroup)
 	round := p.core.Round(ta)
 	accepted := p.accepted[:0]
-	for i, s := range invited {
-		inv := Invitee{U: utils[i], CapMHz: s.CapacityMHz(), Grace: p.inGrace(s, env.Now)}
+	for _, s := range invited {
+		inv := Invitee{U: s.UtilizationAt(env.Now), CapMHz: s.CapacityMHz(), Grace: p.inGrace(s, env.Now)}
 		if p.core.RAM != nil {
 			inv.RAMU, inv.RAMMB = s.RAMUtilization(), s.Spec.RAMMB
 		}
@@ -296,22 +228,4 @@ func (p *Policy) selectDestination(env cluster.Env, ta float64, exclude int, all
 		panic(fmt.Sprintf("ecocloud: waking server %d: %v", wake.ID, err))
 	}
 	return wake
-}
-
-// utilizations sets out[i] to servers[i]'s UtilizationAt for every server,
-// sharding across the run's fork-join pool when one is attached and the
-// fleet is large; out must be as long as servers. The result is identical to
-// the sequential path: a utilization read returns the same bits either way
-// (it may fill the server's demand cache, but that is a per-server mutation,
-// and internal/par never hands one index-slot to two workers). Small
-// invitations stay inline — the reads are cache hits and not worth the
-// fan-out.
-func utilizations(pool *par.Pool, servers []*dc.Server, now time.Duration, out []float64) {
-	if !pool.Parallel() || len(servers) < 128 {
-		for i, s := range servers {
-			out[i] = s.UtilizationAt(now)
-		}
-		return
-	}
-	par.For(pool, len(servers), func(i int) { out[i] = servers[i].UtilizationAt(now) })
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dc"
-	"repro/internal/par"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -40,7 +39,6 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		func(c *Config) { c.Alpha = 0 },
 		func(c *Config) { c.Beta = -1 },
 		func(c *Config) { c.Grace = -time.Second },
-		func(c *Config) { c.Cooldown = -time.Second },
 		func(c *Config) { c.InviteSubset = -1 },
 	}
 	for i, mutate := range bad {
@@ -187,7 +185,6 @@ func runControls(p *Policy, env *cluster.Env, ticks int, pred func() bool) bool 
 func TestLowMigrationDrainsServer(t *testing.T) {
 	d := dc.New(dc.UniformFleet(3, 6, 2000)) // 12000 MHz each
 	cfg := DefaultConfig()
-	cfg.Cooldown = 0
 	p := mustPolicy(t, cfg, 6)
 	env := newEnv(d, 0)
 	a, b := d.Servers[0], d.Servers[1]
@@ -226,7 +223,6 @@ func TestLowMigrationDrainsServer(t *testing.T) {
 func TestLowMigrationNeverWakesServers(t *testing.T) {
 	d := dc.New(dc.UniformFleet(4, 6, 2000))
 	cfg := DefaultConfig()
-	cfg.Cooldown = 0
 	p := mustPolicy(t, cfg, 7)
 	env := newEnv(d, 0)
 	a := d.Servers[0]
@@ -249,7 +245,6 @@ func TestLowMigrationNeverWakesServers(t *testing.T) {
 func TestHighMigrationRelievesOverload(t *testing.T) {
 	d := dc.New(dc.UniformFleet(3, 6, 2000))
 	cfg := DefaultConfig()
-	cfg.Cooldown = 0
 	p := mustPolicy(t, cfg, 8)
 	env := newEnv(d, 0)
 	a, b := d.Servers[0], d.Servers[1]
@@ -289,7 +284,6 @@ func TestHighMigrationPrefersLessLoadedDestination(t *testing.T) {
 	// the VM must land on c (or a woken server), never on b.
 	d := dc.New(dc.UniformFleet(4, 6, 2000))
 	cfg := DefaultConfig()
-	cfg.Cooldown = 0
 	p := mustPolicy(t, cfg, 9)
 	env := newEnv(d, 0)
 	a, b, c := d.Servers[0], d.Servers[1], d.Servers[2]
@@ -320,45 +314,10 @@ func TestHighMigrationPrefersLessLoadedDestination(t *testing.T) {
 	}
 }
 
-func TestCooldownSpacesMigrations(t *testing.T) {
-	d := dc.New(dc.UniformFleet(3, 6, 2000))
-	cfg := DefaultConfig()
-	cfg.Cooldown = time.Hour
-	cfg.Alpha = 0.01 // f_l ~ 1: every eligible tick fires
-	p := mustPolicy(t, cfg, 10)
-	env := newEnv(d, 0)
-	a, b := d.Servers[0], d.Servers[1]
-	if err := d.Activate(a, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Activate(b, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := d.Place(constVM(i, 1000), a); err != nil { // a: u = 0.33... below Tl
-			t.Fatal(err)
-		}
-	}
-	if err := d.Place(constVM(10, 7200), b); err != nil { // b: u = 0.60 accepts
-		t.Fatal(err)
-	}
-	env.Now = 2 * time.Hour
-	// 6 ticks of 5 minutes = 30 minutes < 1h cooldown: at most 1 migration
-	// from a.
-	for i := 0; i < 6; i++ {
-		env.Now += 5 * time.Minute
-		p.OnControl(env)
-	}
-	if got := env.Rec.MigrationCount(cluster.MigrationLow); got > 1 {
-		t.Fatalf("cooldown violated: %d migrations in 30m", got)
-	}
-}
-
 func TestDisableMigration(t *testing.T) {
 	d := dc.New(dc.UniformFleet(3, 6, 2000))
 	cfg := DefaultConfig()
 	cfg.DisableMigration = true
-	cfg.Cooldown = 0
 	p := mustPolicy(t, cfg, 11)
 	env := newEnv(d, 0)
 	a, b := d.Servers[0], d.Servers[1]
@@ -421,7 +380,6 @@ func runScenario(t *testing.T, cfg Config, seed uint64) []int {
 
 func TestPolicyDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Cooldown = 0
 	a := runScenario(t, cfg, 77)
 	b := runScenario(t, cfg, 77)
 	for i := range a {
@@ -439,37 +397,6 @@ func TestPolicyDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical placements (suspicious)")
-	}
-}
-
-func TestPooledUtilizationsMatchSequential(t *testing.T) {
-	// 200 loaded servers (past the inline cutoff): the invitation round's
-	// utilization fan-out through a fork-join pool must return the same bits
-	// as the inline loop, at several worker counts.
-	d := dc.New(dc.StandardFleet(200))
-	now := 45 * time.Minute
-	for i, s := range d.Servers {
-		if err := d.Activate(s, 0); err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < 1+i%4; j++ {
-			if err := d.Place(constVM(1000*i+j, 200+float64((i*7+j*13)%1100)), s); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want := make([]float64, len(d.Servers))
-	utilizations(nil, d.Servers, now, want)
-	for _, workers := range []int{1, 2, 8} {
-		pool := par.New(workers)
-		got := make([]float64, len(d.Servers))
-		utilizations(pool, d.Servers, now, got)
-		pool.Close()
-		for i := range want {
-			if got[i] != want[i] { //ecolint:allow float-eq — bit-identity is the property under test
-				t.Fatalf("workers=%d: server %d utilization %x != sequential %x", workers, i, got[i], want[i])
-			}
-		}
 	}
 }
 
@@ -494,7 +421,6 @@ func TestConsolidationEndToEnd(t *testing.T) {
 	// stragglers. This is the paper's core claim in miniature.
 	d := dc.New(dc.StandardFleet(12))
 	cfg := DefaultConfig()
-	cfg.Cooldown = 0
 	p := mustPolicy(t, cfg, 123)
 	env := newEnv(d, 0)
 	// Spread arrivals thinly so many servers wake (non-consolidated start).
@@ -643,7 +569,6 @@ func TestHighMigrationSelectsSufficientVM(t *testing.T) {
 	// the excess, so a single migration must restore u <= Th.
 	d := dc.New(dc.UniformFleet(3, 6, 2000))
 	cfg := DefaultConfig()
-	cfg.Cooldown = 0
 	p := mustPolicy(t, cfg, 40)
 	env := newEnv(d, 0)
 	a, b := d.Servers[0], d.Servers[1]
@@ -683,7 +608,6 @@ func TestHighMigrationTaPrimeClamped(t *testing.T) {
 	// still bounded by the global threshold.
 	d := dc.New(dc.UniformFleet(2, 6, 2000))
 	cfg := DefaultConfig()
-	cfg.Cooldown = 0
 	p := mustPolicy(t, cfg, 41)
 	env := newEnv(d, 0)
 	a, b := d.Servers[0], d.Servers[1]

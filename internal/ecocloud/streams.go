@@ -19,9 +19,9 @@ type Streams struct {
 	srcs   []*rng.Source
 }
 
-// maxServerID bounds the server IDs a checkpoint may name in a stream label
-// or a cooldown, so a corrupt file cannot size a dense per-server table
-// past any fleet this simulator runs.
+// maxServerID bounds the server IDs a checkpoint may name in a stream
+// label, so a corrupt file cannot size a dense per-server table past any
+// fleet this simulator runs.
 const maxServerID = 1 << 24
 
 // NewStreams returns a table over master with room for servers 0..n-1. Get

@@ -33,8 +33,8 @@ type ScalabilityOptions struct {
 	PreloadFrac float64
 	PreloadUtil float64
 
-	Groups int // group count for Groups mode
-	Subset int // subset size for Subset mode
+	Groups int // InviteGroups of the groups variant
+	Subset int // InviteSubset of the subset variant
 
 	DemandMHz float64 // per placed VM
 }
@@ -79,8 +79,8 @@ func Scalability(opts ScalabilityOptions) ([]ScalabilityPoint, error) {
 		mutate func(*protocol.Config)
 	}{
 		{"broadcast", func(*protocol.Config) {}},
-		{"groups", func(c *protocol.Config) { c.Mode = protocol.Groups; c.Groups = opts.Groups }},
-		{"subset", func(c *protocol.Config) { c.Mode = protocol.Subset; c.Subset = opts.Subset }},
+		{"groups", func(c *protocol.Config) { c.InviteGroups = opts.Groups }},
+		{"subset", func(c *protocol.Config) { c.InviteSubset = opts.Subset }},
 		{"silent-reject", func(c *protocol.Config) { c.SilentReject = true }},
 	}
 

@@ -36,43 +36,18 @@ import (
 	"repro/internal/trace"
 )
 
-// Mode selects who receives each invitation.
-type Mode int
-
-const (
-	// Broadcast invites every active server (the default of §II).
-	Broadcast Mode = iota
-	// Groups partitions the fleet statically and invites one group per
-	// round, rotating (footnote 1).
-	Groups
-	// Subset invites a uniform random subset of active servers.
-	Subset
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case Broadcast:
-		return "broadcast"
-	case Groups:
-		return "groups"
-	case Subset:
-		return "subset"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // Config parameterizes the protocol cluster.
 type Config struct {
-	// Ta, P and Grace follow ecocloud.Config semantics.
+	// Ta, P and Grace follow ecocloud.Config semantics, and so do
+	// InviteGroups and InviteSubset: who receives each invitation (every
+	// active server by default, §II; one static group per round, rotating,
+	// per footnote 1; or a uniform random subset).
 	Ta    float64
 	P     float64
 	Grace time.Duration
 
-	Mode   Mode
-	Groups int // group count when Mode == Groups
-	Subset int // subset size when Mode == Subset
+	InviteGroups int
+	InviteSubset int
 
 	// SilentReject drops REJECT replies: only available servers answer, and
 	// the manager closes the round after decisionWindow instead of counting
@@ -146,7 +121,6 @@ func DefaultConfig() Config {
 		Ta:            0.90,
 		P:             3,
 		Grace:         30 * time.Minute,
-		Mode:          Broadcast,
 		Latency:       netsim.DefaultLatency(),
 		Tl:            0.50,
 		Th:            0.95,
@@ -165,10 +139,8 @@ func (c Config) Validate() error {
 	switch {
 	case c.Grace < 0:
 		return fmt.Errorf("protocol: Grace = %v", c.Grace)
-	case c.Mode == Groups && c.Groups < 2:
-		return fmt.Errorf("protocol: Groups mode with %d groups", c.Groups)
-	case c.Mode == Subset && c.Subset < 1:
-		return fmt.Errorf("protocol: Subset mode with size %d", c.Subset)
+	case c.InviteGroups < 0 || c.InviteSubset < 0:
+		return fmt.Errorf("protocol: InviteGroups = %d, InviteSubset = %d", c.InviteGroups, c.InviteSubset)
 	case c.RoundTimeout < 0 || c.AssignRetry < 0 || c.MigTimeout < 0:
 		return fmt.Errorf("protocol: negative fault-tolerance timeout")
 	case c.Workers < 0:
@@ -195,12 +167,13 @@ func (c Config) Validate() error {
 }
 
 // Core returns the ecoCloud decision functions for this configuration: the
-// accept trial, scan decision, migration-VM pick, Ta' and wake choice every
-// protocol server and the manager decide by.
+// invitee selection, accept trial, scan decision, migration-VM pick, Ta' and
+// wake choice every protocol server and the manager decide by.
 func (c Config) Core() (ecocloud.Core, error) {
 	return ecocloud.NewCore(ecocloud.Config{
 		Ta: c.Ta, P: c.P, Grace: c.Grace,
 		Tl: c.Tl, Th: c.Th, Alpha: c.Alpha, Beta: c.Beta,
+		InviteGroups: c.InviteGroups, InviteSubset: c.InviteSubset,
 	})
 }
 
@@ -344,15 +317,15 @@ type Cluster struct {
 
 	rounds    map[int]*round
 	nextRound int
-	nextGroup int
+	nextGroup int // Core.Invitees' group cursor
 	// active and invitees are inviteTargets' scratch, reused every round:
-	// the active servers, and the node IDs the round's invitation goes to
-	// (Broadcast does not keep them).
+	// the active servers, and the node IDs the round's invitation goes to.
 	active   []*dc.Server
 	invitees []netsim.NodeID
 	// fresh, reusable and pending are wakeAssign's candidate lists, reused
-	// every call; freshSpec reads fresh[i]'s spec for Core.Wake and Largest,
-	// bound once so a call builds no closure.
+	// every call (migrationWake reuses fresh for the hibernated servers);
+	// freshSpec reads fresh[i]'s spec for Core.Wake and Largest, bound once
+	// so a call builds no closure.
 	fresh, reusable, pending []*dc.Server
 	freshSpec                func(i int) dc.Spec
 
@@ -550,40 +523,14 @@ func (c *Cluster) openRound(ta, demand float64, excludeID int, decide func(*roun
 	return true
 }
 
-// inviteTargets selects the invited active servers per the configured mode
-// and returns their node IDs, leaving out server excludeID (-1 for none).
-// The selection runs over every active server, the excluded one included,
-// so a mode's draws do not depend on the exclusion. The result lives in
-// c.invitees until the next call.
+// inviteTargets selects the round's invitees through Core.Invitees, never
+// server excludeID (-1 for none), and returns their node IDs. The result
+// lives in c.invitees until the next call.
 func (c *Cluster) inviteTargets(excludeID int) []netsim.NodeID {
-	active := c.dc.AppendActive(c.active[:0])
-	c.active = active
-	switch c.cfg.Mode {
-	case Groups:
-		g := c.nextGroup % c.cfg.Groups
-		c.nextGroup++
-		group := active[:0]
-		for _, s := range active {
-			if s.ID%c.cfg.Groups == g {
-				group = append(group, s)
-			}
-		}
-		active = group
-	case Subset:
-		if len(active) > c.cfg.Subset {
-			perm := c.mgr.Perm(len(active))
-			subset := make([]*dc.Server, c.cfg.Subset)
-			for i := range subset {
-				subset[i] = active[perm[i]]
-			}
-			active = subset
-		}
-	}
+	c.active = c.dc.AppendActive(c.active[:0])
 	nodes := c.invitees[:0]
-	for _, s := range active {
-		if s.ID != excludeID {
-			nodes = append(nodes, serverNode(s.ID))
-		}
+	for _, s := range c.core.Invitees(c.mgr, c.active, excludeID, &c.nextGroup) {
+		nodes = append(nodes, serverNode(s.ID))
 	}
 	c.invitees = nodes
 	return nodes
@@ -1054,7 +1001,7 @@ func (c *Cluster) scanSpan(lo, hi int, now time.Duration) {
 				// workers only read the table; inline, the first use derives.
 				d.u, src = s.UtilizationAt(now), c.serverSrc(s.ID)
 			}
-			d.act = c.core.Scan(src, s.NumVMs(), d.u, now, s.ActivatedAt(), 0)
+			d.act = c.core.Scan(src, s.NumVMs(), d.u, now, s.ActivatedAt())
 		}
 		c.scan[i] = d
 	})
@@ -1180,18 +1127,23 @@ func (c *Cluster) onMigReq(req migReq) {
 
 // migrationWake wakes a destination for a high migration nobody accepted:
 // the core's wake choice among every hibernated server fitting the demand
-// under ta, or -1 (the migration aborts). A server whose placement wake is
-// still powering on is among the candidates; picked, it is not woken a
-// second time — the migration rides the wake in flight and its demand joins
-// the reservation.
+// under ta or, when none fits, the largest hibernated server (the wake of
+// last resort Policy and wakeAssign share); -1 when every server is up (the
+// migration aborts). A server whose placement wake is still powering on is
+// among the candidates; picked, it is not woken a second time — the
+// migration rides the wake in flight and its demand joins the reservation.
 func (c *Cluster) migrationWake(demand, ta float64) int {
-	var sleeping []*dc.Server
+	sleeping := c.fresh[:0]
 	for _, s := range c.dc.Servers {
 		if s.State() == dc.Hibernated {
 			sleeping = append(sleeping, s)
 		}
 	}
-	i := c.core.Wake(c.mgr, len(sleeping), func(i int) dc.Spec { return sleeping[i].Spec }, demand, 0, ta)
+	c.fresh = sleeping
+	i := c.core.Wake(c.mgr, len(sleeping), c.freshSpec, demand, 0, ta)
+	if i < 0 {
+		i = ecocloud.Largest(len(sleeping), c.freshSpec)
+	}
 	if i < 0 {
 		return -1
 	}

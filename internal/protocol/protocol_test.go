@@ -31,8 +31,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Ta = 0 },
 		func(c *Config) { c.P = -1 },
 		func(c *Config) { c.Grace = -time.Second },
-		func(c *Config) { c.Mode = Groups; c.Groups = 1 },
-		func(c *Config) { c.Mode = Subset; c.Subset = 0 },
+		func(c *Config) { c.InviteGroups = -1 },
+		func(c *Config) { c.InviteSubset = -1 },
 	}
 	for i, mutate := range bad {
 		cfg := fixedConfig()
@@ -141,8 +141,7 @@ func TestSilentRejectSavesMessages(t *testing.T) {
 
 func TestGroupsInviteOneGroup(t *testing.T) {
 	cfg := fixedConfig()
-	cfg.Mode = Groups
-	cfg.Groups = 4
+	cfg.InviteGroups = 4
 	c, err := New(cfg, dc.UniformFleet(8, 6, 2000), 4)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +160,7 @@ func TestGroupsInviteOneGroup(t *testing.T) {
 
 func TestSubsetInviteLimitsFanout(t *testing.T) {
 	cfg := fixedConfig()
-	cfg.Mode = Subset
-	cfg.Subset = 3
+	cfg.InviteSubset = 3
 	c, err := New(cfg, dc.UniformFleet(10, 6, 2000), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -400,6 +398,45 @@ func TestHighMigrationWakesOverMessages(t *testing.T) {
 	}
 	if a.UtilizationAt(c.Engine().Now()) > 0.95 {
 		t.Fatalf("overload not relieved: u = %v", a.UtilizationAt(c.Engine().Now()))
+	}
+	if err := c.DC().CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHighMigrationWakesLargestWhenNothingFits pins the wake of last resort
+// the protocol shares with the cluster driver: a high migration that finds
+// no acceptor, with every hibernated server too small for the VM under Ta',
+// wakes the largest hibernated server rather than aborting.
+func TestHighMigrationWakesLargestWhenNothingFits(t *testing.T) {
+	specs := []dc.Spec{{Cores: 6, CoreMHz: 2000}, {Cores: 1, CoreMHz: 2000}, {Cores: 2, CoreMHz: 2000}, {Cores: 1, CoreMHz: 2000}}
+	c, err := New(migConfig(), specs, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Server 0 at u = 1.0 is the only active server, so nobody is invited;
+	// either 6,000 MHz VM fits no hibernated server under Ta' = 0.9 (the
+	// largest holds 0.9 x 4,000 = 3,600 MHz).
+	activateLoaded(t, c, 1, 0)
+	a := c.DC().Servers[0]
+	for id := 1; id <= 2; id++ {
+		if err := c.DC().Place(constVM(id, 6000), a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.StartMigrationScan()
+	c.Engine().Run(time.Minute + time.Second) // the first scan and its migration
+	if c.Stats.MigrationsHigh != 1 || c.Stats.MigrationsAborted != 0 || c.Stats.Wakes != 1 {
+		t.Fatalf("stats = %+v, want one high migration onto one woken server", c.Stats)
+	}
+	largest := c.DC().Servers[2]
+	if largest.State() != dc.Active || largest.NumVMs() != 1 {
+		t.Fatalf("largest hibernated server: state %v, %d VMs; want it woken with the VM", largest.State(), largest.NumVMs())
+	}
+	for _, id := range []int{1, 3} {
+		if s := c.DC().Servers[id]; s.State() != dc.Hibernated {
+			t.Fatalf("server %d (1 core) woken, state %v", id, s.State())
+		}
 	}
 	if err := c.DC().CheckInvariants(); err != nil {
 		t.Fatal(err)
