@@ -79,12 +79,11 @@ faults:
 forkedsweep:
 	$(GO) run ./cmd/ecobench -out out -experiments forkedsweep
 
-# Overload-knee sweep in quick mode: stepped churn-rate ramps with the
-# load harness's stop-rule, ecoCloud vs BFD, writing out/knee.csv. Full
-# scale: `go run ./cmd/ecobench -out out -experiments knee`. See DESIGN.md
-# "Load harness".
+# Overload-knee sweep at full scale: stepped churn-rate ramps with an
+# overload stop-rule, ecoCloud vs BFD, reproducing the checked-in
+# out/knee.csv (about a second). See DESIGN.md "Overload knee".
 knee:
-	$(GO) run ./cmd/ecobench -out out -experiments knee -scale 0.1
+	$(GO) run ./cmd/ecobench -out out -experiments knee
 
 # Real-process deployment smoke: a 3-node ecod cluster on loopback runs a
 # short protocol day twice from the same seed; the merged summaries must

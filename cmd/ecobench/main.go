@@ -3,8 +3,8 @@
 // functions), Figs. 4–5 (workload characterization), Figs. 6–11 (two-day
 // trace-driven run), Figs. 12–13 (assignment-only simulation vs fluid
 // model), the §III sensitivity study, the §V extension, the wire-protocol
-// studies, the centralized-baseline comparison, and the load-harness knee
-// sweep (max sustainable churn rate vs fleet size). Each figure is written
+// studies, the centralized-baseline comparison, and the knee sweep (max
+// sustainable churn rate vs fleet size). Each figure is written
 // as CSV into -out and summarized on stdout; a run manifest (run.json) and a
 // JSONL event journal land in the same directory.
 //

@@ -50,7 +50,7 @@ type RunConfig struct {
 	// counters and energy integral still cover the whole run — warm-up
 	// trimming is a measurement concern, not a simulation one. Zero (the
 	// default) measures from t=0, which is the historical behaviour. Used
-	// by the load harness, whose ramp slots need steady-state violation
+	// by the knee experiment, whose ramp slots need steady-state violation
 	// fractions uncontaminated by the fill-up transient.
 	MeasureFrom time.Duration
 

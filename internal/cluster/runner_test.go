@@ -62,6 +62,8 @@ func TestRunConfigValidation(t *testing.T) {
 		func(c *cluster.RunConfig) { c.Horizon = 0 },
 		func(c *cluster.RunConfig) { c.ControlInterval = 0 },
 		func(c *cluster.RunConfig) { c.SampleInterval = 0 },
+		func(c *cluster.RunConfig) { c.MeasureFrom = -time.Minute },
+		func(c *cluster.RunConfig) { c.MeasureFrom = c.Horizon },
 		func(c *cluster.RunConfig) { c.PowerModel = dc.PowerModel{} },
 	}
 	for i, mutate := range bad {
@@ -149,6 +151,56 @@ func TestRunOverloadAccounting(t *testing.T) {
 	}
 	if res.OverDemandPct.Max() != 100 {
 		t.Fatalf("over-demand pct max = %v, want 100", res.OverDemandPct.Max())
+	}
+}
+
+// TestMeasureFromGatesOnlyWindowedFields: the warm-up gate is accounting
+// only. A day measured from half its horizon differs from one measured from
+// t=0 in the four windowed aggregates and nowhere else, so copying those
+// across makes the two results equal. The day overloads at its afternoon
+// peak, so the overload fractions move as well as the mean active count.
+func TestMeasureFromGatesOnlyWindowedFields(t *testing.T) {
+	churn := trace.DefaultChurnConfig()
+	churn.Horizon = 24 * time.Hour
+	churn.InitialVMs = 375
+	churn.ArrivalPerHour = 250
+	ws, err := trace.GenerateChurn(churn, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(from time.Duration) *cluster.Result {
+		pol, err := ecocloud.New(ecocloud.DefaultConfig(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cluster.Run(cluster.RunConfig{
+			Specs:           dc.UniformFleet(10, 6, 2000),
+			Workload:        ws,
+			Horizon:         churn.Horizon,
+			ControlInterval: 5 * time.Minute,
+			SampleInterval:  30 * time.Minute,
+			MeasureFrom:     from,
+			PowerModel:      dc.DefaultPowerModel(),
+		}, pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	whole, gated := run(0), run(churn.Horizon/2)
+	if whole.MeanActiveServers == gated.MeanActiveServers ||
+		whole.VMOverloadTimeFrac == gated.VMOverloadTimeFrac ||
+		whole.GrantedFracInOverload == gated.GrantedFracInOverload {
+		t.Fatalf("the gate moved too little to test: mean active %v/%v, VM overload %v/%v, granted %v/%v",
+			whole.MeanActiveServers, gated.MeanActiveServers, whole.VMOverloadTimeFrac, gated.VMOverloadTimeFrac,
+			whole.GrantedFracInOverload, gated.GrantedFracInOverload)
+	}
+	gated.MeanActiveServers = whole.MeanActiveServers
+	gated.VMOverloadTimeFrac = whole.VMOverloadTimeFrac
+	gated.RAMOverloadTimeFrac = whole.RAMOverloadTimeFrac
+	gated.GrantedFracInOverload = whole.GrantedFracInOverload
+	if err := cluster.SameResult(whole, gated); err != nil {
+		t.Fatalf("the warm-up gate moved more than the windowed aggregates: %v", err)
 	}
 }
 

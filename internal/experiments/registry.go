@@ -262,9 +262,10 @@ func init() {
 		if req.scale() < 1 {
 			// Quick runs: one small fleet, short coarse slots, a tight
 			// tolerance — enough to exercise the ramp end to end and
-			// still cross the knee within the ladder.
+			// still cross the knee within the ladder. The slot length is
+			// set before the overlay, so a -horizon override wins.
 			opts.FleetSizes = []int{20}
-			opts.Slot = time.Hour
+			opts.Horizon = time.Hour
 			opts.MaxSlots = 6
 			opts.StartPerServerHour = 16
 			opts.StepPerServerHour = 8

@@ -421,11 +421,11 @@ func (c GenConfig) Validate() error {
 	return nil
 }
 
-// DailyFactor returns the multiplicative daily modulation at time t,
-// 1 + A·cos(2π(h-peak)/24). The trace generators and the load harness all
-// call it, so "daily-modulated" means the same curve everywhere a rate or
-// demand is modulated.
-func DailyFactor(t time.Duration, amplitude, peakHour float64) float64 {
+// dailyFactor returns the multiplicative daily modulation at time t,
+// 1 + A·cos(2π(h-peak)/24). Generate's demand and GenerateChurn's arrival
+// rate both call it, so "daily-modulated" means the same curve everywhere
+// a rate or demand is modulated.
+func dailyFactor(t time.Duration, amplitude, peakHour float64) float64 {
 	hours := t.Hours()
 	phase := 2 * math.Pi * (hours - peakHour) / 24
 	return 1 + amplitude*math.Cos(phase)
@@ -458,7 +458,7 @@ func Generate(cfg GenConfig, seed uint64) (*Set, error) {
 	master := rng.New(seed)
 	daily := make([]float64, int(cfg.Horizon/cfg.Epoch))
 	for k := range daily {
-		daily[k] = DailyFactor(time.Duration(k)*cfg.Epoch, cfg.DailyAmplitude, cfg.PeakHour)
+		daily[k] = dailyFactor(time.Duration(k)*cfg.Epoch, cfg.DailyAmplitude, cfg.PeakHour)
 	}
 	mu := math.Log(cfg.AvgMedianMHz)
 	vms := Synthesize(cfg.NumVMs, len(daily), func(i int, demand []float64) *VM {
@@ -645,7 +645,7 @@ func GenerateChurn(cfg ChurnConfig, seed uint64) (*Set, error) {
 			if t >= cfg.Horizon {
 				break
 			}
-			rate := cfg.ArrivalPerHour * DailyFactor(t, cfg.DailyAmplitude, cfg.PeakHour)
+			rate := cfg.ArrivalPerHour * dailyFactor(t, cfg.DailyAmplitude, cfg.PeakHour)
 			if arrSrc.Float64() < rate/maxRate {
 				set.VMs = append(set.VMs, newVM(t))
 			}

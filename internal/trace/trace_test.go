@@ -795,6 +795,53 @@ func TestGenerateChurnArrivalRate(t *testing.T) {
 	}
 }
 
+// analyticArrivals integrates base*(1 + A*cos(2*pi*(h-peak)/24)) over
+// [a, b] hours: the expected arrival count of the modulated process.
+func analyticArrivals(base, amp, peak, a, b float64) float64 {
+	primitive := func(h float64) float64 {
+		return h + amp*(24/(2*math.Pi))*math.Sin(2*math.Pi*(h-peak)/24)
+	}
+	return base * (primitive(b) - primitive(a))
+}
+
+// TestThinningMatchesRateIntegral checks GenerateChurn's non-homogeneous
+// Poisson thinning against the analytic rate integral, both over the full
+// day (where the cosine integrates away) and over windows where it does
+// not: the empirical counts must sit within 4 sigma of the integrals.
+func TestThinningMatchesRateIntegral(t *testing.T) {
+	cfg := DefaultChurnConfig()
+	cfg.Horizon = 24 * time.Hour
+	cfg.InitialVMs = 0
+	cfg.ArrivalPerHour = 2000
+	cfg.DailyAmplitude = 0.45
+	cfg.PeakHour = 14
+	set, err := GenerateChurn(cfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(a, b float64) float64 {
+		n := 0
+		for _, vm := range set.VMs {
+			if h := vm.Start.Hours(); h >= a && h < b {
+				n++
+			}
+		}
+		return float64(n)
+	}
+	check := func(name string, a, b float64) {
+		want := analyticArrivals(cfg.ArrivalPerHour, cfg.DailyAmplitude, cfg.PeakHour, a, b)
+		got := count(a, b)
+		// Poisson sd = sqrt(want); allow 4 sigma.
+		if tol := 4 * math.Sqrt(want); math.Abs(got-want) > tol {
+			t.Errorf("%s [%gh,%gh): %.0f arrivals, want %.0f +/- %.0f", name, a, b, got, want, tol)
+		}
+	}
+	check("full day", 0, 24)
+	check("peak quarter", 11, 17)
+	check("trough hour", 23, 24)
+	check("morning ramp", 5, 11)
+}
+
 func TestRates(t *testing.T) {
 	// Hand-built set: 2 VMs at t=0 living 30m; 1 arrival at t=90m living to end.
 	set := &Set{
