@@ -249,7 +249,11 @@ func observeDCEvent(r *obs.Recorder, now time.Duration, e dc.Event) {
 
 // Run executes the workload against the policy and collects metrics.
 // Options are applied to cfg (overriding its fields) before validation; see
-// Option for the attachment knobs available.
+// Option for the attachment knobs available. Every call validates cfg, the
+// checkpoint it resumes from, if any, and the workload through
+// trace.Set.Validate: a Set from one of trace's constructors was checked
+// where it was built and passes at once, while a Set built by hand is
+// scanned VM by VM on every call.
 func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	for _, opt := range opts {
 		opt(&cfg)

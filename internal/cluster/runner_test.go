@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"sort"
@@ -327,13 +328,22 @@ func TestRunSpreadRoundRobinTelemetryClean(t *testing.T) {
 	}
 }
 
-// A malformed workload (multi-sample VM with a zero epoch) must be rejected
-// up front instead of dividing by zero mid-run.
+// A malformed workload (a multi-sample VM with a zero epoch, a NaN sample)
+// must be rejected up front instead of dividing by zero or placing a NaN
+// mid-run, and on every call, not only the first: nothing marks a
+// hand-built Set checked, so each run that is handed it scans it.
 func TestRunRejectsInvalidWorkload(t *testing.T) {
-	bad := &trace.VM{ID: 0, End: time.Hour, Epoch: 0, Demand: []float64{100, 200}}
-	ws := &trace.Set{RefCapacityMHz: 8000, VMs: []*trace.VM{bad}}
-	if _, err := cluster.Run(baseConfig(ws), &stuffer{}); err == nil {
-		t.Fatal("invalid workload accepted")
+	for _, bad := range []*trace.VM{
+		{ID: 0, End: time.Hour, Epoch: 0, Demand: []float64{100, 200}},
+		{ID: 3, End: time.Hour, Epoch: time.Minute, Demand: []float64{100, math.NaN()}},
+	} {
+		ws := &trace.Set{RefCapacityMHz: 8000, VMs: []*trace.VM{bad}}
+		want := fmt.Sprintf("VM %d", bad.ID)
+		for call := 1; call <= 3; call++ {
+			if _, err := cluster.Run(baseConfig(ws), &stuffer{}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%s, call %d: error %v", want, call, err)
+			}
+		}
 	}
 }
 

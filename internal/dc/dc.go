@@ -164,20 +164,22 @@ const firstVMCap = 16
 
 // insert places vm into the sorted slice. A VM whose ID is above every
 // hosted ID — each placement of a workload numbered in arrival order — is
-// appended without a search.
+// appended without a search and folded into the demand block
+// (foldAppended); any other insert empties the block.
 func (s *Server) insert(vm *trace.VM) {
 	if cap(s.vms) == 0 {
 		s.vms = make([]*trace.VM, 0, firstVMCap)
 	}
+	s.d.hot.usedRAMMB[s.ID] += vm.RAMMB
 	if n := len(s.vms); n == 0 || s.vms[n-1].ID < vm.ID {
 		s.vms = append(s.vms, vm)
-	} else {
-		i := sort.Search(n, func(i int) bool { return s.vms[i].ID >= vm.ID })
-		s.vms = append(s.vms, nil)
-		copy(s.vms[i+1:], s.vms[i:])
-		s.vms[i] = vm
+		s.foldAppended(vm)
+		return
 	}
-	s.d.hot.usedRAMMB[s.ID] += vm.RAMMB
+	i := sort.Search(len(s.vms), func(i int) bool { return s.vms[i].ID >= vm.ID })
+	s.vms = append(s.vms, nil)
+	copy(s.vms[i+1:], s.vms[i:])
+	s.vms[i] = vm
 	s.invalidate()
 }
 

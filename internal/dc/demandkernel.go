@@ -17,10 +17,17 @@ import (
 // fast path with zero behavioural drift, and it dictates the design:
 //
 //   - The cache is filled lazily by the exact summation the naive path runs,
-//     in the same (ID-sorted) order. Mutations do NOT fold a VM's demand in
-//     or out of the cached sum incrementally — floating-point addition is not
-//     associative, so that would change the bits. Place/Remove/Migrate just
-//     invalidate (O(1)) and the next DemandAt refills.
+//     in the same (ID-sorted) order. In general mutations do NOT fold a VM's
+//     demand in or out of the cached sum incrementally — floating-point
+//     addition is not associative, so that would change the bits.
+//     Place/Remove/Migrate drop the aggregate (O(1)) and the next DemandAt
+//     refills. One fold is exact:
+//     a VM appended last, its ID above every hosted ID (every placement of
+//     a workload fed in ID order, such as a t = 0 arrival burst). A fresh
+//     ID-order sum over the grown set ends by adding that VM's sample, so
+//     adding its samples to the block's entries gives each entry exactly
+//     the fresh bits (foldAppended). A mid-list insert, a removal and the
+//     source end of a migration empty the block.
 //   - The filled value is keyed by a validity window [from, until): the
 //     intersection of the hosted VMs' constant-demand windows (their current
 //     trace epochs, clamped by lifetime). Any lookup inside the window is a
@@ -31,8 +38,9 @@ import (
 //     next blockEpochs epochs into the server's block at about the memory
 //     cost of one, each entry the same fresh ID-order sum; the refills of
 //     the following epochs install their entry and read no VM. Off the grid a
-//     refill falls back to trace.SumDemandAt. A mutation empties the block
-//     along with the aggregate.
+//     refill falls back to trace.SumDemandAt. Every mutation drops the
+//     aggregate and counts one invalidation; every mutation but an append
+//     also empties the block.
 //
 // Layout: the aggregate (sum + validity window), the counters and the block
 // live in the DataCenter's flat hot-state arrays (hot.go), indexed by server
@@ -73,12 +81,50 @@ func (b *demandBlock) entry(t time.Duration) (int, bool) {
 
 // invalidate drops the cached aggregate and empties the block.
 func (s *Server) invalidate() {
+	s.d.hot.kBlock[s.ID].n = 0
+	s.dropAggregate()
+}
+
+// dropAggregate drops the cached aggregate, counting the invalidation when
+// it was valid.
+func (s *Server) dropAggregate() {
 	h := &s.d.hot
-	h.kBlock[s.ID].n = 0
 	if h.kValid[s.ID] {
 		h.kValid[s.ID] = false
 		h.kInval[s.ID]++
 	}
+}
+
+// foldAppended updates the cache for vm, just appended above every hosted
+// ID. It drops the aggregate as invalidate does, so every counter moves as
+// before, but adds vm's samples k … k+n−1 into the block, which leaves each
+// entry with the bits trace.SumEpochs gives the grown set. The block is
+// kept under SumEpochs's own rule for vm: the hosted VMs' Start and Epoch,
+// alive and short of its last sample through the block's first epoch k,
+// and n trimmed to the epoch in which vm ends or reaches its last sample.
+// Otherwise it is emptied.
+func (s *Server) foldAppended(vm *trace.VM) {
+	s.dropAggregate()
+	b := &s.d.hot.kBlock[s.ID]
+	if b.n == 0 {
+		return
+	}
+	// Only appends keep a filled block, so s.vms[0] is the VM whose Start
+	// the block's grid was taken from.
+	start := s.vms[0].Start
+	k := int((b.from - start) / b.epoch)
+	if vm.Start != start || vm.Epoch != b.epoch || vm.End < b.from+b.epoch || len(vm.Demand) <= k+1 {
+		b.n = 0
+		return
+	}
+	n := min(b.n, len(vm.Demand)-1-k)
+	if vm.End < b.from+time.Duration(n)*b.epoch {
+		n = int((vm.End - b.from) / b.epoch)
+	}
+	for j, d := range vm.Demand[k : k+n] {
+		b.sums[j] += d
+	}
+	b.n = n
 }
 
 // recomputeDemandAt is the naive path: a fresh sum of per-VM trace lookups

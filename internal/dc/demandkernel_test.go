@@ -1,6 +1,7 @@
 package dc
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -182,6 +183,214 @@ func TestDemandKernelDifferentialFuzz(t *testing.T) {
 	}
 }
 
+// An appended placement — the VM's ID above every hosted ID — on a server
+// whose block covers the read time keeps the block, and every entry holds
+// the bits trace.SumEpochs gives the grown set from the block's first
+// epoch. The aggregate is still dropped and counted, so the next read
+// misses, as it did before the fold.
+func TestAppendedPlacementFoldsIntoBlock(t *testing.T) {
+	gen := trace.DefaultGenConfig()
+	gen.NumVMs, gen.Horizon = 60, 24*time.Hour
+	ws, err := trace.Generate(gen, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := New(UniformFleet(1, 8, 2000))
+	s := d.Servers[0]
+	if err := d.Activate(s, 0); err != nil {
+		t.Fatal(err)
+	}
+	folds := 0
+	for i, vm := range ws.VMs {
+		// Reads advance one epoch every seven placements, so later
+		// placements land inside a block filled epochs before.
+		at := time.Duration(i/7)*gen.Epoch + gen.Epoch/3
+		_, covered := d.hot.kBlock[s.ID].entry(at)
+		inval := d.DemandCacheStats().Invalidations
+		if err := d.Place(vm, s); err != nil {
+			t.Fatal(err)
+		}
+		if i > 0 && d.DemandCacheStats().Invalidations != inval+1 {
+			t.Fatalf("appending VM %d dropped no valid aggregate", vm.ID)
+		}
+		b := d.hot.kBlock[s.ID]
+		if covered {
+			if b.n == 0 {
+				t.Fatalf("appending VM %d emptied a block that covered %v", vm.ID, at)
+			}
+			var want [blockEpochs]float64
+			n, from, epoch := trace.SumEpochs(s.vms, b.from, want[:])
+			if n != b.n || from != b.from || epoch != b.epoch {
+				t.Fatalf("VM %d: block (n %d, from %v, epoch %v), SumEpochs over the grown set (n %d, from %v, epoch %v)", vm.ID, b.n, b.from, b.epoch, n, from, epoch)
+			}
+			for j := 0; j < n; j++ {
+				if math.Float64bits(b.sums[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("VM %d: entry %d = %v, SumEpochs over the grown set %v", vm.ID, j, b.sums[j], want[j])
+				}
+			}
+			folds++
+		}
+		misses := d.DemandCacheStats().Misses
+		if got, want := s.DemandAt(at), s.recomputeDemandAt(at); got != want {
+			t.Fatalf("VM %d: DemandAt(%v) = %v, recomputation %v", vm.ID, at, got, want)
+		}
+		if d.DemandCacheStats().Misses != misses+1 {
+			t.Fatalf("VM %d: the read after an append did not miss", vm.ID)
+		}
+	}
+	if folds < len(ws.VMs)/2 {
+		t.Fatalf("only %d of %d placements folded into a block", folds, len(ws.VMs))
+	}
+}
+
+// TestDemandKernelFoldFuzz drives random appends — on the shared grid and
+// off it (another Start or Epoch, an End inside the block, too few
+// samples) — mid-list inserts, removals and migrations over a small fleet,
+// reading every server at advancing times. Every read must equal the
+// kernel-off recomputation bit for bit, and each mutation must count
+// exactly one invalidation on each server it changes whose aggregate was
+// valid, and none on any other server.
+func TestDemandKernelFoldFuzz(t *testing.T) {
+	const epoch = 5 * time.Minute
+	folds, emptied := 0, 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		src := rng.New(seed)
+		d := New(UniformFleet(4, 8, 2000))
+		for _, s := range d.Servers {
+			if err := d.Activate(s, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := time.Duration(0)
+		used := map[int]bool{}
+		var placed []*trace.VM
+		// Appended IDs rise by 10, so a mid-list insert finds a free ID in
+		// the gap below a hosted VM.
+		nextID := 10
+		newVM := func(id int) *trace.VM {
+			vm := &trace.VM{ID: id, End: 30 * time.Hour, Epoch: epoch, Demand: make([]float64, 360)}
+			for k := range vm.Demand {
+				vm.Demand[k] = src.Float64() * 300
+			}
+			k := int(now / epoch)
+			switch src.Intn(24) {
+			case 0: // another Start
+				vm.Start = time.Duration(1 + src.Intn(int(epoch)))
+			case 1: // another Epoch
+				vm.Epoch = 2 * epoch
+			case 2: // an End before or inside the next blockEpochs epochs
+				vm.End = time.Duration(1 + src.Intn(int(now+blockEpochs*epoch)))
+			case 3: // its last sample inside (or before) them
+				vm.Demand = vm.Demand[:1+src.Intn(k+blockEpochs+1)]
+			}
+			used[id] = true
+			return vm
+		}
+		host := func(vm *trace.VM) *Server { s, _ := d.HostOf(vm.ID); return s }
+
+		for step := 0; step < 300; step++ {
+			if src.Bernoulli(0.2) {
+				now += time.Duration(src.Intn(int(2 * epoch)))
+			}
+			valid := make([]bool, len(d.Servers))
+			inval := make([]uint64, len(d.Servers))
+			blockN := make([]int, len(d.Servers))
+			for i := range d.Servers {
+				valid[i], inval[i], blockN[i] = d.hot.kValid[i], d.hot.kInval[i], d.hot.kBlock[i].n
+			}
+			var changed []*Server
+			appended := false
+			op := src.Intn(10)
+			if len(placed) >= 16 {
+				op = 7 // a removal keeps servers small, so a block is often filled
+			}
+			switch {
+			case op < 5: // append: an ID above every hosted one
+				vm := newVM(nextID)
+				nextID += 10
+				s := d.Servers[src.Intn(len(d.Servers))]
+				if err := d.Place(vm, s); err != nil {
+					t.Fatal(err)
+				}
+				placed = append(placed, vm)
+				changed, appended = []*Server{s}, true
+			case op < 7: // mid-list insert below a hosted VM
+				if len(placed) == 0 {
+					continue
+				}
+				above := placed[src.Intn(len(placed))]
+				id := above.ID - 1 - src.Intn(9)
+				if id < 0 || used[id] {
+					continue
+				}
+				vm := newVM(id)
+				s := host(above)
+				if err := d.Place(vm, s); err != nil {
+					t.Fatal(err)
+				}
+				placed = append(placed, vm)
+				changed = []*Server{s}
+			case op < 8: // removal
+				if len(placed) == 0 {
+					continue
+				}
+				i := src.Intn(len(placed))
+				s, err := d.Remove(placed[i].ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				placed = append(placed[:i], placed[i+1:]...)
+				changed = []*Server{s}
+			default: // migration, an append at the destination when its ID is the highest there
+				if len(placed) == 0 {
+					continue
+				}
+				vm := placed[src.Intn(len(placed))]
+				from, to := host(vm), d.Servers[src.Intn(len(d.Servers))]
+				if to == from {
+					continue
+				}
+				if err := d.Migrate(vm.ID, to); err != nil {
+					t.Fatal(err)
+				}
+				changed = []*Server{from, to}
+			}
+			for i := range d.Servers {
+				want := inval[i]
+				for _, s := range changed {
+					if s.ID == i && valid[i] {
+						want++
+					}
+				}
+				if d.hot.kInval[i] != want {
+					t.Fatalf("seed %d step %d: server %d counted %d invalidations, want %d", seed, step, i, d.hot.kInval[i]-inval[i], want-inval[i])
+				}
+			}
+			if s := changed[0]; appended && blockN[s.ID] > 0 {
+				if d.hot.kBlock[s.ID].n > 0 {
+					folds++
+				} else {
+					emptied++
+				}
+			}
+			for _, s := range d.Servers {
+				for _, at := range []time.Duration{now, now + time.Duration(src.Intn(3))*epoch} {
+					if got, want := s.DemandAt(at), s.recomputeDemandAt(at); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("seed %d step %d: server %d at %v: cached %v != recomputed %v", seed, step, s.ID, at, got, want)
+					}
+				}
+			}
+		}
+		if err := d.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+	}
+	t.Logf("appends onto a filled block: %d folded, %d emptied", folds, emptied)
+	if folds == 0 || emptied == 0 {
+		t.Fatalf("appends onto a filled block: %d folded, %d emptied; the fuzz needs both", folds, emptied)
+	}
+}
+
 // TestDemandKernelDisabled pins the toggle: with the cache off, lookups are
 // naive recomputations and the hit/miss counters stay frozen.
 func TestDemandKernelDisabled(t *testing.T) {
@@ -272,6 +481,50 @@ func BenchmarkRefill(b *testing.B) {
 // their end.
 func BenchmarkRefillWithMigrations(b *testing.B) {
 	benchmarkRefill(b, 4)
+}
+
+// BenchmarkArrivalBurst measures the demand kernel on the daily run's t = 0
+// burst: 3,000 generated VMs, all on one sampling grid, placed in ascending
+// ID order over a growing set of active StandardFleet(200) servers. Before
+// each placement every active server's DemandAt(0) is read, as an
+// invitation round reads them, and the VM goes to the first server it fits
+// under 90% of capacity, else to the next server woken. Each placement is
+// an append, so the read of its host that follows refills from the block.
+// One op is the whole burst on a fresh fleet.
+func BenchmarkArrivalBurst(b *testing.B) {
+	gen := trace.DefaultGenConfig()
+	gen.NumVMs = 3000
+	gen.Horizon = 24 * time.Hour
+	ws, err := trace.Generate(gen, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	specs := StandardFleet(200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d := New(specs)
+		woken := 0
+		for _, vm := range ws.VMs {
+			need := vm.DemandAt(0)
+			host := -1
+			for id := d.NextActive(0); id >= 0; id = d.NextActive(id + 1) {
+				s := d.Servers[id]
+				if u := s.DemandAt(0); host < 0 && u+need <= 0.9*s.CapacityMHz() {
+					host = id
+				}
+			}
+			if host < 0 {
+				if err := d.Activate(d.Servers[woken], 0); err != nil {
+					b.Fatal(err)
+				}
+				host, woken = woken, woken+1
+			}
+			if err := d.Place(vm, d.Servers[host]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 func benchmarkRefill(b *testing.B, movesPerEpoch int) {

@@ -139,7 +139,7 @@ func runFaultCell(opts FaultsOptions, fcfg faults.Config) (faultCell, error) {
 	// Graceful degradation is a claim about state, not just survival: the
 	// wreckage must still satisfy every structural (RunDay checks them) and
 	// runtime invariant.
-	if err := c.RunDay(ws.VMs, opts.Churn.Horizon); err != nil {
+	if err := c.RunDay(ws, opts.Churn.Horizon); err != nil {
 		return faultCell{}, fmt.Errorf("post-run invariants: %v", err)
 	}
 	inj.Finish()

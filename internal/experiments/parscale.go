@@ -81,10 +81,10 @@ type ParScalePoint struct {
 // storm (nobody accepts at fa(0) = 0) that cost minutes per cell at 50k+
 // servers while recording zero migrations. Outliving the horizon keeps the
 // band steady through every tick, which is the experiment's stated intent.
-func parScaleWorkload(specs []dc.Spec, perServer int, horizon, epoch time.Duration, seed uint64) *trace.Set {
+func parScaleWorkload(specs []dc.Spec, perServer int, horizon, epoch time.Duration, seed uint64) (*trace.Set, error) {
 	master := rng.New(seed)
 	epochs := int(horizon/epoch) + 1
-	vms := trace.Synthesize(len(specs)*perServer, epochs, func(j int, demand []float64) *trace.VM {
+	return trace.Synthesize(len(specs)*perServer, epochs, func(j int, demand []float64) *trace.VM {
 		src := master.SplitIndex("parscale-vm", j)
 		capMHz := specs[j%len(specs)].CapacityMHz()
 		for e := range demand {
@@ -99,7 +99,6 @@ func parScaleWorkload(specs []dc.Spec, perServer int, horizon, epoch time.Durati
 			Demand: demand,
 		}
 	})
-	return &trace.Set{VMs: vms}
 }
 
 // ParScaleCell builds one (servers, workers) cell of the sweep: the run
@@ -115,7 +114,10 @@ func ParScaleCell(opts ParScaleOptions, servers, workers int) (cluster.RunConfig
 		}
 	}
 	specs := dc.StandardFleet(servers)
-	ws := parScaleWorkload(specs, perServer, opts.Horizon, opts.Control, opts.Seed)
+	ws, err := parScaleWorkload(specs, perServer, opts.Horizon, opts.Control, opts.Seed)
+	if err != nil {
+		return cluster.RunConfig{}, nil, err
+	}
 	pol, err := ecocloud.New(opts.Eco, opts.Seed+1)
 	if err != nil {
 		return cluster.RunConfig{}, nil, err

@@ -55,7 +55,7 @@ func ProtocolDay(opts ProtocolDayOptions) (*Figure, error) {
 		return nil, err
 	}
 	defer c.Close()
-	if err := c.RunDay(ws.VMs, opts.Churn.Horizon); err != nil {
+	if err := c.RunDay(ws, opts.Churn.Horizon); err != nil {
 		return nil, fmt.Errorf("experiments: protocol day: %v", err)
 	}
 

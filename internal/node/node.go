@@ -20,7 +20,7 @@ type Node struct {
 	self    int
 	opts    Options
 	cluster *protocol.Cluster
-	vms     []*trace.VM
+	ws      *trace.Set
 	meter   *meter
 	// links are this process's links: on node 0, links[k-1] goes to node
 	// k; on a serving process, the one link goes to node 0.
@@ -56,7 +56,7 @@ func New(cfg *ClusterConfig, self int, opts Options) (*Node, error) {
 	if opts.ConnectTimeout <= 0 {
 		opts.ConnectTimeout = DefaultConnectTimeout
 	}
-	n := &Node{cfg: cfg, self: self, opts: opts, vms: ws.VMs}
+	n := &Node{cfg: cfg, self: self, opts: opts, ws: ws}
 	specs, bounds := dc.UniformFleet(cfg.Servers, cfg.Cores, cfg.CoreMHz), cfg.bounds()
 	observe := func(ev dc.Event) { n.meter.observe(ev, n.cluster.Engine().Now()) }
 	if self == 0 {
@@ -167,7 +167,7 @@ func (n *Node) Run(outDir string) (*experiments.Figure, error) {
 		return nil, err
 	}
 	if n.self == 0 {
-		if err := n.cluster.RunDay(n.vms, n.cfg.Horizon); err != nil {
+		if err := n.cluster.RunDay(n.ws, n.cfg.Horizon); err != nil {
 			return nil, err
 		}
 	} else {

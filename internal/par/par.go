@@ -241,15 +241,6 @@ func For(p *Pool, n int, fn func(i int)) {
 	})
 }
 
-// Map fills and returns a length-n slice with out[i] = fn(i), computed in
-// parallel across the pool. The slice order is item order, so a sequential
-// fold over the result reproduces the sequential loop bit-for-bit.
-func Map[T any](p *Pool, n int, fn func(i int) T) []T {
-	out := make([]T, n)
-	For(p, n, func(i int) { out[i] = fn(i) })
-	return out
-}
-
 // Items runs fn for each i in [0, n) as one task per item, bypassing the
 // static shard rule. It is for coarse-grained work — whole simulations,
 // sweep cells — where items dwarf scheduling cost and a 16-item shard floor

@@ -67,9 +67,10 @@ func TestRangeCoversEveryIndex(t *testing.T) {
 	}
 }
 
-// TestMapBitIdentical is the core contract: Map over per-item rng streams
-// plus a sequential fold gives bit-identical floats at every worker count.
-func TestMapBitIdentical(t *testing.T) {
+// TestForBitIdentical is the core contract: For over per-item rng streams,
+// each item writing its own slot, plus a sequential fold gives
+// bit-identical floats at every worker count.
+func TestForBitIdentical(t *testing.T) {
 	const n = 5000
 	compute := func(workers int) (float64, []float64) {
 		var p *Pool
@@ -78,9 +79,10 @@ func TestMapBitIdentical(t *testing.T) {
 			defer p.Close()
 		}
 		master := rng.New(42)
-		out := Map(p, n, func(i int) float64 {
+		out := make([]float64, n)
+		For(p, n, func(i int) {
 			src := master.SplitIndex("item", i)
-			return src.Float64()*1e-9 + src.NormFloat64()
+			out[i] = src.Float64()*1e-9 + src.NormFloat64()
 		})
 		sum := 0.0
 		for _, v := range out {

@@ -56,7 +56,7 @@ func TestProtocolMatchesClusterDriver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunDay(ws.VMs, churn.Horizon); err != nil {
+	if err := c.RunDay(ws, churn.Horizon); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +143,7 @@ func TestZeroLatencyProtocolMatchesClusterDriver(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := c.RunDay(ws.VMs, churn.Horizon); err != nil {
+				if err := c.RunDay(ws, churn.Horizon); err != nil {
 					t.Fatal(err)
 				}
 

@@ -933,13 +933,19 @@ func (c *Cluster) StartMigrationScan() {
 	})
 }
 
-// RunDay runs one churn day up to horizon: each VM arrives at its start
-// and, if it ends before the horizon, departs at its end; the migration scan
-// runs when EnableMigration is set. It then checks the data center's
-// invariants. This is the day the protocol experiments and ecod run; a
-// caller arms anything else it needs, such as a fault injector, first.
-func (c *Cluster) RunDay(vms []*trace.VM, horizon time.Duration) error {
-	for _, vm := range vms {
+// RunDay runs one churn day of ws up to horizon: each VM arrives at its
+// start and, if it ends before the horizon, departs at its end; the
+// migration scan runs when EnableMigration is set. It then checks the data
+// center's invariants. This is the day the protocol experiments and ecod
+// run; a caller arms anything else it needs, such as a fault injector,
+// first. It validates ws before it schedules anything (a Set checked where
+// it was built passes at once), so a malformed VM fails the day instead of
+// being invited and placed.
+func (c *Cluster) RunDay(ws *trace.Set, horizon time.Duration) error {
+	if err := ws.Validate(); err != nil {
+		return err
+	}
+	for _, vm := range ws.VMs {
 		c.eng.Schedule(vm.Start, "arrival", func(*sim.Engine) { c.PlaceVM(vm) })
 		if vm.End < horizon {
 			c.eng.Schedule(vm.End, "departure", func(*sim.Engine) {

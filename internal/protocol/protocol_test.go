@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -39,6 +40,34 @@ func TestConfigValidation(t *testing.T) {
 		mutate(&cfg)
 		if _, err := New(cfg, dc.UniformFleet(2, 6, 2000), 1); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+	}
+}
+
+// RunDay validates its workload before it schedules anything: a VM with a
+// NaN sample (which the acceptance test u + NaN/cap > ta would let in) and
+// one that ends before it starts each fail the day, naming the VM, with no
+// event run or queued.
+func TestRunDayRejectsInvalidWorkload(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		bad  *trace.VM
+	}{
+		{"NaN sample", &trace.VM{ID: 7, End: 4 * time.Hour, Epoch: time.Hour, Demand: []float64{300, math.NaN()}}},
+		{"end before start", &trace.VM{ID: 7, Start: 2 * time.Hour, End: time.Hour, Epoch: time.Hour, Demand: []float64{300}}},
+	} {
+		ws := &trace.Set{RefCapacityMHz: 2400, VMs: []*trace.VM{constVM(1, 500), c.bad}}
+		cl, err := New(DefaultConfig(), dc.UniformFleet(4, 6, 2000), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = cl.RunDay(ws, 6*time.Hour)
+		cl.Close()
+		if err == nil || !strings.Contains(err.Error(), "VM 7") {
+			t.Errorf("%s: RunDay error %v, want one naming VM 7", c.name, err)
+		}
+		if n, q := cl.Engine().Processed(), cl.Engine().Pending(); n != 0 || q != 0 {
+			t.Errorf("%s: %d events processed and %d queued before the workload was rejected", c.name, n, q)
 		}
 	}
 }

@@ -55,7 +55,7 @@ func TestDistributedDayMatchesOneProcess(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := one.RunDay(ws.VMs, churn.Horizon); err != nil {
+			if err := one.RunDay(ws, churn.Horizon); err != nil {
 				t.Fatal(err)
 			}
 
@@ -81,7 +81,7 @@ func TestDistributedDayMatchesOneProcess(t *testing.T) {
 			if err := node0.Distribute(bounds, ws.VMs, call, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := node0.RunDay(ws.VMs, churn.Horizon); err != nil {
+			if err := node0.RunDay(ws, churn.Horizon); err != nil {
 				t.Fatal(err)
 			}
 

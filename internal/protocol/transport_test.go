@@ -64,7 +64,7 @@ func runDay(t *testing.T, wrap bool, rec *obs.Recorder) (*Cluster, *countingTran
 		ct = &countingTransport{inner: c.net}
 		c.net = ct
 	}
-	if err := c.RunDay(ws.VMs, churn.Horizon); err != nil {
+	if err := c.RunDay(ws, churn.Horizon); err != nil {
 		t.Fatal(err)
 	}
 	return c, ct

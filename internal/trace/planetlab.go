@@ -89,11 +89,15 @@ func ReadPlanetLabDir(fsys fs.FS, dir string, refCapacityMHz float64) (*Set, err
 		}
 		vm, err := ReadPlanetLabFile(f, i, refCapacityMHz)
 		f.Close()
+		if err == nil {
+			err = vm.Validate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("trace: planetlab %s: %v", name, err)
 		}
 		set.VMs = append(set.VMs, vm)
 	}
+	set.checked = true
 	return set, nil
 }
 
@@ -149,13 +153,18 @@ func ConcatDays(days ...*Set) (*Set, error) {
 				}
 			}
 		}
-		out.VMs[i] = &VM{
+		vm := &VM{
 			ID:     i,
 			Start:  0,
 			End:    time.Duration(len(demand)) * epoch,
 			Epoch:  epoch,
 			Demand: demand,
 		}
+		if err := vm.Validate(); err != nil {
+			return nil, err
+		}
+		out.VMs[i] = vm
 	}
+	out.checked = true
 	return out, nil
 }

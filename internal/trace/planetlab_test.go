@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -95,6 +96,11 @@ func TestReadPlanetLabDirErrors(t *testing.T) {
 	}
 	if _, err := ReadPlanetLabDir(fsys, "bad", 2400); err == nil {
 		t.Error("corrupt file accepted")
+	}
+	// 0% of an infinite reference capacity is a NaN sample, which the
+	// reader's check of each VM rejects.
+	if _, err := ReadPlanetLabDir(fstest.MapFS{"day/vm": {Data: []byte("0\n")}}, "day", math.Inf(1)); err == nil || !strings.Contains(err.Error(), "bad demand sample") {
+		t.Errorf("infinite reference capacity: error %v", err)
 	}
 }
 
@@ -202,5 +208,10 @@ func TestConcatDaysErrors(t *testing.T) {
 	c := &Set{RefCapacityMHz: 2400, VMs: []*VM{{Epoch: time.Minute, End: time.Minute, Demand: []float64{1}}}}
 	if _, err := ConcatDays(a, c); err == nil {
 		t.Error("mismatched epoch accepted")
+	}
+	// A day built by hand is not checked; ConcatDays checks what it copies.
+	nan := &Set{RefCapacityMHz: 2400, VMs: []*VM{{Epoch: PlanetLabEpoch, End: PlanetLabEpoch, Demand: []float64{math.NaN()}}}}
+	if _, err := ConcatDays(a, nan); err == nil || !strings.Contains(err.Error(), "bad demand sample") {
+		t.Errorf("day with a NaN sample: error %v", err)
 	}
 }

@@ -256,17 +256,32 @@ func (v *VM) Peak() float64 {
 
 // Set is a collection of VM traces plus the reference capacity that
 // utilization percentages are measured against.
+//
+// A Set is read-only once built: simulation runs, the demand kernel and
+// concurrent runs of one workload share its VMs without copying them. The
+// constructors of this package (Synthesize, Generate, GenerateChurn,
+// ReadPlanetLabDir, ConcatDays, and Subset of a checked Set) validate every
+// VM where they build it and mark the Set checked before returning it, so
+// the mark is written before the Set is shared.
 type Set struct {
 	VMs []*VM
 	// RefCapacityMHz is the host capacity that per-VM utilization
 	// percentages (Figs. 4–5) are relative to.
 	RefCapacityMHz float64
+
+	// checked records that every VM was validated where the Set was built.
+	checked bool
 }
 
 // Validate reports the first invalid VM in the set, if any. Simulation
 // drivers call it up front so a malformed trace (e.g. a multi-sample VM with
-// a non-positive epoch) fails loudly instead of mid-run.
+// a non-positive epoch) fails loudly instead of mid-run. A Set from one of
+// this package's constructors was checked where it was built and returns
+// nil at once; a Set assembled by hand is scanned on every call.
 func (s *Set) Validate() error {
+	if s.checked {
+		return nil
+	}
 	for _, vm := range s.VMs {
 		if err := vm.Validate(); err != nil {
 			return err
@@ -296,13 +311,14 @@ func (s *Set) AliveAt(t time.Duration) int {
 
 // Subset returns a new Set containing n VMs chosen uniformly at random
 // (without replacement) from s, mirroring the paper's "1,500 VMs randomly
-// chosen among the 6,000". It panics if n exceeds the set size.
+// chosen among the 6,000". It panics if n exceeds the set size. The subset
+// of a checked Set is checked.
 func (s *Set) Subset(n int, src *rng.Source) *Set {
 	if n > len(s.VMs) {
 		panic(fmt.Sprintf("trace: subset of %d from %d VMs", n, len(s.VMs)))
 	}
 	perm := src.Perm(len(s.VMs))
-	out := &Set{RefCapacityMHz: s.RefCapacityMHz, VMs: make([]*VM, n)}
+	out := &Set{RefCapacityMHz: s.RefCapacityMHz, VMs: make([]*VM, n), checked: s.checked}
 	for i := 0; i < n; i++ {
 		out.VMs[i] = s.VMs[perm[i]]
 	}
@@ -431,21 +447,39 @@ func dailyFactor(t time.Duration, amplitude, peakHour float64) float64 {
 	return 1 + amplitude*math.Cos(phase)
 }
 
-// Synthesize builds n VMs of samples demand samples each over one shared
-// slab. VM i gets the window slab[i*samples:(i+1)*samples], capped at its
-// length so that an append on one VM reallocates instead of writing into the
-// next. vm(i, demand) fills the window and returns VM i. It runs for every i
-// on a pool of GOMAXPROCS workers, so it must draw only from VM i's own
-// stream (rng.Source.SplitIndex) and write only its window and its VM; the
-// set is then the same at every GOMAXPROCS.
-func Synthesize(n, samples int, vm func(i int, demand []float64) *VM) []*VM {
+// Synthesize builds a checked Set of n VMs of samples demand samples each
+// over one shared slab. VM i gets the window slab[i*samples:(i+1)*samples],
+// capped at its length so that an append on one VM reallocates instead of
+// writing into the next. vm(i, demand) fills the window and returns VM i,
+// which is validated on the same worker while its window is still in cache;
+// the error is that of the lowest-index invalid VM. It runs for every i on a
+// pool of GOMAXPROCS workers, so vm must draw only from VM i's own stream
+// (rng.Source.SplitIndex) and write only its window and its VM; the set is
+// then the same at every GOMAXPROCS. The caller sets RefCapacityMHz.
+func Synthesize(n, samples int, vm func(i int, demand []float64) *VM) (*Set, error) {
 	slab := make([]float64, n*samples)
+	vms := make([]*VM, n)
+	// The shards run in index order, so the first shard's first error is the
+	// lowest-index one.
+	errs := make([]error, len(par.Shards(n)))
 	pool := par.New(runtime.GOMAXPROCS(0))
 	defer pool.Close()
-	return par.Map(pool, n, func(i int) *VM {
-		hi := (i + 1) * samples
-		return vm(i, slab[i*samples:hi:hi])
+	pool.Range(n, func(sp par.Span) {
+		for i := sp.Lo; i < sp.Hi; i++ {
+			hi := (i + 1) * samples
+			v := vm(i, slab[i*samples:hi:hi])
+			if err := v.Validate(); err != nil && errs[sp.Index] == nil {
+				errs[sp.Index] = err
+			}
+			vms[i] = v
+		}
 	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return &Set{VMs: vms, checked: true}, nil
 }
 
 // Generate synthesizes a trace set. Each VM's samples depend only on (seed,
@@ -461,7 +495,7 @@ func Generate(cfg GenConfig, seed uint64) (*Set, error) {
 		daily[k] = dailyFactor(time.Duration(k)*cfg.Epoch, cfg.DailyAmplitude, cfg.PeakHour)
 	}
 	mu := math.Log(cfg.AvgMedianMHz)
-	vms := Synthesize(cfg.NumVMs, len(daily), func(i int, demand []float64) *VM {
+	set, err := Synthesize(cfg.NumVMs, len(daily), func(i int, demand []float64) *VM {
 		src := master.SplitIndex("vm", i)
 		avg := src.LogNormal(mu, cfg.AvgSigma)
 		if cfg.HeavyFraction > 0 && src.Bernoulli(cfg.HeavyFraction) {
@@ -514,7 +548,11 @@ func Generate(cfg GenConfig, seed uint64) (*Set, error) {
 		}
 		return vm
 	})
-	return &Set{RefCapacityMHz: cfg.RefCapacityMHz, VMs: vms}, nil
+	if err != nil {
+		return nil, err
+	}
+	set.RefCapacityMHz = cfg.RefCapacityMHz
+	return set, nil
 }
 
 // ChurnConfig parameterizes an arrival/departure workload for the
@@ -606,6 +644,7 @@ func GenerateChurn(cfg ChurnConfig, seed uint64) (*Set, error) {
 
 	set := &Set{RefCapacityMHz: cfg.RefCapacityMHz}
 	id := 0
+	var bad error // the first invalid VM's
 	newVM := func(start time.Duration) *VM {
 		d := demandSrc.LogNormal(mu, cfg.DemandSigma)
 		if d > cfg.MaxDemandMHz {
@@ -627,6 +666,9 @@ func GenerateChurn(cfg ChurnConfig, seed uint64) (*Set, error) {
 		// once and run doomed all-pairs invitation rounds — the same
 		// pathology parScaleWorkload had to fix by outliving the horizon.
 		vm := &VM{ID: id, Start: start, End: start + life, Epoch: cfg.Horizon, Demand: []float64{d}}
+		if err := vm.Validate(); err != nil && bad == nil {
+			bad = err
+		}
 		id++
 		return vm
 	}
@@ -651,5 +693,9 @@ func GenerateChurn(cfg ChurnConfig, seed uint64) (*Set, error) {
 			}
 		}
 	}
+	if bad != nil {
+		return nil, bad
+	}
+	set.checked = true
 	return set, nil
 }

@@ -12,6 +12,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/fstest"
 	"testing/quick"
 	"time"
 
@@ -942,4 +943,99 @@ func BenchmarkTotalDemandAt(b *testing.B) {
 		sink += set.TotalDemandAt(time.Duration(i%12) * time.Hour)
 	}
 	_ = sink
+}
+
+// Synthesize validates each VM where it is built and reports the lowest-index
+// invalid VM at every GOMAXPROCS, whatever shard the workers finish first.
+func TestSynthesizeReportsLowestInvalidVM(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, bad := range [][]int{{37, 80}, {99}, {0, 1}, {}} {
+			set, err := Synthesize(100, 4, func(i int, demand []float64) *VM {
+				for k := range demand {
+					demand[k] = float64(i + k)
+				}
+				vm := &VM{ID: i, End: time.Hour, Epoch: time.Minute, Demand: demand}
+				for _, b := range bad {
+					if i == b {
+						demand[2] = math.NaN()
+					}
+				}
+				return vm
+			})
+			if len(bad) == 0 {
+				if err != nil || set == nil || !set.checked || len(set.VMs) != 100 {
+					t.Fatalf("GOMAXPROCS %d: valid VMs gave set %v, error %v", procs, set, err)
+				}
+				continue
+			}
+			want := fmt.Sprintf("trace: VM %d: bad demand sample 2", bad[0])
+			if err == nil || !strings.Contains(err.Error(), want) || set != nil {
+				t.Fatalf("GOMAXPROCS %d, invalid VMs %v: set %v, error %v, want %q", procs, bad, set, err, want)
+			}
+		}
+	}
+}
+
+// Every constructor checks its Set where it builds it and marks it, so
+// Validate returns at once; Subset keeps the mark of a checked Set, and a
+// Set built by hand is not marked and is scanned on every call.
+func TestConstructorsReturnCheckedSets(t *testing.T) {
+	gen, err := Generate(smallGenConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	churn, err := GenerateChurn(DefaultChurnConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys := fstest.MapFS{"day1/vm_a": {Data: []byte("30\n40\n")}, "day2/vm_a": {Data: []byte("50\n")}}
+	day1, err := ReadPlanetLabDir(fsys, "day1", 2400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	day2, err := ReadPlanetLabDir(fsys, "day2", 2400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	days, err := ConcatDays(day1, day2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hand := &Set{RefCapacityMHz: 2400, VMs: []*VM{
+		{ID: 0, End: time.Hour, Epoch: time.Minute, Demand: []float64{1, 2}},
+		{ID: 1, End: time.Hour, Epoch: time.Minute, Demand: []float64{3, 4}},
+	}}
+	for _, c := range []struct {
+		name    string
+		set     *Set
+		checked bool
+	}{
+		{"Generate", gen, true},
+		{"GenerateChurn", churn, true},
+		{"ReadPlanetLabDir", day1, true},
+		{"ConcatDays", days, true},
+		{"Subset of Generate", gen.Subset(10, rng.New(2)), true},
+		{"by hand", hand, false},
+		{"Subset of a Set by hand", hand.Subset(1, rng.New(2)), false},
+	} {
+		if c.set.checked != c.checked {
+			t.Errorf("%s: checked = %v, want %v", c.name, c.set.checked, c.checked)
+		}
+		if err := c.set.Validate(); err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+	}
+
+	// A hand-built Set is scanned on every call: Validate never marks it.
+	hand.VMs[1].Demand[1] = math.NaN()
+	for call := 1; call <= 3; call++ {
+		if err := hand.Validate(); err == nil || !strings.Contains(err.Error(), "VM 1") {
+			t.Fatalf("call %d: hand-built Set with a NaN sample: error %v", call, err)
+		}
+	}
+	if hand.checked {
+		t.Fatal("Validate marked a hand-built Set")
+	}
 }
