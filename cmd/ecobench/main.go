@@ -10,7 +10,9 @@
 //
 // -scale shrinks every experiment proportionally (0.1 = 40 servers / 600
 // VMs) for quick runs; -scale 1 is the paper's full size. -experiments runs
-// a named subset in registry order.
+// a named subset in registry order. With -experiments daily alone, the
+// daily run can also capture a checkpoint mid-run and resume from it
+// bit-identically, or replay a real CoMon/PlanetLab archive (daily.go).
 package main
 
 import (
@@ -27,57 +29,58 @@ import (
 )
 
 func main() {
-	eco := ecocloud.DefaultConfig()
-	rc := experiments.RunConfig{Seed: 1}
-	var obsFlags cli.ObsFlags
-	var (
-		outDir    = flag.String("out", "out", "directory for figure CSVs, run.json and journal.jsonl")
-		scale     = flag.Float64("scale", 1.0, "experiment scale factor (1.0 = paper size)")
-		exact     = flag.Bool("exact", false, "use the exact combinatorial A_s in the fluid model")
-		replicate = flag.Int("replicate", 0, "also run the daily experiment across this many seeds and report mean±sd")
-		only      = flag.String("experiments", "", "comma-separated experiment names to run (default: all; see -list)")
-		list      = flag.Bool("list", false, "list the registered experiments and exit")
-		markdown  = flag.String("markdown", "", "also assemble all figures into one Markdown report at this path")
-		htmlPath  = flag.String("html", "", "also assemble all figures into one self-contained HTML report (inline SVG charts)")
-		demandB   = flag.Bool("demand-bench", false, "run the demand-kernel scalability benchmark (400->4,000 servers) and write BENCH_demand_kernel.json, then exit")
-		parB      = flag.Bool("par-bench", false, "run the parallel-engine scalability benchmark (2,000->100,000 servers / 1M VMs, workers 0->8) and write BENCH_parallel_scale.json, then exit; requires GOMAXPROCS>=2")
-		parFloor  = flag.String("par-floor", "", "with -par-bench: fail if the pooled speedup at the largest fleet falls below the floor recorded in this JSON file")
-	)
-	fs := flag.CommandLine
-	fs.Uint64Var(&rc.Seed, "seed", rc.Seed, "master seed (non-zero)")
-	fs.DurationVar(&rc.Horizon, "horizon", rc.Horizon, "horizon override (0: each experiment's own default)")
-	fs.IntVar(&rc.Workers, "workers", rc.Workers, "control-round worker count (0 = sequential; any value is bit-identical)")
-	cli.BindEco(fs, &eco)
-	obsFlags.Bind(fs)
-	flag.Parse()
-
-	if *list {
-		for _, e := range experiments.All() {
-			fmt.Printf("%-14s %s\n", e.Name, e.Description)
-		}
-		return
-	}
-	if *demandB {
-		if err := runDemandBench(*outDir, rc.Seed); err != nil {
-			fmt.Fprintln(os.Stderr, "ecobench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *parB {
-		if err := runParBench(*outDir, rc.Seed, *parFloor); err != nil {
-			fmt.Fprintln(os.Stderr, "ecobench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(rc, eco, obsFlags, *outDir, *scale, *exact, *replicate, *only, *markdown, *htmlPath); err != nil {
+	if err := ecobench(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "ecobench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
+// ecobench parses the command line args and runs what it asks for: the
+// experiment list, one of the two scalability benches, or the experiments.
+func ecobench(args []string) error {
+	fs := flag.NewFlagSet("ecobench", flag.ExitOnError)
+	eco := ecocloud.DefaultConfig()
+	rc := experiments.RunConfig{Seed: 1}
+	var obsFlags cli.ObsFlags
+	var daily dailyFlags
+	var (
+		outDir    = fs.String("out", "out", "directory for figure CSVs, run.json and journal.jsonl")
+		scale     = fs.Float64("scale", 1.0, "experiment scale factor (1.0 = paper size)")
+		exact     = fs.Bool("exact", false, "use the exact combinatorial A_s in the fluid model")
+		replicate = fs.Int("replicate", 0, "also run the daily experiment across this many seeds and report mean±sd")
+		only      = fs.String("experiments", "", "comma-separated experiment names to run (default: all; see -list)")
+		list      = fs.Bool("list", false, "list the registered experiments and exit")
+		markdown  = fs.String("markdown", "", "also assemble all figures into one Markdown report at this path")
+		htmlPath  = fs.String("html", "", "also assemble all figures into one self-contained HTML report (inline SVG charts)")
+		demandB   = fs.Bool("demand-bench", false, "run the demand-kernel scalability benchmark (400->4,000 servers) and write BENCH_demand_kernel.json, then exit")
+		parB      = fs.Bool("par-bench", false, "run the parallel-engine scalability benchmark (2,000->100,000 servers / 1M VMs, workers 0->8) and write BENCH_parallel_scale.json, then exit; requires GOMAXPROCS>=2")
+		parFloor  = fs.String("par-floor", "", "with -par-bench: fail if the pooled speedup at the largest fleet falls below the floor recorded in this JSON file")
+	)
+	fs.Uint64Var(&rc.Seed, "seed", rc.Seed, "master seed (non-zero)")
+	fs.DurationVar(&rc.Horizon, "horizon", rc.Horizon, "horizon override (0: each experiment's own default)")
+	fs.IntVar(&rc.Workers, "workers", rc.Workers, "control-round worker count (0 = sequential; any value is bit-identical)")
+	cli.BindEco(fs, &eco)
+	obsFlags.Bind(fs)
+	daily.bind(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	switch {
+	case *list:
+		for _, e := range experiments.All() {
+			fmt.Printf("%-14s %s\n", e.Name, e.Description)
+		}
+		return nil
+	case *demandB:
+		return runDemandBench(*outDir, rc.Seed)
+	case *parB:
+		return runParBench(*outDir, rc.Seed, *parFloor)
+	}
+	return run(rc, eco, obsFlags, daily, *outDir, *scale, *exact, *replicate, *only, *markdown, *htmlPath)
+}
+
+func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags, daily dailyFlags,
 	outDir string, scale float64, exact bool, replicate int, only, markdown, htmlPath string) (err error) {
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("scale %v outside (0,1]", scale)
@@ -94,14 +97,24 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 	if err != nil {
 		return err
 	}
-	scope, err := obsFlags.Start("ecobench", map[string]any{
-		"run_config": rc, "eco": eco, "scale": scale, "exact": exact,
-	}, rc.Seed, outDir)
+	// The request doubles as the replication template, so -replicate reruns
+	// the daily run exactly as the registry ran it.
+	req := experiments.RunRequest{Config: rc, Eco: &eco, Scale: scale, Exact: exact}
+	config := map[string]any{"run_config": rc, "eco": eco, "scale": scale, "exact": exact}
+	if daily != (dailyFlags{}) {
+		e, err := daily.experiment(selected, replicate, req)
+		if err != nil {
+			return err
+		}
+		selected = []experiments.Experiment{e}
+		config["daily"] = daily
+	}
+	scope, err := obsFlags.Start("ecobench", config, rc.Seed, outDir)
 	if err != nil {
 		return err
 	}
 	defer func() { err = scope.Close(err) }()
-	rc.Obs = scope.Rec
+	req.Config.Obs = scope.Rec
 
 	var figures []*experiments.Figure
 	save := func(f *experiments.Figure) error {
@@ -117,9 +130,6 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 		return nil
 	}
 
-	// The request doubles as the replication template, so -replicate reruns
-	// the daily run exactly as the registry ran it.
-	req := experiments.RunRequest{Config: rc, Eco: &eco, Scale: scale, Exact: exact}
 	for _, e := range selected {
 		start := time.Now()
 		res, err := e.Run(req)
@@ -138,9 +148,7 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags,
 
 	// Seed replication (not in the paper; quantifies run-to-run noise).
 	if replicate > 1 {
-		ropts := experiments.DefaultDailyOptions()
-		ropts.RunConfig = req.Apply(ropts.RunConfig)
-		ropts.Eco = eco
+		ropts := experiments.DailyOptionsFor(req)
 		seeds := make([]uint64, replicate)
 		for i := range seeds {
 			seeds[i] = ropts.Seed + uint64(i)

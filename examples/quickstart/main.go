@@ -12,7 +12,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dc"
 	"repro/internal/ecocloud"
-	"repro/internal/energy"
 	"repro/internal/trace"
 )
 
@@ -58,12 +57,4 @@ func main() {
 		result.TotalActivations, result.TotalHibernations)
 	fmt.Printf("  VM-time in overload : %.5f%%\n", 100*result.VMOverloadTimeFrac)
 	fmt.Printf("  saturation events   : %d\n", result.Saturations)
-
-	// 5. What the consolidation is worth in money and carbon: compare with
-	//    the whole fleet idling for the same day, annualized.
-	rates := energy.DefaultRates()
-	measured := energy.Assess(result.EnergyKWh, rates)
-	allOn := energy.Assess(20*dc.DefaultPowerModel().PeakW*dc.DefaultPowerModel().IdleFraction*24/1000, rates)
-	saved := measured.SavingsVs(allOn).Annualize(24 * time.Hour)
-	fmt.Printf("\n  vs an always-on fleet, ecoCloud saves at least %s per year\n", saved)
 }

@@ -175,7 +175,7 @@ func writtenCheckpoint(f *testing.F) []byte {
 	return buf.Bytes()
 }
 
-// FuzzRead holds the reader ecosim -resume runs to its contract: for any
+// FuzzRead holds the reader ecobench -resume runs to its contract: for any
 // bytes, Read fails or returns a checkpoint whose encoding is stable after
 // one more Write/Read round, and whose DC section fails dc.Restore or
 // restores a data center that passes CheckInvariants. Nothing panics.

@@ -1,9 +1,7 @@
-// Package cli holds the flag plumbing the cmd/ binaries share, so ecosim and
-// ecobench (and the rest) bind the same names to the same config fields and
-// cannot drift: the RunConfig quartet (-servers, -vms, -horizon, -seed), the
-// ecoCloud policy parameters, and the telemetry flags (-progress, -profile)
-// together with the run scope that turns them into a recorder, a JSONL
-// journal, pprof profiles and a run manifest.
+// Package cli holds ecobench's flag plumbing for the ecoCloud policy
+// parameters and the telemetry flags (-progress, -profile), together with
+// the run scope that turns the latter into a recorder, a JSONL journal,
+// pprof profiles and a run manifest.
 package cli
 
 import (
@@ -12,19 +10,7 @@ import (
 	"time"
 
 	"repro/internal/ecocloud"
-	"repro/internal/experiments"
 )
-
-// BindRunConfig registers the four cross-experiment flags against rc. The
-// defaults shown in -help are whatever rc holds when Bind is called, so pass
-// the experiment's Default*Options().RunConfig.
-func BindRunConfig(fs *flag.FlagSet, rc *experiments.RunConfig) {
-	fs.IntVar(&rc.Servers, "servers", rc.Servers, "number of servers")
-	fs.IntVar(&rc.NumVMs, "vms", rc.NumVMs, "number of VMs in the workload")
-	fs.DurationVar(&rc.Horizon, "horizon", rc.Horizon, "simulated time")
-	fs.Uint64Var(&rc.Seed, "seed", rc.Seed, "master seed")
-	fs.IntVar(&rc.Workers, "workers", rc.Workers, "control-round worker count (0 = sequential; any value is bit-identical)")
-}
 
 // BindEco registers the ecoCloud policy parameters against cfg, defaulting
 // to the values cfg holds (normally ecocloud.DefaultConfig(), the paper's

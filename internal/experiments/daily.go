@@ -62,13 +62,31 @@ type DailyResult struct {
 	TaForBound float64
 }
 
-// Daily runs the two-day scenario under ecoCloud and returns the raw result;
-// call Figures to materialize Figs. 6–11.
+// DailyOptionsFor returns the daily run a request asks for: the paper's
+// defaults, scaled and overridden by req, under req's ecoCloud parameters.
+// The registry's daily entry and ecobench's -replicate and daily-only flags
+// all start from it.
+func DailyOptionsFor(req RunRequest) DailyOptions {
+	opts := DefaultDailyOptions()
+	opts.RunConfig = req.Apply(opts.RunConfig)
+	req.eco(&opts.Eco)
+	return opts
+}
+
+// Daily generates the synthetic two-day workload and runs the scenario on
+// it (DailyOn); call Figures to materialize Figs. 6–11.
 func Daily(opts DailyOptions) (*DailyResult, error) {
 	ws, err := trace.Generate(opts.genConfig(), opts.Seed)
 	if err != nil {
 		return nil, err
 	}
+	return DailyOn(opts, ws)
+}
+
+// DailyOn runs the two-day scenario under ecoCloud on a workload the caller
+// has built, such as a real PlanetLab archive, and returns the raw result.
+// opts.NumVMs and opts.Gen are not read: ws is the workload.
+func DailyOn(opts DailyOptions, ws *trace.Set) (*DailyResult, error) {
 	pol, err := ecocloud.New(opts.Eco, opts.Seed+1)
 	if err != nil {
 		return nil, err

@@ -152,10 +152,7 @@ func init() {
 		return []*Figure{f4, f5}, err
 	})
 	add("daily", "Figs. 6–11: the two-day trace-driven consolidation run", func(req RunRequest) ([]*Figure, error) {
-		opts := DefaultDailyOptions()
-		opts.RunConfig = req.Apply(opts.RunConfig)
-		req.eco(&opts.Eco)
-		res, err := Daily(opts)
+		res, err := Daily(DailyOptionsFor(req))
 		if err != nil {
 			return nil, err
 		}

@@ -200,7 +200,7 @@ func TestMatchScope(t *testing.T) {
 	}{
 		{"repro/internal/sim", []string{"repro/internal/..."}, true},
 		{"repro/internal", []string{"repro/internal/..."}, true},
-		{"repro/cmd/ecosim", []string{"repro/internal/..."}, false},
+		{"repro/cmd/ecobench", []string{"repro/internal/..."}, false},
 		{"fixture/wallclock", []string{"fixture/..."}, true},
 		{"anything", []string{"..."}, true},
 		{"repro/internal/sim", []string{"repro/internal/sim"}, true},

@@ -35,14 +35,6 @@ func NewRecorder(reg *Registry, j *Journal) *Recorder {
 // Enabled reports whether telemetry is on (the recorder is non-nil).
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// Registry exposes the underlying registry (nil when disabled).
-func (r *Recorder) Registry() *Registry {
-	if r == nil {
-		return nil
-	}
-	return r.reg
-}
-
 // Count adds d to the named counter.
 func (r *Recorder) Count(name string, d int64) {
 	if r == nil {
