@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-fixtures test bench bench-scale parscale figures figures-check faults forkedsweep knee ecod-smoke race cover clean
+.PHONY: all build vet lint lint-fixtures test bench bench-scale parscale figures figures-check faults knee ecod-smoke race cover clean
 
 all: build vet lint test
 
@@ -65,19 +65,13 @@ figures:
 # checked-in out/*.csv, out/REPORT.md and out/report.html against it.
 # set -e makes any differing file fail the target, not just the last one.
 figures-check:
-	$(GO) run ./cmd/ecobench -out out-figs -scale 1.0 -replicate 5 -markdown out-figs/REPORT.md -html out-figs/report.html
+	$(GO) run ./cmd/ecobench -out out-figs -scale 1.0 -markdown out-figs/REPORT.md -html out-figs/report.html
 	set -e; for f in out/*.csv out/REPORT.md out/report.html; do diff "$$f" "out-figs/$$(basename "$$f")"; done
 
 # Fault-injection sweep (crashes, wake failures, lossy fabric) at full scale:
 # the MTBF x MTTR grid behind out/faults.csv. See DESIGN.md "Failure semantics".
 faults:
 	$(GO) run ./cmd/ecobench -out out -experiments faults
-
-# Checkpoint-branched sensitivity sweep: one warm prefix, the Th/Tl grid and
-# replicate branches forked from it, with an identity-fork byte-identity
-# proof against a from-scratch run. See DESIGN.md "Checkpoint & branch".
-forkedsweep:
-	$(GO) run ./cmd/ecobench -out out -experiments forkedsweep
 
 # Overload-knee sweep at full scale: stepped churn-rate ramps with an
 # overload stop-rule, ecoCloud vs BFD, reproducing the checked-in

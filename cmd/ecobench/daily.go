@@ -37,18 +37,16 @@ func (d *dailyFlags) bind(fs *flag.FlagSet) {
 // experiment checks the flags against the rest of the command line and
 // returns the daily experiment they describe, to run in place of the
 // registry's entry on the same request. Every error comes before the run
-// starts: a flag without -experiments daily or with -replicate, a missing
-// pairing, and a -resume checkpoint captured under other settings, since a
-// resumed run is bit-identical only when it rebuilds the capturing run's
-// workload and fleet.
-func (d dailyFlags) experiment(selected []experiments.Experiment, replicate int, req experiments.RunRequest) (experiments.Experiment, error) {
+// starts: a flag without -experiments daily, a missing pairing, and a
+// -resume checkpoint captured under other settings, since a resumed run is
+// bit-identical only when it rebuilds the capturing run's workload and
+// fleet.
+func (d dailyFlags) experiment(selected []experiments.Experiment, req experiments.RunRequest) (experiments.Experiment, error) {
 	var none experiments.Experiment
 	const names = "-checkpoint-at, -checkpoint, -checkpoint-stop, -resume and -planetlab"
 	switch {
 	case len(selected) != 1 || selected[0].Name != "daily":
 		return none, errors.New(names + " need -experiments daily")
-	case replicate > 1:
-		return none, errors.New(names + " do not combine with -replicate")
 	case d.CheckpointAt != 0 && d.Checkpoint == "":
 		return none, errors.New("-checkpoint-at requires -checkpoint <file>")
 	case d.CheckpointAt == 0 && (d.Checkpoint != "" || d.CheckpointStop):
@@ -133,7 +131,11 @@ func (d dailyFlags) day(opts experiments.DailyOptions) (*experiments.DailyResult
 	if err != nil {
 		return nil, err
 	}
-	if end := ws.VMs[0].End; end < opts.Horizon {
+	var end time.Duration // the archive's length: a VM may end with a short file
+	for _, vm := range ws.VMs {
+		end = max(end, vm.End)
+	}
+	if end < opts.Horizon {
 		opts.Horizon = end
 		fmt.Printf("-- horizon capped to the archive length %v\n", end)
 	}

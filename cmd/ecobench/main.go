@@ -3,8 +3,9 @@
 // functions), Figs. 4–5 (workload characterization), Figs. 6–11 (two-day
 // trace-driven run), Figs. 12–13 (assignment-only simulation vs fluid
 // model), the §III sensitivity study, the §V extension, the wire-protocol
-// studies, the centralized-baseline comparison, and the knee sweep (max
-// sustainable churn rate vs fleet size). Each figure is written
+// studies, the centralized-baseline comparison, the knee sweep (max
+// sustainable churn rate vs fleet size) and the daily run's spread across
+// seeds. Each figure is written
 // as CSV into -out and summarized on stdout; a run manifest (run.json) and a
 // JSONL event journal land in the same directory.
 //
@@ -16,9 +17,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -44,17 +47,16 @@ func ecobench(args []string) error {
 	var obsFlags cli.ObsFlags
 	var daily dailyFlags
 	var (
-		outDir    = fs.String("out", "out", "directory for figure CSVs, run.json and journal.jsonl")
-		scale     = fs.Float64("scale", 1.0, "experiment scale factor (1.0 = paper size)")
-		exact     = fs.Bool("exact", false, "use the exact combinatorial A_s in the fluid model")
-		replicate = fs.Int("replicate", 0, "also run the daily experiment across this many seeds and report mean±sd")
-		only      = fs.String("experiments", "", "comma-separated experiment names to run (default: all; see -list)")
-		list      = fs.Bool("list", false, "list the registered experiments and exit")
-		markdown  = fs.String("markdown", "", "also assemble all figures into one Markdown report at this path")
-		htmlPath  = fs.String("html", "", "also assemble all figures into one self-contained HTML report (inline SVG charts)")
-		demandB   = fs.Bool("demand-bench", false, "run the demand-kernel scalability benchmark (400->4,000 servers) and write BENCH_demand_kernel.json, then exit")
-		parB      = fs.Bool("par-bench", false, "run the parallel-engine scalability benchmark (2,000->100,000 servers / 1M VMs, workers 0->8) and write BENCH_parallel_scale.json, then exit; requires GOMAXPROCS>=2")
-		parFloor  = fs.String("par-floor", "", "with -par-bench: fail if the pooled speedup at the largest fleet falls below the floor recorded in this JSON file")
+		outDir   = fs.String("out", "out", "directory for figure CSVs, run.json and journal.jsonl")
+		scale    = fs.Float64("scale", 1.0, "experiment scale factor (1.0 = paper size)")
+		exact    = fs.Bool("exact", false, "use the exact combinatorial A_s in the fluid model")
+		only     = fs.String("experiments", "", "comma-separated experiment names to run (default: all; see -list)")
+		list     = fs.Bool("list", false, "list the registered experiments and exit")
+		markdown = fs.String("markdown", "", "also assemble all figures into one Markdown report at this path")
+		htmlPath = fs.String("html", "", "also assemble all figures into one self-contained HTML report (inline SVG charts)")
+		demandB  = fs.Bool("demand-bench", false, "run the demand-kernel scalability benchmark (400->4,000 servers) and write BENCH_demand_kernel.json, then exit")
+		parB     = fs.Bool("par-bench", false, "run the parallel-engine scalability benchmark (2,000->100,000 servers / 1M VMs, workers 0->8) and write BENCH_parallel_scale.json, then exit; requires GOMAXPROCS>=2")
+		parFloor = fs.String("par-floor", "", "with -par-bench: fail if the pooled speedup at the largest fleet falls below the floor recorded in this JSON file")
 	)
 	fs.Uint64Var(&rc.Seed, "seed", rc.Seed, "master seed (non-zero)")
 	fs.DurationVar(&rc.Horizon, "horizon", rc.Horizon, "horizon override (0: each experiment's own default)")
@@ -63,6 +65,9 @@ func ecobench(args []string) error {
 	obsFlags.Bind(fs)
 	daily.bind(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkMode(fs); err != nil {
 		return err
 	}
 
@@ -77,11 +82,57 @@ func ecobench(args []string) error {
 	case *parB:
 		return runParBench(*outDir, rc.Seed, *parFloor)
 	}
-	return run(rc, eco, obsFlags, daily, *outDir, *scale, *exact, *replicate, *only, *markdown, *htmlPath)
+	return run(rc, eco, obsFlags, daily, *outDir, *scale, *exact, *only, *markdown, *htmlPath)
+}
+
+// modes are the command lines that run no experiment, each with the flags
+// it reads beside its own.
+var modes = []struct {
+	flag  string
+	takes []string
+}{
+	{"list", nil},
+	{"demand-bench", []string{"out", "seed"}},
+	{"par-bench", []string{"out", "seed", "par-floor"}},
+}
+
+// checkMode rejects a command line that sets a flag its mode would ignore:
+// two modes at once, a flag the chosen mode does not read, or -par-floor
+// without -par-bench.
+func checkMode(fs *flag.FlagSet) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	mode := -1
+	for i, m := range modes {
+		if fs.Lookup(m.flag).Value.String() != "true" {
+			continue
+		}
+		if mode >= 0 {
+			return fmt.Errorf("-%s and -%s do not combine", modes[mode].flag, m.flag)
+		}
+		mode = i
+	}
+	if mode < 0 {
+		if slices.Contains(set, "par-floor") {
+			return errors.New("-par-floor needs -par-bench")
+		}
+		return nil
+	}
+	m := modes[mode]
+	var ignored []string
+	for _, name := range set {
+		if name != m.flag && !slices.Contains(m.takes, name) {
+			ignored = append(ignored, "-"+name)
+		}
+	}
+	if len(ignored) > 0 {
+		return fmt.Errorf("-%s does not take %s", m.flag, strings.Join(ignored, ", "))
+	}
+	return nil
 }
 
 func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags, daily dailyFlags,
-	outDir string, scale float64, exact bool, replicate int, only, markdown, htmlPath string) (err error) {
+	outDir string, scale float64, exact bool, only, markdown, htmlPath string) (err error) {
 	if scale <= 0 || scale > 1 {
 		return fmt.Errorf("scale %v outside (0,1]", scale)
 	}
@@ -97,12 +148,10 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags, d
 	if err != nil {
 		return err
 	}
-	// The request doubles as the replication template, so -replicate reruns
-	// the daily run exactly as the registry ran it.
 	req := experiments.RunRequest{Config: rc, Eco: &eco, Scale: scale, Exact: exact}
 	config := map[string]any{"run_config": rc, "eco": eco, "scale": scale, "exact": exact}
 	if daily != (dailyFlags{}) {
-		e, err := daily.experiment(selected, replicate, req)
+		e, err := daily.experiment(selected, req)
 		if err != nil {
 			return err
 		}
@@ -143,22 +192,6 @@ func run(rc experiments.RunConfig, eco ecocloud.Config, obsFlags cli.ObsFlags, d
 			if err := save(f); err != nil {
 				return err
 			}
-		}
-	}
-
-	// Seed replication (not in the paper; quantifies run-to-run noise).
-	if replicate > 1 {
-		ropts := experiments.DailyOptionsFor(req)
-		seeds := make([]uint64, replicate)
-		for i := range seeds {
-			seeds[i] = ropts.Seed + uint64(i)
-		}
-		reps, err := experiments.ReplicateDaily(ropts, seeds)
-		if err != nil {
-			return err
-		}
-		if err := save(experiments.ReplicationFigure(reps)); err != nil {
-			return err
 		}
 	}
 

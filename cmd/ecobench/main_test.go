@@ -80,9 +80,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// A daily-only flag outside a lone daily run, a missing pairing, and a
-// checkpoint captured under another seed each fail before the run starts,
-// so no run.json is written.
+// A daily-only flag outside a lone daily run, a missing pairing, a
+// checkpoint captured under another seed, and a flag that -list,
+// -demand-bench or -par-bench would ignore each fail before anything runs,
+// so nothing is written.
 func TestDailyFlagsRejected(t *testing.T) {
 	dir := t.TempDir()
 	ck := filepath.Join(dir, "ck.json")
@@ -100,25 +101,36 @@ func TestDailyFlagsRejected(t *testing.T) {
 			{[]string{"-experiments", "knee"}, "need -experiments daily"},
 			{[]string{"-experiments", "daily,knee"}, "need -experiments daily"},
 			{nil, "need -experiments daily"},
-			{[]string{"-experiments", "daily", "-replicate", "3"}, "-replicate"},
 		} {
-			cases = append(cases, rejected{append(c.args, flag...), c.want})
+			cases = append(cases, rejected{append(append(c.args, "-scale", "0.025"), flag...), c.want})
 		}
 	}
+	floor := filepath.Join(dir, "floor.json") // never read
 	cases = append(cases,
-		rejected{[]string{"-experiments", "daily", "-checkpoint-at", "1h"}, "-checkpoint-at requires -checkpoint"},
-		rejected{[]string{"-experiments", "daily", "-checkpoint-stop"}, "require -checkpoint-at"},
-		rejected{[]string{"-experiments", "daily", "-checkpoint", ck}, "require -checkpoint-at"},
-		rejected{[]string{"-experiments", "daily", "-horizon", "2h", "-seed", "8", "-resume", ck}, "seed=7"},
+		rejected{[]string{"-experiments", "daily", "-scale", "0.025", "-checkpoint-at", "1h"}, "-checkpoint-at requires -checkpoint"},
+		rejected{[]string{"-experiments", "daily", "-scale", "0.025", "-checkpoint-stop"}, "require -checkpoint-at"},
+		rejected{[]string{"-experiments", "daily", "-scale", "0.025", "-checkpoint", ck}, "require -checkpoint-at"},
+		rejected{[]string{"-experiments", "daily", "-scale", "0.025", "-horizon", "2h", "-seed", "8", "-resume", ck}, "seed=7"},
+		rejected{[]string{"-list", "-resume", ck}, "-list does not take -out, -resume"},
+		rejected{[]string{"-list", "-experiments", "daily"}, "-list does not take -experiments, -out"},
+		rejected{[]string{"-demand-bench", "-scale", "0.025"}, "-demand-bench does not take -scale"},
+		rejected{[]string{"-demand-bench", "-par-floor", floor}, "-demand-bench does not take -par-floor"},
+		rejected{[]string{"-par-bench", "-workers", "2"}, "-par-bench does not take -workers"},
+		rejected{[]string{"-par-bench", "-seed", "3", "-resume", ck}, "-par-bench does not take -resume"},
+		rejected{[]string{"-par-floor", floor}, "-par-floor needs -par-bench"},
+		rejected{[]string{"-experiments", "daily", "-par-floor", floor}, "-par-floor needs -par-bench"},
+		rejected{[]string{"-list", "-demand-bench"}, "-list and -demand-bench do not combine"},
+		rejected{[]string{"-list", "-par-bench"}, "-list and -par-bench do not combine"},
+		rejected{[]string{"-demand-bench", "-par-bench"}, "-demand-bench and -par-bench do not combine"},
 	)
 	for i, c := range cases {
 		out := filepath.Join(dir, strconv.Itoa(i))
-		err := ecobench(append(c.args, "-scale", "0.025", "-out", out))
+		err := ecobench(append(c.args, "-out", out))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("ecobench %s: error %v, want one naming %q", strings.Join(c.args, " "), err, c.want)
 		}
-		if _, err := os.Stat(filepath.Join(out, "run.json")); !os.IsNotExist(err) {
-			t.Errorf("ecobench %s wrote a run.json", strings.Join(c.args, " "))
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("ecobench %s wrote to its -out directory", strings.Join(c.args, " "))
 		}
 	}
 }
@@ -177,17 +189,24 @@ func TestRunRecordsResumeError(t *testing.T) {
 
 // -planetlab chains one archive directory per day: two 24-h days run the
 // daily default's 48 h, one day caps the run at 24 h, and a directory that
-// cannot be read fails the run naming it.
+// cannot be read fails the run naming it. A VM whose last file is short
+// departs when it ends, and the horizon is still the archive's length when
+// that VM is VM 0.
 func TestPlanetLabDays(t *testing.T) {
 	dir := t.TempDir()
-	day := func(name string, base int) string {
+	// day writes 30 VM files of 24 h of 5-min samples, VM 0's first0 long.
+	day := func(name string, base, first0 int) string {
 		path := filepath.Join(dir, name)
 		if err := os.Mkdir(path, 0o755); err != nil {
 			t.Fatal(err)
 		}
 		for vm := 0; vm < 30; vm++ {
+			n := 288
+			if vm == 0 {
+				n = first0
+			}
 			var b strings.Builder
-			for i := 0; i < 288; i++ { // 24 h of 5-min samples
+			for i := 0; i < n; i++ {
 				fmt.Fprintln(&b, (base+7*vm+i/12)%60)
 			}
 			if err := os.WriteFile(filepath.Join(path, fmt.Sprintf("vm%02d", vm)), []byte(b.String()), 0o644); err != nil {
@@ -196,18 +215,27 @@ func TestPlanetLabDays(t *testing.T) {
 		}
 		return path
 	}
-	day1, day2 := day("day1", 5), day("day2", 20)
+	day1, day2, short := day("day1", 5, 288), day("day2", 20, 288), day("short", 20, 144)
 	lastHour := func(out string) string {
 		lines := strings.Split(strings.TrimSpace(string(readFile(t, filepath.Join(out, "fig8.csv")))), "\n")
 		return strings.Split(lines[len(lines)-1], ",")[0]
 	}
-	for _, c := range []struct {
+	for i, c := range []struct {
 		dirs, want string
-	}{{day1 + "," + day2, "48"}, {day1, "24"}} {
-		out := filepath.Join(dir, "out"+c.want)
+		removes    bool // VM 0 departs before the horizon
+	}{
+		{day1 + "," + day2, "48", false},
+		{day1, "24", false},
+		{day1 + "," + short, "48", true},
+		{short, "24", true},
+	} {
+		out := filepath.Join(dir, "out"+strconv.Itoa(i))
 		mustRun(t, "-experiments", "daily", "-scale", "0.025", "-planetlab", c.dirs, "-out", out)
 		if got := lastHour(out); got != c.want {
 			t.Errorf("-planetlab %s ran to %s h, want %s", c.dirs, got, c.want)
+		}
+		if got := bytes.Contains(readFile(t, filepath.Join(out, "journal.jsonl")), []byte(`"remove"`)); got != c.removes {
+			t.Errorf("-planetlab %s: journal has a remove line %v, want %v", c.dirs, got, c.removes)
 		}
 	}
 	missing := filepath.Join(dir, "day3")

@@ -12,18 +12,16 @@
 //
 // There is no coordinator: nodes agree they belong to the same run iff
 // their configs hash identically and carry the same seed, checked in the
-// transport handshake. -impair makes the virtual fabric lossy, dropping and
-// duplicating protocol messages in virtual time (netsim.Impairments
-// semantics); it participates in the config hash, so every node must be
-// started with the same -impair value.
+// transport handshake. The config's drop and dup keys make the virtual
+// fabric lossy, dropping and duplicating protocol messages in virtual time
+// (netsim.Impairments semantics); like every key they participate in the
+// config hash.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/node"
 )
@@ -33,7 +31,6 @@ func main() {
 		configPath = flag.String("config", "", "cluster config file (required; see internal/node.ParseConfig)")
 		self       = flag.Int("node", -1, "this process's node ID (required)")
 		outDir     = flag.String("out", "out", "directory for summary CSVs")
-		impair     = flag.String("impair", "", "make the virtual fabric lossy: drop[,dup] probabilities per message (e.g. 0.2 or 0.2,0.05)")
 		timeout    = flag.Duration("connect-timeout", node.DefaultConnectTimeout, "how long node 0 waits for each serving node to accept its link, and a serving node for node 0 to dial")
 	)
 	flag.Parse()
@@ -44,16 +41,6 @@ func main() {
 	cfg, err := node.LoadConfig(*configPath)
 	if err != nil {
 		fatal(err)
-	}
-	if *impair != "" {
-		// Applied before node.New hashes the config: processes started with
-		// different -impair values refuse each other in the handshake.
-		if err := applyImpair(cfg, *impair); err != nil {
-			fatal(err)
-		}
-		if err := cfg.Validate(); err != nil {
-			fatal(err)
-		}
 	}
 	n, err := node.New(cfg, *self, node.Options{ConnectTimeout: *timeout})
 	if err != nil {
@@ -69,22 +56,6 @@ func main() {
 			fatal(err)
 		}
 	}
-}
-
-// applyImpair parses "drop" or "drop,dup" into the config.
-func applyImpair(cfg *node.ClusterConfig, spec string) error {
-	drop, dup, ok := strings.Cut(spec, ",")
-	var err error
-	if cfg.Drop, err = strconv.ParseFloat(strings.TrimSpace(drop), 64); err != nil {
-		return fmt.Errorf("ecod: -impair %q: %v", spec, err)
-	}
-	cfg.Dup = 0
-	if ok {
-		if cfg.Dup, err = strconv.ParseFloat(strings.TrimSpace(dup), 64); err != nil {
-			return fmt.Errorf("ecod: -impair %q: %v", spec, err)
-		}
-	}
-	return nil
 }
 
 func fatal(err error) {

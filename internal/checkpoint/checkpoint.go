@@ -14,11 +14,6 @@
 // is a well-defined cut of the whole simulation. cluster.Run enforces that
 // by accepting only positive multiples of ControlInterval as the capture
 // time of cluster.WithCheckpointAt.
-//
-// Fork produces an independent branch: rng streams are re-labeled through
-// rng.State.Fork, so sibling branches with distinct labels diverge
-// deterministically while the empty label is the identity (the branch
-// replays the original run exactly).
 package checkpoint
 
 import (
@@ -48,7 +43,7 @@ type Checkpoint struct {
 	// DC is the data center's extended snapshot (see dc.Snapshot).
 	DC dc.Snapshot `json:"dc"`
 	// RNG holds every live stream's state keyed by the owner-assigned label
-	// (see StreamOwner). Fork re-labels exactly these.
+	// (see Checkpointable).
 	RNG map[string]rng.State `json:"rng,omitempty"`
 	// PolicyState is the policy's opaque non-rng state (see Checkpointable).
 	PolicyState json.RawMessage `json:"policy_state,omitempty"`
@@ -64,11 +59,12 @@ type Checkpoint struct {
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
-// RunnerState is cluster.Run's accounting at the capture instant: the
-// sampled series, the overload/energy accumulators, the episode tracker and
-// the policy-event recorder. Fields mirror the driver's internals; cluster
-// fills and consumes them.
-type RunnerState struct {
+// Accum is cluster.Run's in-flight accounting: VM ticks and the overloaded
+// ones among them, over the whole run and over the current sample window;
+// demand and capacity summed over overloaded ticks; active servers summed
+// over control ticks; and the switch counts at the last sample. The driver
+// keeps its sums in one Accum, so a checkpoint carries them as one value.
+type Accum struct {
 	VMTicks          float64 `json:"vm_ticks,omitempty"`
 	VMOverTicks      float64 `json:"vm_over_ticks,omitempty"`
 	VMRAMOverTicks   float64 `json:"vm_ram_over_ticks,omitempty"`
@@ -80,7 +76,14 @@ type RunnerState struct {
 	ControlTicks     float64 `json:"control_ticks,omitempty"`
 	LastActivations  int     `json:"last_activations,omitempty"`
 	LastHibernations int     `json:"last_hibernations,omitempty"`
-	EnergyKWh        float64 `json:"energy_kwh,omitempty"`
+}
+
+// RunnerState is cluster.Run's accounting at the capture instant: the
+// accumulators, the energy sum, the sampled series, the episode tracker and
+// the policy-event recorder. cluster fills and consumes it.
+type RunnerState struct {
+	Accum
+	EnergyKWh float64 `json:"energy_kwh,omitempty"`
 
 	ActiveServers *metrics.Series `json:"active_servers,omitempty"`
 	PowerW        *metrics.Series `json:"power_w,omitempty"`
@@ -105,20 +108,12 @@ type RoundCount struct {
 	N   int   `json:"n"`
 }
 
-// Checkpointable is implemented by cluster.Run policies whose private
-// non-rng state must survive a checkpoint, such as ecoCloud's invitation
-// group cursor. MarshalCheckpoint must return a self-contained JSON value;
-// UnmarshalCheckpoint must reinstate it on a freshly constructed instance
-// with the same configuration.
+// Checkpointable is implemented by cluster.Run policies that can be
+// checkpointed: their live rng streams and their private non-rng state, such
+// as ecoCloud's invitation group cursor, survive a checkpoint. Stream labels
+// must be stable across processes (derive them from IDs, not from creation
+// order) and globally unique within one checkpoint.
 type Checkpointable interface {
-	MarshalCheckpoint() (json.RawMessage, error)
-	UnmarshalCheckpoint(json.RawMessage) error
-}
-
-// StreamOwner is implemented by cluster.Run policies that own live rng
-// streams. The labels must be stable across processes (derive them from
-// IDs, not from creation order) and globally unique within one checkpoint.
-type StreamOwner interface {
 	// RegisterStreams adds every currently live stream to reg under its
 	// stable label.
 	RegisterStreams(reg *rng.Registry)
@@ -126,6 +121,12 @@ type StreamOwner interface {
 	// not exist yet (e.g. lazily derived per-server streams) and failing on
 	// labels it does not recognize.
 	AdoptStreams(states map[string]rng.State) error
+	// MarshalCheckpoint returns the non-rng state as a self-contained JSON
+	// value.
+	MarshalCheckpoint() (json.RawMessage, error)
+	// UnmarshalCheckpoint reinstates it on a freshly constructed instance
+	// with the same configuration.
+	UnmarshalCheckpoint(json.RawMessage) error
 }
 
 // New returns an empty checkpoint at the given virtual time.
@@ -142,26 +143,6 @@ func (c *Checkpoint) Validate() error {
 		return fmt.Errorf("checkpoint: capture time %d ns not positive", c.AtNS)
 	}
 	return nil
-}
-
-// Fork returns an independent deep copy whose rng streams are re-labeled
-// with label. The empty label is the identity: the fork replays the original
-// run bit for bit. Any other label re-seeds every stream deterministically
-// from its captured state and the label, so branches with distinct labels
-// diverge while remaining reproducible.
-func (c *Checkpoint) Fork(label string) (*Checkpoint, error) {
-	raw, err := json.Marshal(c)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: fork copy: %w", err)
-	}
-	out := &Checkpoint{}
-	if err := json.Unmarshal(raw, out); err != nil {
-		return nil, fmt.Errorf("checkpoint: fork copy: %w", err)
-	}
-	for name, st := range out.RNG {
-		out.RNG[name] = st.Fork(label)
-	}
-	return out, nil
 }
 
 // Write serializes the checkpoint as indented JSON. Go's encoder prints

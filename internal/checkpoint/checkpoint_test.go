@@ -3,10 +3,12 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/dc"
+	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/trace"
 )
@@ -80,54 +82,50 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestForkIdentity(t *testing.T) {
-	ck := sampleCheckpoint()
-	fork, err := ck.Fork("")
-	if err != nil {
-		t.Fatalf("fork: %v", err)
+// RunnerState's JSON keys and their order are part of the wire format: a
+// checkpoint written before the accumulators moved into Accum must encode,
+// and so read, exactly as before. The literals were taken from that build.
+func TestRunnerStateEncoding(t *testing.T) {
+	series := func(name string) *metrics.Series {
+		return &metrics.Series{Name: name, T: []time.Duration{time.Hour}, V: []float64{1.5}}
 	}
-	if fork.RNG["a"] != ck.RNG["a"] || fork.RNG["b"] != ck.RNG["b"] {
-		t.Fatal("empty-label fork must preserve rng states")
+	st := RunnerState{
+		Accum: Accum{
+			VMTicks: 1, VMOverTicks: 2, VMRAMOverTicks: 3, WinVMTicks: 4, WinVMOverTicks: 5,
+			OverDemandMHz: 6, OverCapacityMHz: 7, ActiveTickSum: 8, ControlTicks: 9,
+			LastActivations: 10, LastHibernations: 11,
+		},
+		EnergyKWh:     12.5,
+		ActiveServers: series("active"), PowerW: series("power"), OverallLoad: series("load"),
+		OverDemandPct: series("over"), Activations: series("act"), Hibernations: series("hib"),
+		SampleTimesNS: []int64{1800e9},
+		ServerUtil:    [][]float64{{0.25, 0.5}},
+		Episodes:      metrics.EpisodeTrackerState{Open: []metrics.OpenEpisode{{ID: 3, DurationNS: 60e9}}, DurationsNS: []int64{120e9}},
+		Migrations:    map[string]metrics.RateCounterState{"low": {}},
+		Rounds:        []RoundCount{{TNS: 300e9, N: 2}},
+		Saturations:   13,
 	}
-	// The fork is a deep copy: mutating it must not touch the original.
-	fork.Meta["seed"] = "tampered"
-	if ck.Meta["seed"] != "42" {
-		t.Fatal("fork shares Meta with the original")
-	}
-	st := fork.RNG["a"]
-	st.S[0] ^= 1
-	fork.RNG["a"] = st
-	if ck.RNG["a"].S[0] == st.S[0] {
-		t.Fatal("fork shares RNG map with the original")
-	}
-}
-
-func TestForkDeterministicDivergence(t *testing.T) {
-	ck := sampleCheckpoint()
-	f1, err := ck.Fork("rep/1")
-	if err != nil {
-		t.Fatalf("fork: %v", err)
-	}
-	f1again, err := ck.Fork("rep/1")
-	if err != nil {
-		t.Fatalf("fork: %v", err)
-	}
-	f2, err := ck.Fork("rep/2")
-	if err != nil {
-		t.Fatalf("fork: %v", err)
-	}
-	if f1.RNG["a"] != f1again.RNG["a"] {
-		t.Fatal("same label must fork deterministically")
-	}
-	if f1.RNG["a"] == f2.RNG["a"] {
-		t.Fatal("distinct labels must diverge")
-	}
-	if f1.RNG["a"] == ck.RNG["a"] {
-		t.Fatal("non-empty label must change the stream")
-	}
-	// Streams stay pairwise distinct inside one fork.
-	if f1.RNG["a"] == f1.RNG["b"] {
-		t.Fatal("fork collapsed distinct streams")
+	const want = `{"vm_ticks":1,"vm_over_ticks":2,"vm_ram_over_ticks":3,"win_vm_ticks":4,"win_vm_over_ticks":5,"over_demand_mhz":6,"over_capacity_mhz":7,"active_tick_sum":8,"control_ticks":9,"last_activations":10,"last_hibernations":11,"energy_kwh":12.5,` +
+		`"active_servers":{"Name":"active","T":[3600000000000],"V":[1.5]},"power_w":{"Name":"power","T":[3600000000000],"V":[1.5]},"overall_load":{"Name":"load","T":[3600000000000],"V":[1.5]},"overdemand_pct":{"Name":"over","T":[3600000000000],"V":[1.5]},"activations":{"Name":"act","T":[3600000000000],"V":[1.5]},"hibernations":{"Name":"hib","T":[3600000000000],"V":[1.5]},` +
+		`"sample_times_ns":[1800000000000],"server_util":[[0.25,0.5]],"episodes":{"open":[{"id":3,"duration_ns":60000000000}],"durations_ns":[120000000000]},"migrations":{"low":{}},"rounds":[{"t_ns":300000000000,"n":2}],"saturations":13}`
+	for _, c := range []struct {
+		st   RunnerState
+		want string
+	}{{st, want}, {RunnerState{}, `{"episodes":{}}`}} {
+		got, err := json.Marshal(c.st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != c.want {
+			t.Errorf("encoded runner state\n got %s\nwant %s", got, c.want)
+		}
+		var back RunnerState
+		if err := json.Unmarshal(got, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back, c.st) {
+			t.Errorf("decoded runner state %+v, want %+v", back, c.st)
+		}
 	}
 }
 

@@ -10,21 +10,6 @@ import (
 	"repro/internal/rng"
 )
 
-// runAccum is the driver's in-flight accounting: the overload integrals
-// shared between control and sample ticks, the energy left-Riemann sum's
-// companions, and the switch-rate window anchors. It exists as a named
-// struct (rather than loose locals in Run) so a checkpoint can carry it
-// across a stop/resume boundary.
-type runAccum struct {
-	vmTicks, vmOverTicks           float64 // whole run
-	vmRAMOverTicks                 float64
-	winVMTicks, winVMOverTicks     float64 // current sample window
-	overDemandMHz, overCapacityMHz float64 // during overloaded ticks
-	activeTickSum, controlTicks    float64
-	lastActivations                int
-	lastHibernation                int
-}
-
 func copySeries(s *metrics.Series) *metrics.Series {
 	return &metrics.Series{
 		Name: s.Name,
@@ -36,20 +21,10 @@ func copySeries(s *metrics.Series) *metrics.Series {
 // captureRunnerState deep-copies the driver's accounting into a serializable
 // RunnerState. Capture is pure reads: a run that checkpoints is bit-identical
 // to one that does not.
-func captureRunnerState(res *Result, rec *Recorder, acc *runAccum) *checkpoint.RunnerState {
+func captureRunnerState(res *Result, rec *Recorder, acc *checkpoint.Accum) *checkpoint.RunnerState {
 	st := &checkpoint.RunnerState{
-		VMTicks:          acc.vmTicks,
-		VMOverTicks:      acc.vmOverTicks,
-		VMRAMOverTicks:   acc.vmRAMOverTicks,
-		WinVMTicks:       acc.winVMTicks,
-		WinVMOverTicks:   acc.winVMOverTicks,
-		OverDemandMHz:    acc.overDemandMHz,
-		OverCapacityMHz:  acc.overCapacityMHz,
-		ActiveTickSum:    acc.activeTickSum,
-		ControlTicks:     acc.controlTicks,
-		LastActivations:  acc.lastActivations,
-		LastHibernations: acc.lastHibernation,
-		EnergyKWh:        res.EnergyKWh,
+		Accum:     *acc,
+		EnergyKWh: res.EnergyKWh,
 
 		ActiveServers: copySeries(res.ActiveServers),
 		PowerW:        copySeries(res.PowerW),
@@ -82,21 +57,11 @@ func captureRunnerState(res *Result, rec *Recorder, acc *runAccum) *checkpoint.R
 
 // restoreRunnerState reinstates a captured RunnerState into a fresh run's
 // result, recorder and accumulators.
-func restoreRunnerState(st *checkpoint.RunnerState, res *Result, rec *Recorder, acc *runAccum) error {
+func restoreRunnerState(st *checkpoint.RunnerState, res *Result, rec *Recorder, acc *checkpoint.Accum) error {
 	if st == nil {
 		return fmt.Errorf("cluster: checkpoint has no runner state")
 	}
-	acc.vmTicks = st.VMTicks
-	acc.vmOverTicks = st.VMOverTicks
-	acc.vmRAMOverTicks = st.VMRAMOverTicks
-	acc.winVMTicks = st.WinVMTicks
-	acc.winVMOverTicks = st.WinVMOverTicks
-	acc.overDemandMHz = st.OverDemandMHz
-	acc.overCapacityMHz = st.OverCapacityMHz
-	acc.activeTickSum = st.ActiveTickSum
-	acc.controlTicks = st.ControlTicks
-	acc.lastActivations = st.LastActivations
-	acc.lastHibernation = st.LastHibernations
+	*acc = st.Accum
 	res.EnergyKWh = st.EnergyKWh
 
 	for _, p := range []struct {
@@ -137,21 +102,20 @@ func restoreRunnerState(st *checkpoint.RunnerState, res *Result, rec *Recorder, 
 }
 
 // captureCheckpoint assembles the full checkpoint at the end of the control
-// tick at now. The policy must implement both checkpoint interfaces.
-func captureCheckpoint(cfg *RunConfig, policy Policy, env Env, res *Result, rec *Recorder, acc *runAccum, now time.Duration) (*checkpoint.Checkpoint, error) {
-	co, okC := policy.(checkpoint.Checkpointable)
-	so, okS := policy.(checkpoint.StreamOwner)
-	if !okC || !okS {
+// tick at now. The policy must implement checkpoint.Checkpointable.
+func captureCheckpoint(cfg *RunConfig, policy Policy, env Env, res *Result, rec *Recorder, acc *checkpoint.Accum, now time.Duration) (*checkpoint.Checkpoint, error) {
+	cp, ok := policy.(checkpoint.Checkpointable)
+	if !ok {
 		return nil, fmt.Errorf("policy %q does not support checkpointing", policy.Name())
 	}
 	ck := checkpoint.New(int64(now))
 	ck.Policy = policy.Name()
 	ck.DC = env.DC.Snapshot()
 	reg := rng.NewRegistry()
-	so.RegisterStreams(reg)
+	cp.RegisterStreams(reg)
 	ck.RNG = reg.States()
 	var err error
-	ck.PolicyState, err = co.MarshalCheckpoint()
+	ck.PolicyState, err = cp.MarshalCheckpoint()
 	if err != nil {
 		return nil, err
 	}

@@ -404,21 +404,20 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	}
 
 	// Overload accounting shared between control and sample ticks.
-	var acc runAccum
+	var acc checkpoint.Accum
 
 	// Resume: reinstate the policy's private state and rng streams, the
 	// driver's accounting, and the obs counters/gauges (timers are wall-clock
 	// telemetry and stay fresh).
 	if resume != nil {
-		co, okC := policy.(checkpoint.Checkpointable)
-		so, okS := policy.(checkpoint.StreamOwner)
-		if !okC || !okS {
+		cp, ok := policy.(checkpoint.Checkpointable)
+		if !ok {
 			return nil, fmt.Errorf("cluster: policy %q does not support checkpoint resume", policy.Name())
 		}
-		if err := co.UnmarshalCheckpoint(resume.PolicyState); err != nil {
+		if err := cp.UnmarshalCheckpoint(resume.PolicyState); err != nil {
 			return nil, err
 		}
-		if err := so.AdoptStreams(resume.RNG); err != nil {
+		if err := cp.AdoptStreams(resume.RNG); err != nil {
 			return nil, err
 		}
 		if err := restoreRunnerState(resume.Runner, res, rec, &acc); err != nil {
@@ -524,27 +523,27 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 				continue
 			}
 			res.Episodes.Observe(d.Servers[i].ID, sl.Over)
-			acc.winVMTicks += sl.NVMs
+			acc.WinVMTicks += sl.NVMs
 			if sl.Over {
-				acc.winVMOverTicks += sl.NVMs
+				acc.WinVMOverTicks += sl.NVMs
 				cfg.obs.Count("cluster.overload_server_ticks", 1)
 			}
 			if !measured {
 				continue
 			}
-			acc.vmTicks += sl.NVMs
+			acc.VMTicks += sl.NVMs
 			if sl.Over {
-				acc.vmOverTicks += sl.NVMs
-				acc.overDemandMHz += sl.Demand
-				acc.overCapacityMHz += sl.Cap
+				acc.VMOverTicks += sl.NVMs
+				acc.OverDemandMHz += sl.Demand
+				acc.OverCapacityMHz += sl.Cap
 			}
 			if sl.RAMOver {
-				acc.vmRAMOverTicks += sl.NVMs
+				acc.VMRAMOverTicks += sl.NVMs
 			}
 		}
 		if measured {
-			acc.activeTickSum += float64(d.ActiveCount())
-			acc.controlTicks++
+			acc.ActiveTickSum += float64(d.ActiveCount())
+			acc.ControlTicks++
 		}
 		// Energy: integrate draw over the next interval (left Riemann sum),
 		// clamped so the run integrates exactly [0, Horizon): the tick at
@@ -590,16 +589,16 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		res.PowerW.Add(now, d.PowerAt(now, cfg.PowerModel))
 		res.OverallLoad.Add(now, totalDemandAt(now)/totalCapacity)
 		pct := 0.0
-		if acc.winVMTicks > 0 {
-			pct = 100 * acc.winVMOverTicks / acc.winVMTicks
+		if acc.WinVMTicks > 0 {
+			pct = 100 * acc.WinVMOverTicks / acc.WinVMTicks
 		}
 		res.OverDemandPct.Add(now, pct)
-		acc.winVMTicks, acc.winVMOverTicks = 0, 0
+		acc.WinVMTicks, acc.WinVMOverTicks = 0, 0
 
 		hours := cfg.SampleInterval.Hours()
-		res.Activations.Add(now, float64(d.Activations-acc.lastActivations)/hours)
-		res.Hibernations.Add(now, float64(d.Hibernations-acc.lastHibernation)/hours)
-		acc.lastActivations, acc.lastHibernation = d.Activations, d.Hibernations
+		res.Activations.Add(now, float64(d.Activations-acc.LastActivations)/hours)
+		res.Hibernations.Add(now, float64(d.Hibernations-acc.LastHibernations)/hours)
+		acc.LastActivations, acc.LastHibernations = d.Activations, d.Hibernations
 
 		if cfg.RecordServerUtil {
 			row := make([]float64, nServers)
@@ -657,15 +656,15 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		cfg.obs.Count("dc.demand_cache.misses", int64(res.DemandCache.Misses))
 		cfg.obs.Count("dc.demand_cache.invalidations", int64(res.DemandCache.Invalidations))
 	}
-	if acc.controlTicks > 0 {
-		res.MeanActiveServers = acc.activeTickSum / acc.controlTicks
+	if acc.ControlTicks > 0 {
+		res.MeanActiveServers = acc.ActiveTickSum / acc.ControlTicks
 	}
-	if acc.vmTicks > 0 {
-		res.VMOverloadTimeFrac = acc.vmOverTicks / acc.vmTicks
-		res.RAMOverloadTimeFrac = acc.vmRAMOverTicks / acc.vmTicks
+	if acc.VMTicks > 0 {
+		res.VMOverloadTimeFrac = acc.VMOverTicks / acc.VMTicks
+		res.RAMOverloadTimeFrac = acc.VMRAMOverTicks / acc.VMTicks
 	}
-	if acc.overDemandMHz > 0 {
-		res.GrantedFracInOverload = acc.overCapacityMHz / acc.overDemandMHz
+	if acc.OverDemandMHz > 0 {
+		res.GrantedFracInOverload = acc.OverCapacityMHz / acc.OverDemandMHz
 	}
 	return res, nil
 }

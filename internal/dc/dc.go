@@ -481,27 +481,6 @@ func (d *DataCenter) PowerAt(t time.Duration, pm PowerModel) float64 {
 	return sum
 }
 
-// PlacedDemandAt returns the total demand (MHz) of all placed VMs at t.
-func (d *DataCenter) PlacedDemandAt(t time.Duration) float64 {
-	sum := 0.0
-	for i, st := range d.hot.state {
-		if st == Active {
-			sum += d.Servers[i].demandAt(t)
-		}
-	}
-	return sum
-}
-
-// OverDemandAt returns the total demand (MHz) that cannot be granted at t
-// across all servers.
-func (d *DataCenter) OverDemandAt(t time.Duration) float64 {
-	sum := 0.0
-	for _, s := range d.Servers {
-		sum += s.OverDemandAt(t)
-	}
-	return sum
-}
-
 // MinServersFor returns the smallest number of servers from specs whose
 // combined capacity, packed up to utilization ta, covers demandMHz —
 // choosing the largest machines first, which is optimal for pure capacity

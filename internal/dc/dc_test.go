@@ -225,9 +225,6 @@ func TestUtilizationAndOverDemand(t *testing.T) {
 	if got := s.OverDemandAt(0); got != 2000 {
 		t.Fatalf("over-demand = %v, want 2000", got)
 	}
-	if got := d.OverDemandAt(0); got != 2000 {
-		t.Fatalf("dc over-demand = %v", got)
-	}
 	// After the VMs' lifetime ends, demand drops to zero.
 	if got := s.DemandAt(2 * time.Hour); got != 0 {
 		t.Fatalf("demand after departure = %v", got)
@@ -273,7 +270,7 @@ func TestActiveCountAndPlacedDemand(t *testing.T) {
 	if err := d.Place(constVM(2, 2000), d.Servers[3]); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.PlacedDemandAt(0); got != 3000 {
+	if got := d.Servers[0].DemandAt(0) + d.Servers[3].DemandAt(0); got != 3000 {
 		t.Fatalf("placed demand = %v", got)
 	}
 }

@@ -8,10 +8,7 @@ import (
 	"repro/internal/rng"
 )
 
-var (
-	_ checkpoint.Checkpointable = (*Policy)(nil)
-	_ checkpoint.StreamOwner    = (*Policy)(nil)
-)
+var _ checkpoint.Checkpointable = (*Policy)(nil)
 
 // Checkpoint support: the policy's mutable state is its rng streams (the
 // manager stream, the master and every lazily derived per-server stream)
@@ -34,7 +31,7 @@ type policyState struct {
 	NextGroup int `json:"next_group,omitempty"`
 }
 
-// RegisterStreams implements checkpoint.StreamOwner: it registers the
+// RegisterStreams implements checkpoint.Checkpointable: it registers the
 // manager and master streams plus every per-server stream derived so far.
 // Servers whose stream was never derived have no state to capture — a
 // resumed policy re-derives them identically on first use (Split depends
@@ -45,7 +42,7 @@ func (p *Policy) RegisterStreams(reg *rng.Registry) {
 	p.servers.Register(reg)
 }
 
-// AdoptStreams implements checkpoint.StreamOwner: it installs the captured
+// AdoptStreams implements checkpoint.Checkpointable: it installs the captured
 // stream states, creating per-server streams that the fresh policy has not
 // derived yet. A label it does not own fails the restore.
 func (p *Policy) AdoptStreams(states map[string]rng.State) error {

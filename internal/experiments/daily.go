@@ -64,8 +64,8 @@ type DailyResult struct {
 
 // DailyOptionsFor returns the daily run a request asks for: the paper's
 // defaults, scaled and overridden by req, under req's ecoCloud parameters.
-// The registry's daily entry and ecobench's -replicate and daily-only flags
-// all start from it.
+// The registry's daily and replication entries and ecobench's daily-only
+// flags all start from it.
 func DailyOptionsFor(req RunRequest) DailyOptions {
 	opts := DefaultDailyOptions()
 	opts.RunConfig = req.Apply(opts.RunConfig)

@@ -14,7 +14,7 @@ import (
 //   - Config: non-zero fields override the experiment's default RunConfig
 //     (Config.Obs is always threaded through, even when nil);
 //   - Eco: replaces the ecoCloud parameters of daily, assignonly, sensitivity,
-//     multiresource, comparison, knee and forkedsweep (nil keeps the defaults);
+//     multiresource, comparison, knee and replication (nil keeps the defaults);
 //   - Scale: shrinks the fleet and workload proportionally before Config
 //     overrides apply (0 and 1 both mean paper scale);
 //   - Exact: selects the exact combinatorial A_s (Eqs. 6–9) where a fluid
@@ -276,23 +276,16 @@ func init() {
 		}
 		return []*Figure{res.Figure()}, nil
 	})
-	add("forkedsweep", "sensitivity grid branched from one checkpointed warm prefix, with an identity-fork byte-identity proof", func(req RunRequest) ([]*Figure, error) {
-		opts := DefaultForkedSweepOptions()
-		if req.scale() < 1 {
-			// Quick runs: short prefix and suffix, one value per axis,
-			// one replicate — the proof comparison is the point.
-			opts.Horizon = 4 * time.Hour
-			opts.Warmup = time.Hour
-			opts.ThValues = []float64{0.85}
-			opts.TlValues = []float64{0.40}
-			opts.Replicates = 1
+	add("replication", "seed spread: the daily run's headline metrics across five consecutive seeds (mean, sd, min, max)", func(req RunRequest) ([]*Figure, error) {
+		opts := DailyOptionsFor(req)
+		seeds := make([]uint64, replicationSeeds)
+		for i := range seeds {
+			seeds[i] = opts.Seed + uint64(i)
 		}
-		opts.RunConfig = req.Apply(opts.RunConfig)
-		req.eco(&opts.Base)
-		res, err := ForkedSweep(opts)
+		reps, err := ReplicateDaily(opts, seeds)
 		if err != nil {
 			return nil, err
 		}
-		return []*Figure{res.Figure()}, nil
+		return []*Figure{ReplicationFigure(reps)}, nil
 	})
 }

@@ -118,7 +118,7 @@ func TestRegistryRoundTrip(t *testing.T) {
 		"multiresource": {
 			Servers: 12, NumVMs: 180, Horizon: 4 * time.Hour,
 		},
-		"forkedsweep": {Servers: 12, NumVMs: 180},
+		"replication": {Servers: 15, NumVMs: 225, Horizon: 6 * time.Hour},
 	}
 	// A non-default Ta moves the figures of every experiment that takes Eco.
 	eco := ecocloud.DefaultConfig()

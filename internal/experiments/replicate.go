@@ -18,6 +18,10 @@ type Replication struct {
 	Max    float64
 }
 
+// replicationSeeds is how many consecutive seeds, from the request's own,
+// the registry's replication entry runs the daily experiment under.
+const replicationSeeds = 5
+
 // ReplicateDaily runs the §III experiment once per seed and summarizes the
 // headline metrics across the runs.
 func ReplicateDaily(opts DailyOptions, seeds []uint64) ([]Replication, error) {

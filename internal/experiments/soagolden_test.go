@@ -13,6 +13,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dc"
 	"repro/internal/ecocloud"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -34,6 +35,12 @@ var (
 	soaGoldenSeeds   = []uint64{42, 43, 44}
 	soaGoldenWorkers = []int{0, 1, 8}
 )
+
+// journalTo attaches a recorder that journals a run's data-center events
+// into events.
+func journalTo(events *bytes.Buffer) cluster.Option {
+	return cluster.WithObs(obs.NewRecorder(nil, obs.NewJournal(events)))
+}
 
 // soaGoldenConfig is a deliberately policy-rich cell: arrivals, departures,
 // migrations in both directions, hibernations and wake-ups all occur at this

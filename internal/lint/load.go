@@ -61,9 +61,6 @@ func NewLoader(moduleRoot string) (*Loader, error) {
 	}, nil
 }
 
-// ModulePath returns the module path declared in go.mod.
-func (l *Loader) ModulePath() string { return l.modulePath }
-
 // Packages returns every module-internal package loaded so far — the
 // explicitly requested ones plus their transitively imported dependencies —
 // sorted by import path. The whole-program analyzers build their call graph

@@ -8,7 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -281,12 +281,16 @@ func (e *EpisodeTracker) Observe(id int, violating bool) {
 	}
 }
 
-// Flush closes any episodes still open (e.g. at the end of a run).
+// Flush closes any episodes still open (e.g. at the end of a run) and
+// appends their durations sorted by duration, so two identical runs record
+// identical durations whatever order the map yields them in.
 func (e *EpisodeTracker) Flush() {
+	n := len(e.durations)
 	for id, d := range e.open {
 		e.durations = append(e.durations, d)
 		delete(e.open, id)
 	}
+	slices.Sort(e.durations[n:])
 }
 
 // Episodes returns the number of completed episodes.
@@ -305,23 +309,4 @@ func (e *EpisodeTracker) FractionShorterThan(d time.Duration) float64 {
 		}
 	}
 	return float64(n) / float64(len(e.durations))
-}
-
-// Percentile returns the p-quantile (p in [0,1]) of episode durations,
-// or 0 when there are none.
-func (e *EpisodeTracker) Percentile(p float64) time.Duration {
-	if len(e.durations) == 0 {
-		return 0
-	}
-	sorted := make([]time.Duration, len(e.durations))
-	copy(sorted, e.durations)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	i := int(p * float64(len(sorted)-1))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -247,11 +248,8 @@ func TestEpisodeTrackerIndependentEntities(t *testing.T) {
 	if e.Episodes() != 2 {
 		t.Fatalf("episodes = %d, want 2", e.Episodes())
 	}
-	if e.Percentile(1.0) != 2*time.Second {
-		t.Fatalf("p100 = %v, want 2s", e.Percentile(1.0))
-	}
-	if e.Percentile(0.0) != time.Second {
-		t.Fatalf("p0 = %v, want 1s", e.Percentile(0.0))
+	if want := []time.Duration{time.Second, 2 * time.Second}; !slices.Equal(e.durations, want) {
+		t.Fatalf("durations = %v, want %v", e.durations, want)
 	}
 }
 
@@ -272,9 +270,30 @@ func TestEpisodeTrackerFlush(t *testing.T) {
 	}
 }
 
+// Flush closes open episodes sorted by duration, whatever order the map
+// holds them in, so identical runs record identical durations.
+func TestEpisodeTrackerFlushSortedByDuration(t *testing.T) {
+	e := NewEpisodeTracker(time.Minute)
+	const open = 64
+	for id := 0; id < open; id++ {
+		for tick := 0; tick <= id; tick++ {
+			e.Observe(id, true)
+		}
+	}
+	e.Flush()
+	if len(e.durations) != open {
+		t.Fatalf("%d durations after flush, want %d", len(e.durations), open)
+	}
+	for id, d := range e.durations {
+		if want := time.Duration(id+1) * time.Minute; d != want {
+			t.Fatalf("durations[%d] = %v, want %v", id, d, want)
+		}
+	}
+}
+
 func TestEpisodeTrackerEmpty(t *testing.T) {
 	e := NewEpisodeTracker(time.Second)
-	if e.FractionShorterThan(time.Minute) != 0 || e.Percentile(0.5) != 0 {
+	if e.FractionShorterThan(time.Minute) != 0 || e.Episodes() != 0 {
 		t.Fatal("empty tracker should report zeros")
 	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -51,10 +52,8 @@ func TestEpisodeTrackerStateRoundTrip(t *testing.T) {
 	if orig.Episodes() != restored.Episodes() {
 		t.Fatalf("episode count diverged: %d want %d", restored.Episodes(), orig.Episodes())
 	}
-	for _, p := range []float64{0, 0.5, 1} {
-		if orig.Percentile(p) != restored.Percentile(p) {
-			t.Fatalf("percentile %v diverged", p)
-		}
+	if !slices.Equal(orig.durations, restored.durations) {
+		t.Fatalf("durations diverged: %v want %v", restored.durations, orig.durations)
 	}
 	if orig.FractionShorterThan(time.Minute) != restored.FractionShorterThan(time.Minute) {
 		t.Fatal("episode fractions diverged")

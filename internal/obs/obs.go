@@ -14,7 +14,6 @@ package obs
 
 import (
 	"encoding/json"
-	"sort"
 	"sync"        //ecolint:allow goroutine — metric registry is shared infrastructure; readers (progress, par workers) race writers by design
 	"sync/atomic" //ecolint:allow goroutine — lock-free counters/gauges are the telemetry-off-costs-nothing contract
 	"time"
@@ -27,9 +26,6 @@ type Counter struct {
 
 // Add increments the counter by d.
 func (c *Counter) Add(d int64) { c.v.Add(d) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.v.Add(1) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -182,24 +178,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 	}
 	return s
-}
-
-// Names returns the sorted names of all metrics (for tests and listings).
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.timers))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.timers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // MarshalJSON is deterministic: encoding/json sorts map keys, so two

@@ -203,14 +203,6 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Pareto returns a bounded Pareto variate on [lo, hi] with shape alpha,
 // drawn by inversion. Used for heavy-tailed VM demand synthesis.
 func (s *Source) Pareto(alpha, lo, hi float64) float64 {

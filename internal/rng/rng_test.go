@@ -245,23 +245,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesMultiset(t *testing.T) {
-	s := New(41)
-	xs := []int{1, 2, 3, 4, 5, 6, 7, 8}
-	sum := 0
-	for _, v := range xs {
-		sum += v
-	}
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	got := 0
-	for _, v := range xs {
-		got += v
-	}
-	if got != sum {
-		t.Fatalf("shuffle changed the element multiset: %v", xs)
-	}
-}
-
 // Property: Intn(n) is always within bounds for arbitrary seeds and sizes.
 func TestQuickIntnInRange(t *testing.T) {
 	f := func(seed uint64, n uint16) bool {

@@ -39,25 +39,6 @@ func (s *Source) Restore(st State) {
 	s.haveSpare = st.HaveSpare
 }
 
-// Fork derives the state of a branch stream from st and a branch label. The
-// empty label is the identity (the branch continues the original stream
-// unchanged); any other label yields a fresh stream seeded from the
-// captured state and the label, so sibling branches with distinct labels
-// diverge — deterministically: the same (state, label) pair always forks to
-// the same stream.
-func (st State) Fork(label string) State {
-	if label == "" {
-		return st
-	}
-	x := st.Base
-	mix := splitmix64(&x)
-	for _, w := range [...]uint64{st.S[0], st.S[1], st.S[2], st.S[3], hashLabel(label)} {
-		x ^= w
-		mix ^= splitmix64(&x)
-	}
-	return New(mix).State()
-}
-
 // Registry collects live Sources under stable string labels so a checkpoint
 // can capture and restore every stream a component owns. Labels must be
 // unique; the label set at restore time must match the captured set exactly,

@@ -127,47 +127,6 @@ func TestStateJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestForkDeterministicAndDivergent(t *testing.T) {
-	s := New(13)
-	for i := 0; i < 10; i++ {
-		s.Uint64()
-	}
-	st := s.State()
-
-	if st.Fork("") != st {
-		t.Fatal("empty-label fork is not the identity")
-	}
-	f1 := st.Fork("branch/1")
-	f2 := st.Fork("branch/1")
-	if f1 != f2 {
-		t.Fatal("same-label forks differ")
-	}
-	f3 := st.Fork("branch/2")
-	if f3 == f1 {
-		t.Fatal("distinct-label forks coincide")
-	}
-	a, b, orig := restored(f1), restored(f3), restored(st)
-	same13, same1o := 0, 0
-	for i := 0; i < 100; i++ {
-		ov := orig.Uint64()
-		av := a.Uint64()
-		if av == b.Uint64() {
-			same13++
-		}
-		if av == ov {
-			same1o++
-		}
-	}
-	if same13 > 0 || same1o > 0 {
-		t.Fatalf("forked streams overlap: %d draws equal across labels, %d equal to original", same13, same1o)
-	}
-	// Forks from different positions of the same stream must also diverge.
-	orig.Uint64()
-	if later := orig.State().Fork("branch/1"); later == f1 {
-		t.Fatal("fork ignores the stream position")
-	}
-}
-
 func TestRegistryRoundTrip(t *testing.T) {
 	master := New(21)
 	reg := NewRegistry()

@@ -105,9 +105,11 @@ func ReadPlanetLabDir(fsys fs.FS, dir string, refCapacityMHz float64) (*Set, err
 // the CoMon archive is distributed (one directory per day) and the way the
 // paper uses it (two consecutive days). Each VM keeps one identity across
 // days, matched by position after name-sorted loading: day k's VM i
-// continues day k-1's VM i. Days may have different VM counts (nodes come
-// and go); VMs missing from a day simply pause (zero demand) for that day.
-// All sets must share the reference capacity.
+// continues day k-1's VM i. Day k starts when day k-1's longest file ends.
+// A VM pauses at zero demand through the gaps before its last sample (a
+// short file, or days it is missing from) and ends with its last file, as
+// ReadPlanetLabDir ends it with its only one. Days may have different VM
+// counts (nodes come and go). All sets must share the reference capacity.
 func ConcatDays(days ...*Set) (*Set, error) {
 	if len(days) == 0 {
 		return nil, fmt.Errorf("trace: ConcatDays with no days")
@@ -132,26 +134,24 @@ func ConcatDays(days ...*Set) (*Set, error) {
 			}
 		}
 	}
-	// Build each VM's concatenated samples, padding absent days with zeros.
+	// Build each VM's concatenated samples, padding the gaps before each
+	// day's file with zeros.
 	for i := 0; i < maxVMs; i++ {
 		var demand []float64
 		epoch := PlanetLabEpoch
+		dayStart := 0 // day k's first sample index
 		for k, d := range days {
-			samplesThisDay := int(dayLens[k] / epoch)
 			if i < len(d.VMs) {
 				vm := d.VMs[i]
 				if vm.Epoch != epoch {
 					return nil, fmt.Errorf("trace: day %d VM %d epoch %v != %v", k, i, vm.Epoch, epoch)
 				}
+				for len(demand) < dayStart {
+					demand = append(demand, 0)
+				}
 				demand = append(demand, vm.Demand...)
-				for pad := len(vm.Demand); pad < samplesThisDay; pad++ {
-					demand = append(demand, 0)
-				}
-			} else {
-				for pad := 0; pad < samplesThisDay; pad++ {
-					demand = append(demand, 0)
-				}
 			}
+			dayStart += int(dayLens[k] / epoch)
 		}
 		vm := &VM{
 			ID:     i,

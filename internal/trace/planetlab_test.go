@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -155,44 +157,59 @@ func FuzzReadPlanetLabFile(f *testing.F) {
 }
 
 func TestConcatDays(t *testing.T) {
-	day1 := &Set{RefCapacityMHz: 2400, VMs: []*VM{
-		{ID: 0, Start: 0, End: 2 * PlanetLabEpoch, Epoch: PlanetLabEpoch, Demand: []float64{100, 200}},
-		{ID: 1, Start: 0, End: 2 * PlanetLabEpoch, Epoch: PlanetLabEpoch, Demand: []float64{10, 20}},
-	}}
-	day2 := &Set{RefCapacityMHz: 2400, VMs: []*VM{
-		{ID: 0, Start: 0, End: 3 * PlanetLabEpoch, Epoch: PlanetLabEpoch, Demand: []float64{300, 400, 500}},
-	}}
+	vm := func(demand ...float64) *VM {
+		return &VM{End: time.Duration(len(demand)) * PlanetLabEpoch, Epoch: PlanetLabEpoch, Demand: demand}
+	}
+	day1 := &Set{RefCapacityMHz: 2400, VMs: []*VM{vm(100, 200), vm(7), vm(10, 20)}}
+	day2 := &Set{RefCapacityMHz: 2400, VMs: []*VM{vm(300, 400, 500), vm(1, 2)}}
 	got, err := ConcatDays(day1, day2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.VMs) != 2 {
-		t.Fatalf("VMs = %d", len(got.VMs))
-	}
-	// VM 0: day1 samples then day2 samples.
-	want0 := []float64{100, 200, 300, 400, 500}
-	if len(got.VMs[0].Demand) != len(want0) {
-		t.Fatalf("VM0 samples = %v", got.VMs[0].Demand)
-	}
-	for i, w := range want0 {
-		if got.VMs[0].Demand[i] != w {
-			t.Fatalf("VM0[%d] = %v, want %v", i, got.VMs[0].Demand[i], w)
+	for i, want := range [][]float64{
+		{100, 200, 300, 400, 500}, // both days in full
+		{7, 0, 1, 2},              // paused after a short first file, ends with a short last one
+		{10, 20},                  // missing from day 2, so it ends with day 1
+	} {
+		vm := got.VMs[i]
+		if !slices.Equal(vm.Demand, want) {
+			t.Errorf("VM %d samples = %v, want %v", i, vm.Demand, want)
+		}
+		if vm.ID != i || vm.Start != 0 || vm.End != time.Duration(len(want))*PlanetLabEpoch {
+			t.Errorf("VM %d = ID %d on [%v, %v), want [0, %v)", i, vm.ID, vm.Start, vm.End, time.Duration(len(want))*PlanetLabEpoch)
 		}
 	}
-	// VM 1 pauses during day 2 (zero demand).
-	want1 := []float64{10, 20, 0, 0, 0}
-	for i, w := range want1 {
-		if got.VMs[1].Demand[i] != w {
-			t.Fatalf("VM1[%d] = %v, want %v", i, got.VMs[1].Demand[i], w)
-		}
-	}
-	// The timeline spans both days.
-	if got.VMs[0].End != 5*PlanetLabEpoch {
-		t.Fatalf("end = %v", got.VMs[0].End)
+	if len(got.VMs) != 3 {
+		t.Fatalf("VMs = %d, want 3", len(got.VMs))
 	}
 	// Demand lookups hit the right day.
 	if got.VMs[0].DemandAt(2*PlanetLabEpoch) != 300 {
 		t.Fatalf("day-2 lookup = %v", got.VMs[0].DemandAt(2*PlanetLabEpoch))
+	}
+}
+
+// One day chained alone is that day, VM for VM: each VM ends with its file,
+// as ReadPlanetLabDir ends it.
+func TestConcatOneDay(t *testing.T) {
+	day, err := ReadPlanetLabDir(fstest.MapFS{
+		"a": {Data: []byte("10\n20\n30\n")},
+		"b": {Data: []byte("5\n")},
+		"c": {Data: []byte("40\n50\n")},
+	}, ".", 2400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ConcatDays(day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.VMs) != len(day.VMs) {
+		t.Fatalf("VMs = %d, want %d", len(got.VMs), len(day.VMs))
+	}
+	for i, want := range day.VMs {
+		if !reflect.DeepEqual(got.VMs[i], want) {
+			t.Errorf("VM %d = %+v, want %+v", i, got.VMs[i], want)
+		}
 	}
 }
 

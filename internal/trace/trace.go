@@ -243,25 +243,13 @@ func (v *VM) Avg() float64 {
 	return sum / float64(len(v.Demand))
 }
 
-// Peak returns the maximum demand over the VM's samples (MHz).
-func (v *VM) Peak() float64 {
-	m := 0.0
-	for _, d := range v.Demand {
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Set is a collection of VM traces plus the reference capacity that
 // utilization percentages are measured against.
 //
 // A Set is read-only once built: simulation runs, the demand kernel and
 // concurrent runs of one workload share its VMs without copying them. The
 // constructors of this package (Synthesize, Generate, GenerateChurn,
-// ReadPlanetLabDir, ConcatDays, and Subset of a checked Set) validate every
-// VM where they build it and mark the Set checked before returning it, so
+// ReadPlanetLabDir and ConcatDays) validate every VM where they build it and mark the Set checked before returning it, so
 // the mark is written before the Set is shared.
 type Set struct {
 	VMs []*VM
@@ -307,22 +295,6 @@ func (s *Set) AliveAt(t time.Duration) int {
 		}
 	}
 	return n
-}
-
-// Subset returns a new Set containing n VMs chosen uniformly at random
-// (without replacement) from s, mirroring the paper's "1,500 VMs randomly
-// chosen among the 6,000". It panics if n exceeds the set size. The subset
-// of a checked Set is checked.
-func (s *Set) Subset(n int, src *rng.Source) *Set {
-	if n > len(s.VMs) {
-		panic(fmt.Sprintf("trace: subset of %d from %d VMs", n, len(s.VMs)))
-	}
-	perm := src.Perm(len(s.VMs))
-	out := &Set{RefCapacityMHz: s.RefCapacityMHz, VMs: make([]*VM, n), checked: s.checked}
-	for i := 0; i < n; i++ {
-		out.VMs[i] = s.VMs[perm[i]]
-	}
-	return out
 }
 
 // GenConfig parameterizes the synthetic PlanetLab-like generator. The zero

@@ -374,17 +374,14 @@ func TestSumEpochsBlockEnds(t *testing.T) {
 	}
 }
 
-func TestVMAvgPeak(t *testing.T) {
+func TestVMAvg(t *testing.T) {
 	vm := &VM{Epoch: time.Minute, End: time.Hour, Demand: []float64{1, 2, 3}}
 	if vm.Avg() != 2 {
 		t.Fatalf("Avg = %v", vm.Avg())
 	}
-	if vm.Peak() != 3 {
-		t.Fatalf("Peak = %v", vm.Peak())
-	}
 	empty := &VM{}
-	if empty.Avg() != 0 || empty.Peak() != 0 {
-		t.Fatal("empty VM should have zero avg/peak")
+	if empty.Avg() != 0 {
+		t.Fatal("empty VM should have zero avg")
 	}
 }
 
@@ -640,38 +637,6 @@ func TestGenerateValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-}
-
-func TestSubset(t *testing.T) {
-	cfg := smallGenConfig()
-	set, err := Generate(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := set.Subset(50, rng.New(5))
-	if len(sub.VMs) != 50 {
-		t.Fatalf("subset size = %d", len(sub.VMs))
-	}
-	if sub.RefCapacityMHz != set.RefCapacityMHz {
-		t.Fatal("subset lost reference capacity")
-	}
-	seen := map[int]bool{}
-	for _, vm := range sub.VMs {
-		if seen[vm.ID] {
-			t.Fatalf("VM %d sampled twice", vm.ID)
-		}
-		seen[vm.ID] = true
-	}
-}
-
-func TestSubsetPanicsWhenTooLarge(t *testing.T) {
-	set := &Set{VMs: []*VM{{}}, RefCapacityMHz: 1}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oversized subset did not panic")
-		}
-	}()
-	set.Subset(2, rng.New(1))
 }
 
 func TestGenerateChurnBasics(t *testing.T) {
@@ -979,8 +944,8 @@ func TestSynthesizeReportsLowestInvalidVM(t *testing.T) {
 }
 
 // Every constructor checks its Set where it builds it and marks it, so
-// Validate returns at once; Subset keeps the mark of a checked Set, and a
-// Set built by hand is not marked and is scanned on every call.
+// Validate returns at once, and a Set built by hand is not marked and is
+// scanned on every call.
 func TestConstructorsReturnCheckedSets(t *testing.T) {
 	gen, err := Generate(smallGenConfig(), 1)
 	if err != nil {
@@ -1016,9 +981,7 @@ func TestConstructorsReturnCheckedSets(t *testing.T) {
 		{"GenerateChurn", churn, true},
 		{"ReadPlanetLabDir", day1, true},
 		{"ConcatDays", days, true},
-		{"Subset of Generate", gen.Subset(10, rng.New(2)), true},
 		{"by hand", hand, false},
-		{"Subset of a Set by hand", hand.Subset(1, rng.New(2)), false},
 	} {
 		if c.set.checked != c.checked {
 			t.Errorf("%s: checked = %v, want %v", c.name, c.set.checked, c.checked)

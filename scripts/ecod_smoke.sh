@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # ecod smoke: a 3-node real-process cluster on loopback runs a short
 # protocol day twice from the same seed, then twice more on a lossy virtual
-# fabric (-impair 0.05,0.02 on every node). Each pair must converge (node 0
-# exits cleanly with a merged summary) and be bit-reproducible (the merged
-# and per-node CSVs diff clean): loss is decided in virtual time, so it
-# repeats too. The CSVs stay in $OUT/run{1,2} and $OUT/impaired{1,2}; CI
-# uploads run1's as artifacts.
+# fabric (the same config with drop = 0.05 and dup = 0.02). Each pair must
+# converge (node 0 exits cleanly with a merged summary) and be
+# bit-reproducible (the merged and per-node CSVs diff clean): loss is
+# decided in virtual time, so it repeats too. The CSVs stay in
+# $OUT/run{1,2} and $OUT/impaired{1,2}; CI uploads run1's as artifacts.
 #
 # Env: GO (go binary), OUT (work dir, default out-ecod), ECOD_PORT_BASE
 # (first of three consecutive loopback ports, default 7131).
@@ -32,16 +32,17 @@ node = 1 127.0.0.1:$((BASE + 1)) 8:16
 node = 2 127.0.0.1:$((BASE + 2)) 16:24
 EOF
 
-# run_once DIR [ECOD FLAGS...] runs the three nodes, every one with the
-# same flags.
+# The same cluster on a lossy virtual fabric.
+cp "$OUT/cluster.conf" "$OUT/impaired.conf"
+printf 'drop = 0.05\ndup = 0.02\n' >> "$OUT/impaired.conf"
+
+# run_once CONFIG DIR runs the three nodes from CONFIG.
 run_once() {
-    dir=$1
-    shift
-    "$OUT/ecod" -config "$OUT/cluster.conf" -node 1 -out "$dir" "$@" &
+    "$OUT/ecod" -config "$1" -node 1 -out "$2" &
     p1=$!
-    "$OUT/ecod" -config "$OUT/cluster.conf" -node 2 -out "$dir" "$@" &
+    "$OUT/ecod" -config "$1" -node 2 -out "$2" &
     p2=$!
-    "$OUT/ecod" -config "$OUT/cluster.conf" -node 0 -out "$dir" "$@"
+    "$OUT/ecod" -config "$1" -node 0 -out "$2"
     wait "$p1" "$p2"
 }
 
@@ -54,12 +55,12 @@ same() {
     done
 }
 
-run_once "$OUT/run1"
-run_once "$OUT/run2"
+run_once "$OUT/cluster.conf" "$OUT/run1"
+run_once "$OUT/cluster.conf" "$OUT/run2"
 same run1 run2
 
-run_once "$OUT/impaired1" -impair 0.05,0.02
-run_once "$OUT/impaired2" -impair 0.05,0.02
+run_once "$OUT/impaired.conf" "$OUT/impaired1"
+run_once "$OUT/impaired.conf" "$OUT/impaired2"
 same impaired1 impaired2
 
 echo "ecod smoke: 3-node cluster converged and is bit-reproducible, lossy fabric included"
