@@ -81,13 +81,17 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // A daily-only flag outside a lone daily run, a missing pairing, a
-// checkpoint captured under another seed, and a flag that -list,
-// -demand-bench or -par-bench would ignore each fail before anything runs,
-// so nothing is written.
+// checkpoint captured under another seed or written in format 1, and a
+// flag that -list, -demand-bench or -par-bench would ignore each fail
+// before anything runs, so nothing is written.
 func TestDailyFlagsRejected(t *testing.T) {
 	dir := t.TempDir()
 	ck := filepath.Join(dir, "ck.json")
 	capture(t, ck, "1h", "-scale", "0.025", "-horizon", "2h", "-seed", "7")
+	v1 := filepath.Join(dir, "v1.json")
+	if err := os.WriteFile(v1, bytes.Replace(readFile(t, ck), []byte(`"version": 2`), []byte(`"version": 1`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	type rejected struct {
 		args []string
@@ -111,6 +115,7 @@ func TestDailyFlagsRejected(t *testing.T) {
 		rejected{[]string{"-experiments", "daily", "-scale", "0.025", "-checkpoint-stop"}, "require -checkpoint-at"},
 		rejected{[]string{"-experiments", "daily", "-scale", "0.025", "-checkpoint", ck}, "require -checkpoint-at"},
 		rejected{[]string{"-experiments", "daily", "-scale", "0.025", "-horizon", "2h", "-seed", "8", "-resume", ck}, "seed=7"},
+		rejected{[]string{"-experiments", "daily", "-scale", "0.025", "-horizon", "2h", "-seed", "7", "-resume", v1}, "version 1"},
 		rejected{[]string{"-list", "-resume", ck}, "-list does not take -out, -resume"},
 		rejected{[]string{"-list", "-experiments", "daily"}, "-list does not take -experiments, -out"},
 		rejected{[]string{"-demand-bench", "-scale", "0.025"}, "-demand-bench does not take -scale"},
@@ -135,9 +140,9 @@ func TestDailyFlagsRejected(t *testing.T) {
 	}
 }
 
-// Resuming a checkpoint whose streams are all zero fails with the rng
-// restore error, and the failed run's run.json records that error, naming
-// the stream.
+// Resuming a checkpoint whose manager stream is all zero fails with the
+// rng restore error, and the failed run's run.json records that error,
+// naming the stream.
 func TestRunRecordsResumeError(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ck.json")
@@ -152,8 +157,13 @@ func TestRunRecordsResumeError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for label := range ck.RNG {
-		ck.RNG[label] = rng.State{}
+	var st map[string]json.RawMessage
+	if err := json.Unmarshal(ck.PolicyState, &st); err != nil {
+		t.Fatal(err)
+	}
+	st["manager"] = json.RawMessage(`{"s":[0,0,0,0],"base":1}`)
+	if ck.PolicyState, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
 	}
 	if f, err = os.Create(path); err != nil {
 		t.Fatal(err)
@@ -167,8 +177,8 @@ func TestRunRecordsResumeError(t *testing.T) {
 
 	out := filepath.Join(dir, "out")
 	runErr := ecobench(append(base, "-experiments", "daily", "-resume", path, "-out", out))
-	if runErr == nil || !strings.Contains(runErr.Error(), "all-zero state") {
-		t.Fatalf("run = %v, want the rng restore error", runErr)
+	if runErr == nil || !strings.Contains(runErr.Error(), "manager stream") || !strings.Contains(runErr.Error(), "all-zero state") {
+		t.Fatalf("run = %v, want the rng restore error naming the manager stream", runErr)
 	}
 	var manifest struct {
 		Error string `json:"error"`
@@ -179,12 +189,41 @@ func TestRunRecordsResumeError(t *testing.T) {
 	if manifest.Error != runErr.Error() {
 		t.Fatalf("run.json error = %q, want %q", manifest.Error, runErr)
 	}
-	for label := range ck.RNG {
-		if strings.Contains(manifest.Error, strconv.Quote(label)) {
-			return
+}
+
+// A checkpoint resumes only the run it was captured from. The synthetic
+// daily run and a PlanetLab archive of as many VMs share every provenance
+// key, VM IDs included, so only the inputs digest tells them apart: the
+// resume on the archive fails before the run starts.
+func TestResumeRefusesOtherWorkload(t *testing.T) {
+	dir := t.TempDir()
+	base := []string{"-scale", "0.06", "-horizon", "6h", "-seed", "7"}
+	ck := filepath.Join(dir, "ck.json")
+	capture(t, ck, "2h", base...)
+	archive := filepath.Join(dir, "archive")
+	if err := os.Mkdir(archive, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	src := rng.New(1)
+	for vm := 0; vm < 360; vm++ {
+		var b strings.Builder
+		for i := 0; i < 288; i++ {
+			fmt.Fprintln(&b, src.Intn(101))
+		}
+		if err := os.WriteFile(filepath.Join(archive, fmt.Sprintf("vm%03d", vm)), []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	t.Fatalf("run.json error %q names no captured stream", manifest.Error)
+	out := filepath.Join(dir, "out")
+	err := ecobench(append(base, "-experiments", "daily", "-resume", ck, "-planetlab", archive, "-out", out))
+	if err == nil || !strings.Contains(err.Error(), "other inputs") {
+		t.Fatalf("resume on another workload: error %v, want the inputs mismatch", err)
+	}
+	for _, name := range []string{"fig6.csv", "journal.jsonl"} {
+		if data, err := os.ReadFile(filepath.Join(out, name)); err == nil && len(data) > 0 {
+			t.Errorf("the refused resume wrote %s", name)
+		}
+	}
 }
 
 // -planetlab chains one archive directory per day: two 24-h days run the

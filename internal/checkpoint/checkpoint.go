@@ -2,11 +2,13 @@
 // and back. A Checkpoint captures everything a resumed run needs to be
 // BIT-IDENTICAL to the uninterrupted one: the data center's extended
 // snapshot (placements, power states, SoA hot arrays, demand-kernel
-// aggregates and counters; no per-VM state), every live rng stream
-// under a stable label (all four xoshiro words plus the Marsaglia spare
-// cache), the policy's private state, the cluster driver's accounting
-// (series, accumulators, episode and migration trackers), and the obs
-// counter/gauge values.
+// aggregates and counters; no per-VM state), the policy's own state (for
+// ecoCloud, every live rng stream with all four xoshiro words and the
+// Marsaglia spare cache, and its invitation-group cursor), the cluster
+// driver's accounting (series, accumulators, episode and migration
+// trackers), and the obs counter/gauge values. It also records a digest of
+// the run's inputs, so a resume on other inputs fails before anything is
+// restored.
 //
 // The capture point is the end of the control tick at time T: for T > 0 the
 // control tick is provably the last event at its timestamp under the
@@ -24,11 +26,12 @@ import (
 	"repro/internal/dc"
 	"repro/internal/metrics"
 	"repro/internal/obs"
-	"repro/internal/rng"
 )
 
-// Version is the current checkpoint wire-format version.
-const Version = 1
+// Version is the current checkpoint wire-format version. Version 2 moved
+// the rng streams into the policy's own state and added Inputs; Read
+// refuses every other version.
+const Version = 2
 
 // Checkpoint is the full serializable state of a simulation at one instant.
 type Checkpoint struct {
@@ -40,12 +43,14 @@ type Checkpoint struct {
 	// mismatched policy rather than adopting foreign state.
 	Policy string `json:"policy,omitempty"`
 
+	// Inputs is the hex SHA-256 of the inputs of the run the checkpoint
+	// was captured from; cluster.Run states what it covers and refuses to
+	// resume a run whose inputs hash otherwise.
+	Inputs string `json:"inputs"`
+
 	// DC is the data center's extended snapshot (see dc.Snapshot).
 	DC dc.Snapshot `json:"dc"`
-	// RNG holds every live stream's state keyed by the owner-assigned label
-	// (see Checkpointable).
-	RNG map[string]rng.State `json:"rng,omitempty"`
-	// PolicyState is the policy's opaque non-rng state (see Checkpointable).
+	// PolicyState is the policy's opaque state (see Checkpointable).
 	PolicyState json.RawMessage `json:"policy_state,omitempty"`
 	// Runner is the cluster driver's accounting (see RunnerState).
 	Runner *RunnerState `json:"runner,omitempty"`
@@ -54,8 +59,9 @@ type Checkpoint struct {
 	Obs *obs.Snapshot `json:"obs,omitempty"`
 
 	// Meta is informational provenance (seed, fleet size, experiment name)
-	// written by the assembling layer so a resume can sanity-check that it
-	// rebuilt the same workload. The simulation state never reads it.
+	// written by the assembling layer, so that a resume under other
+	// settings can name the one that differs. The simulation state never
+	// reads it; Inputs is what guards a resume.
 	Meta map[string]string `json:"meta,omitempty"`
 }
 
@@ -109,23 +115,14 @@ type RoundCount struct {
 }
 
 // Checkpointable is implemented by cluster.Run policies that can be
-// checkpointed: their live rng streams and their private non-rng state, such
-// as ecoCloud's invitation group cursor, survive a checkpoint. Stream labels
-// must be stable across processes (derive them from IDs, not from creation
-// order) and globally unique within one checkpoint.
+// checkpointed. The policy owns its state's encoding, rng streams included
+// (for ecoCloud, the streams and the invitation group cursor).
 type Checkpointable interface {
-	// RegisterStreams adds every currently live stream to reg under its
-	// stable label.
-	RegisterStreams(reg *rng.Registry)
-	// AdoptStreams installs the captured states, creating streams that do
-	// not exist yet (e.g. lazily derived per-server streams) and failing on
-	// labels it does not recognize.
-	AdoptStreams(states map[string]rng.State) error
-	// MarshalCheckpoint returns the non-rng state as a self-contained JSON
+	// MarshalCheckpoint returns the policy's state as a self-contained JSON
 	// value.
 	MarshalCheckpoint() (json.RawMessage, error)
 	// UnmarshalCheckpoint reinstates it on a freshly constructed instance
-	// with the same configuration.
+	// with the same configuration, failing on state it did not write.
 	UnmarshalCheckpoint(json.RawMessage) error
 }
 

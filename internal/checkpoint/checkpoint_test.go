@@ -4,23 +4,20 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/dc"
 	"repro/internal/metrics"
-	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
 func sampleCheckpoint() *Checkpoint {
 	ck := New(7200 * 1e9)
 	ck.Policy = "ecocloud"
-	ck.RNG = map[string]rng.State{
-		"a": rng.New(1).State(),
-		"b": rng.New(2).State(),
-	}
-	ck.PolicyState = json.RawMessage(`{"next_group":3}`)
+	ck.Inputs = "9f86d081884c7d659a2feaa0c55ad015a3bf4f1b2b0b822cd15d6c15b0f00a08"
+	ck.PolicyState = json.RawMessage(`{"next_group":3,"master":{"s":[1,2,3,4],"base":1}}`)
 	ck.Meta = map[string]string{"seed": "42"}
 	return ck
 }
@@ -35,11 +32,8 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if got.AtNS != ck.AtNS || got.Policy != ck.Policy {
+	if got.AtNS != ck.AtNS || got.Policy != ck.Policy || got.Inputs != ck.Inputs {
 		t.Fatalf("header mismatch: %+v", got)
-	}
-	if got.RNG["a"] != ck.RNG["a"] || got.RNG["b"] != ck.RNG["b"] {
-		t.Fatal("rng states did not round-trip")
 	}
 	// The indented encoder reformats raw sections; content must survive.
 	var a, b bytes.Buffer
@@ -126,6 +120,17 @@ func TestRunnerStateEncoding(t *testing.T) {
 		if !reflect.DeepEqual(back, c.st) {
 			t.Errorf("decoded runner state %+v, want %+v", back, c.st)
 		}
+	}
+}
+
+// A version-1 file, which kept the rng streams in a section of their own
+// and no inputs digest, fails with the version error.
+func TestReadRejectsVersion1(t *testing.T) {
+	v1 := `{"version":1,"at_ns":7200000000000,"policy":"ecocloud","dc":{"servers":null,"activations":0,"hibernations":0},` +
+		`"rng":{"ecocloud/manager":{"s":[1,2,3,4],"base":1}},"policy_state":{"next_group":3}}`
+	_, err := Read(bytes.NewBufferString(v1))
+	if err == nil || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("Read of a version-1 file: %v", err)
 	}
 }
 

@@ -1,13 +1,15 @@
 package cluster
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/metrics"
-	"repro/internal/rng"
 )
 
 func copySeries(s *metrics.Series) *metrics.Series {
@@ -111,9 +113,7 @@ func captureCheckpoint(cfg *RunConfig, policy Policy, env Env, res *Result, rec 
 	ck := checkpoint.New(int64(now))
 	ck.Policy = policy.Name()
 	ck.DC = env.DC.Snapshot()
-	reg := rng.NewRegistry()
-	cp.RegisterStreams(reg)
-	ck.RNG = reg.States()
+	ck.Inputs = inputsDigest(cfg)
 	var err error
 	ck.PolicyState, err = cp.MarshalCheckpoint()
 	if err != nil {
@@ -125,4 +125,36 @@ func captureCheckpoint(cfg *RunConfig, policy Policy, env Env, res *Result, rec 
 		ck.Obs = &snap
 	}
 	return ck, nil
+}
+
+// inputsDigest is the hex SHA-256 of everything a run's trajectory depends
+// on that a checkpoint does not carry: the fleet specs; each VM's ID,
+// Start, End, Epoch, RAMMB and demand samples, bit for bit, in Set order;
+// the two cadences, MeasureFrom, the power model, the initial placement
+// and RecordServerUtil. A checkpoint records it, and a resume whose inputs
+// hash otherwise fails: dc.Restore would find the same VM IDs in another
+// workload and continue a run that was never captured. The horizon and
+// the engine (Workers, DisableDemandCache) are left out, since a run
+// resumes exactly under any of them.
+func inputsDigest(cfg *RunConfig) string {
+	h := sha256.New()
+	put := func(vs ...any) {
+		for _, v := range vs {
+			// Writing to a hash cannot fail; a type binary.Write cannot
+			// encode is a bug here.
+			if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+				panic(err)
+			}
+		}
+	}
+	put(int64(len(cfg.Specs)))
+	for _, sp := range cfg.Specs {
+		put(int64(sp.Cores), sp.CoreMHz, sp.RAMMB)
+	}
+	put(int64(len(cfg.Workload.VMs)))
+	for _, vm := range cfg.Workload.VMs {
+		put(int64(vm.ID), vm.Start, vm.End, vm.Epoch, vm.RAMMB, int64(len(vm.Demand)), vm.Demand)
+	}
+	put(cfg.ControlInterval, cfg.SampleInterval, cfg.MeasureFrom, cfg.PowerModel, int64(cfg.Initial), cfg.RecordServerUtil)
+	return hex.EncodeToString(h.Sum(nil))
 }

@@ -1,7 +1,9 @@
 package cluster_test
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +11,6 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/ecocloud"
-	"repro/internal/rng"
 	"repro/internal/trace"
 )
 
@@ -107,25 +108,24 @@ func TestCheckpointSinkErrorAbortsRun(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsZeroStreams: a checkpoint whose streams carry the
-// all-zero xoshiro state, which draws 0 forever, fails the resume instead
-// of hanging it in a draw's rejection loop.
-func TestResumeRejectsZeroStreams(t *testing.T) {
-	var vms []*trace.VM
-	for i := 0; i < 12; i++ {
-		vms = append(vms, constVM(i, 400, 0, 2*time.Hour))
-	}
-	ws := &trace.Set{RefCapacityMHz: 8000, VMs: vms}
+// captureAt runs ws under an ecoCloud policy to the checkpoint at at and
+// returns the checkpoint.
+func captureAt(t *testing.T, ws *trace.Set, at time.Duration) *checkpoint.Checkpoint {
+	t.Helper()
 	var ck *checkpoint.Checkpoint
 	_, err := cluster.Run(baseConfig(ws), newEcoPolicy(t),
-		cluster.WithCheckpointAt(time.Hour, func(c *checkpoint.Checkpoint) error { ck = c; return nil }),
+		cluster.WithCheckpointAt(at, func(c *checkpoint.Checkpoint) error { ck = c; return nil }),
 		cluster.WithCheckpointStop())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for label := range ck.RNG {
-		ck.RNG[label] = rng.State{}
-	}
+	return ck
+}
+
+// resumeErr resumes ws from ck under a fresh ecoCloud policy and returns
+// the run's error, failing the test if the run is still going after 5 s.
+func resumeErr(t *testing.T, ws *trace.Set, ck *checkpoint.Checkpoint) error {
+	t.Helper()
 	pol := newEcoPolicy(t)
 	done := make(chan error, 1)
 	go func() {
@@ -134,10 +134,106 @@ func TestResumeRejectsZeroStreams(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if err == nil || !strings.Contains(err.Error(), "all-zero state") {
-			t.Fatalf("resume from zeroed streams: err = %v", err)
-		}
+		return err
 	case <-time.After(5 * time.Second):
-		t.Fatal("resume from zeroed streams still running after 5 s")
+		t.Fatal("resume still running after 5 s")
+		return nil
+	}
+}
+
+// resumeFixture captures an ecoCloud run of 12 VMs at 1 h and returns its
+// workload, the checkpoint and the ID of a server stream the checkpoint
+// holds.
+func resumeFixture(t *testing.T) (*trace.Set, *checkpoint.Checkpoint, int) {
+	t.Helper()
+	var vms []*trace.VM
+	for i := 0; i < 12; i++ {
+		vms = append(vms, constVM(i, 400, 0, 2*time.Hour))
+	}
+	ws := &trace.Set{RefCapacityMHz: 8000, VMs: vms}
+	ck := captureAt(t, ws, time.Hour)
+	var st struct{ Servers []struct{ ID int } }
+	if err := json.Unmarshal(ck.PolicyState, &st); err != nil || len(st.Servers) == 0 {
+		t.Fatalf("checkpoint holds no server stream (%v): %s", err, ck.PolicyState)
+	}
+	return ws, ck, st.Servers[0].ID
+}
+
+// policyStateWith returns a copy of ck whose policy state has key set to
+// the JSON value raw.
+func policyStateWith(t *testing.T, ck *checkpoint.Checkpoint, key, raw string) *checkpoint.Checkpoint {
+	t.Helper()
+	var st map[string]json.RawMessage
+	if err := json.Unmarshal(ck.PolicyState, &st); err != nil {
+		t.Fatal(err)
+	}
+	st[key] = json.RawMessage(raw)
+	bad := *ck
+	var err error
+	if bad.PolicyState, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	return &bad
+}
+
+// TestResumeRejectsZeroStreams: a checkpoint whose master, manager or
+// server stream carries the all-zero xoshiro state, which draws 0 forever,
+// fails the resume, naming the stream, instead of hanging it in a draw's
+// rejection loop.
+func TestResumeRejectsZeroStreams(t *testing.T) {
+	ws, ck, server := resumeFixture(t)
+	const zero = `"s":[0,0,0,0],"base":1`
+	for _, c := range []struct{ key, raw, want string }{
+		{"master", "{" + zero + "}", "master stream"},
+		{"manager", "{" + zero + "}", "manager stream"},
+		{"servers", fmt.Sprintf(`[{"id":%d,%s}]`, server, zero), fmt.Sprintf("server %d stream", server)},
+	} {
+		err := resumeErr(t, ws, policyStateWith(t, ck, c.key, c.raw))
+		if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "all-zero state") {
+			t.Errorf("resume from a zeroed %s: err = %v, want the all-zero state of the %s", c.key, err, c.want)
+		}
+	}
+}
+
+// TestResumeRejectsCorruptPolicyState: a policy state key the policy does
+// not own, or server stream IDs that repeat or leave [0, 2^24), fail the
+// resume, naming the cause.
+func TestResumeRejectsCorruptPolicyState(t *testing.T) {
+	ws, ck, _ := resumeFixture(t)
+	const st = `"s":[1,2,3,4],"base":1`
+	for _, c := range []struct{ key, raw, want string }{
+		{"rng", `{}`, `unknown field "rng"`},
+		{"servers", `[{"id":3,` + st + `},{"id":3,` + st + `}]`, "IDs must rise strictly"},
+		{"servers", `[{"id":-1,` + st + `}]`, "IDs must rise strictly"},
+		{"servers", `[{"id":16777216,` + st + `}]`, "IDs must rise strictly"},
+	} {
+		err := resumeErr(t, ws, policyStateWith(t, ck, c.key, c.raw))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("resume with %s = %s: err = %v, want one naming %q", c.key, c.raw, err, c.want)
+		}
+	}
+}
+
+// TestResumeRejectsOtherInputs: a checkpoint resumes only the inputs it was
+// captured from. One changed demand sample fails the resume before anything
+// is restored, while a resume at another worker count, which is exact, is
+// accepted.
+func TestResumeRejectsOtherInputs(t *testing.T) {
+	workload := func(mhz float64) *trace.Set {
+		var vms []*trace.VM
+		for i := 0; i < 12; i++ {
+			vms = append(vms, constVM(i, 400, 0, 2*time.Hour))
+		}
+		vms[5].Demand[0] = mhz
+		return &trace.Set{RefCapacityMHz: 8000, VMs: vms}
+	}
+	ck := captureAt(t, workload(400), time.Hour)
+	if err := resumeErr(t, workload(401), ck); err == nil || !strings.Contains(err.Error(), "other inputs") {
+		t.Errorf("resume with one sample changed: err = %v", err)
+	}
+	cfg := baseConfig(workload(400))
+	cfg.Workers = 2
+	if _, err := cluster.Run(cfg, newEcoPolicy(t), cluster.WithResume(ck)); err != nil {
+		t.Errorf("resume at 2 workers: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -42,7 +43,7 @@ func TestRecorderEmptySeries(t *testing.T) {
 	if s.Len() != 5 {
 		t.Fatalf("empty series length = %d, want 5 zero buckets", s.Len())
 	}
-	if s.Max() != 0 {
+	if slices.Max(s.V) != 0 {
 		t.Fatal("empty series not all-zero")
 	}
 	if r.MaxMigrationsPerHour() != 0 {

@@ -43,17 +43,18 @@ func WithCheckpointAt(at time.Duration, sink func(*checkpoint.Checkpoint) error)
 
 // WithCheckpointStop stops the run right after the checkpoint is captured
 // and delivered; the Result then covers only the prefix up to the capture.
-// Use it to warm a prefix once and fork many continuations from it.
+// Use it to write a checkpoint that a later run resumes from.
 func WithCheckpointStop() Option {
 	return func(c *RunConfig) { c.checkpointStop = true }
 }
 
 // WithResume starts the run from a checkpoint instead of t=0: the data
-// center, policy state, rng streams, driver accounting and obs counters are
-// reinstated, and arrivals and departures before the capture point are
-// skipped. The configuration must rebuild the same fleet, workload and
-// cadences the checkpoint was captured under; the continued run is then
-// bit-identical to the uninterrupted one.
+// center, policy state (rng streams included), driver accounting and obs
+// counters are reinstated, and arrivals and departures before the capture
+// point are skipped. The configuration must hold the fleet, workload,
+// cadences, power model and initial placement the checkpoint was captured
+// under, or Run fails before restoring anything; the continued run is then
+// bit-identical to the uninterrupted one at any worker count.
 func WithResume(ck *checkpoint.Checkpoint) Option {
 	return func(c *RunConfig) { c.resume = ck }
 }

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"reflect"
-	"sort"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -57,15 +56,16 @@ type RunConfig struct {
 	PowerModel dc.PowerModel
 	Initial    InitialPlacement
 
-	// Workers selects the execution engine for the per-server work of each
-	// control round (demand refill, overload observation, checked-mode
-	// audits, utilization sampling). 0 — the default — is the pristine
-	// sequential path. N >= 1 routes that work through an internal/par pool
-	// with N workers; results are bit-identical to sequential at every
-	// worker count (see DESIGN.md "Parallel execution & determinism"), so
-	// the only observable difference is wall-clock time. Workers=1 runs the
-	// par code path inline, which is what the differential tests pin against
-	// both Workers=0 and Workers=8.
+	// Workers is the number of internal/par workers that run the per-server
+	// phases of each control round (overload observation, checked-mode
+	// audits, utilization sampling). Every phase runs through the pool's
+	// static shards at every worker count; below 2 the pool runs them
+	// inline, so 0 and 1 are one configuration. From 2 up, the workers also
+	// prewarm the demand kernel before the policy's scan and fan out the
+	// per-VM demand reads of the sample tick. Results are bit-identical at
+	// every worker count (see DESIGN.md "Parallel execution &
+	// determinism"); only wall-clock time and the demand kernel's hit/miss
+	// split differ.
 	Workers int
 
 	// RecordServerUtil stores a per-server utilization sample matrix
@@ -95,13 +95,14 @@ type RunConfig struct {
 	// WithCheckpointStop.
 	checkpointStop bool
 	// resume, when set, starts the run from the checkpoint instead of t=0:
-	// the data center, policy state, rng streams, driver accounting and obs
-	// counters are reinstated, arrivals and departures before the capture
-	// point are skipped, and the tick cadences continue exactly where the
-	// captured run left off — the continued run is bit-identical (CSV and
-	// journal) to the uninterrupted one. The rest of the configuration must
-	// rebuild the same fleet, workload and cadences the checkpoint was
-	// captured under. Set via WithResume.
+	// the data center, policy state (rng streams included), driver
+	// accounting and obs counters are reinstated, arrivals and departures
+	// before the capture point are skipped, and the tick cadences continue
+	// exactly where the captured run left off — the continued run is
+	// bit-identical (CSV and journal) to the uninterrupted one. The rest of
+	// the configuration must hold the inputs the checkpoint was captured
+	// under (see inputsDigest); Run refuses other inputs. Set via
+	// WithResume.
 	resume *checkpoint.Checkpoint
 
 	// obs receives run telemetry; set via WithObs. Nil (the default) costs
@@ -253,7 +254,8 @@ func observeDCEvent(r *obs.Recorder, now time.Duration, e dc.Event) {
 // checkpoint it resumes from, if any, and the workload through
 // trace.Set.Validate: a Set from one of trace's constructors was checked
 // where it was built and passes at once, while a Set built by hand is
-// scanned VM by VM on every call.
+// scanned VM by VM on every call. VMs arrive in Set order, which Validate
+// holds to (Start, ID) order.
 func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	for _, opt := range opts {
 		opt(&cfg)
@@ -280,6 +282,8 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 			return nil, fmt.Errorf("cluster: checkpoint at %v is not aligned to the control interval %v", resumeAt, cfg.ControlInterval)
 		case cfg.checkpointAt != 0 && cfg.checkpointAt <= resumeAt:
 			return nil, fmt.Errorf("cluster: checkpoint at %v is not after the resume point %v", cfg.checkpointAt, resumeAt)
+		case resume.Inputs != inputsDigest(&cfg):
+			return nil, fmt.Errorf("cluster: checkpoint was captured from other inputs: this run's fleet, workload, cadences, MeasureFrom, power model, initial placement or RecordServerUtil differ")
 		}
 	}
 
@@ -301,16 +305,12 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	eng := sim.New()
 	eng.SetRecorder(cfg.obs)
 
-	// Fork-join pool for the per-server work of each control round. nil when
-	// Workers is 0, which keeps every existing sequential code path (and its
-	// goldens) untouched. The pool lives for the whole run; each tick's
-	// fan-outs join before the tick handler returns, so the engine's
-	// single-threaded execution model is preserved.
-	var pool *par.Pool
-	if cfg.Workers > 0 {
-		pool = par.New(cfg.Workers)
-		defer pool.Close()
-	}
+	// Fork-join pool for the per-server work of each control round; below
+	// two workers it runs every span inline. The pool lives for the whole
+	// run; each tick's fan-outs join before the tick handler returns, so
+	// the engine's single-threaded execution model is preserved.
+	pool := par.New(cfg.Workers)
+	defer pool.Close()
 
 	res := &Result{
 		Policy:                policy.Name(),
@@ -326,16 +326,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	}
 
 	totalCapacity := d.TotalCapacityMHz()
-
-	// Sort VMs by (Start, ID) so arrival order is deterministic.
-	vms := make([]*trace.VM, len(cfg.Workload.VMs))
-	copy(vms, cfg.Workload.VMs)
-	sort.Slice(vms, func(i, j int) bool {
-		if vms[i].Start != vms[j].Start {
-			return vms[i].Start < vms[j].Start
-		}
-		return vms[i].ID < vms[j].ID
-	})
+	vms := cfg.Workload.VMs
 
 	// Initial placement: a fresh SpreadRoundRobin run places every VM that
 	// starts at 0, and those VMs get no arrival event. A resumed run
@@ -375,7 +366,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// strictly after the capture point: earlier arrivals are embodied in the
 	// restored placements, earlier departures already happened. The loop
 	// order (and therefore the engine's FIFO tie-breaking among coincident
-	// events) is the same sorted-VM order as the uninterrupted run's.
+	// events) is the same (Start, ID) order as the uninterrupted run's.
 	for _, vm := range vms {
 		vm := vm
 		if resume != nil {
@@ -406,7 +397,7 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// Overload accounting shared between control and sample ticks.
 	var acc checkpoint.Accum
 
-	// Resume: reinstate the policy's private state and rng streams, the
+	// Resume: reinstate the policy's state, rng streams included, the
 	// driver's accounting, and the obs counters/gauges (timers are wall-clock
 	// telemetry and stay fresh).
 	if resume != nil {
@@ -417,9 +408,6 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		if err := cp.UnmarshalCheckpoint(resume.PolicyState); err != nil {
 			return nil, err
 		}
-		if err := cp.AdoptStreams(resume.RNG); err != nil {
-			return nil, err
-		}
 		if err := restoreRunnerState(resume.Runner, res, rec, &acc); err != nil {
 			return nil, err
 		}
@@ -428,45 +416,41 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		}
 	}
 
-	// Per-tick scratch, allocated once per run: the observation is computed
-	// into slots (phase A — with a pool, workers fill disjoint spans via
-	// dc.ObserveSpan; without one, a single span fills inline) and folded
-	// sequentially in server-index order (phase B), reproducing the
-	// sequential loop's float-operation order exactly.
+	// Per-run scratch and the per-server phases of a tick, built once per
+	// run. Each phase fills disjoint per-server slots for the tick at at
+	// through pool.Range, and the caller folds the slots sequentially in
+	// server-index order, reproducing the sequential loop's float-operation
+	// order exactly.
 	nServers := len(d.Servers)
 	slots := make([]dc.TickSample, nServers)
-	observe := func(now time.Duration) {
-		if pool.Parallel() {
-			pool.Range(nServers, func(sp par.Span) {
-				d.ObserveSpan(sp.Lo, sp.Hi, now, slots[sp.Lo:sp.Hi])
-			})
-		} else {
-			d.ObserveSpan(0, nServers, now, slots)
-		}
-	}
+	var (
+		at        time.Duration
+		row       []float64
+		auditErrs []error
+	)
+	observeSpan := func(sp par.Span) { d.ObserveSpan(sp.Lo, sp.Hi, at, slots[sp.Lo:sp.Hi]) }
+	utilSpan := func(sp par.Span) { d.UtilSpan(sp.Lo, sp.Hi, at, row[sp.Lo:sp.Hi]) }
+	auditSpan := func(sp par.Span) { auditErrs[sp.Index] = d.AuditSpan(sp.Lo, sp.Hi, at) }
+
+	// Two more phases pay only with goroutines. The prewarm refills every
+	// active server's demand aggregate across the workers so the
+	// sequential scans that follow (the policy's decision loop, the energy
+	// integral) run on cache hits; the warmed value is bit-identical to
+	// what a miss would install and the warm itself is uncounted, so only
+	// the hit/miss split shifts — never a result. The sample tick's per-VM
+	// demand reads fan out as spans (one bounds-checked loop per shard, not
+	// one closure per VM) and are folded in slice order, the sum
+	// trace.Set.TotalDemandAt makes, bit for bit.
+	var warmSpan, demandSpan func(par.Span)
 	var demandScratch []float64
-	if pool != nil {
-		demandScratch = make([]float64, len(cfg.Workload.VMs))
-	}
-	// totalDemandAt mirrors trace.Set.TotalDemandAt; with a pool the pure
-	// per-VM lookups fan out to workers as spans (one bounds-checked loop per
-	// shard, not one closure per VM) and the fold stays sequential in slice
-	// order, so the sum is bit-identical.
-	totalDemandAt := func(now time.Duration) float64 {
-		if pool == nil {
-			return cfg.Workload.TotalDemandAt(now)
-		}
-		ws := cfg.Workload.VMs
-		pool.Range(len(ws), func(sp par.Span) {
+	if pool.Parallel() {
+		warmSpan = func(sp par.Span) { d.WarmSpan(sp.Lo, sp.Hi, at) }
+		demandScratch = make([]float64, len(vms))
+		demandSpan = func(sp par.Span) {
 			for i := sp.Lo; i < sp.Hi; i++ {
-				demandScratch[i] = ws[i].DemandAt(now)
+				demandScratch[i] = vms[i].DemandAt(at)
 			}
-		})
-		sum := 0.0
-		for _, v := range demandScratch {
-			sum += v
 		}
-		return sum
 	}
 
 	// capErr carries a checkpoint-capture or sink failure out of the control
@@ -480,39 +464,26 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// violation time; what we count is the overload that persists.
 	controlTick := func(e *sim.Engine) {
 		now := e.Now()
-		if pool != nil {
-			// Prewarm: refill every active server's demand aggregate across
-			// the workers so the sequential scans that follow (the policy's
-			// decision loop, the energy integral) run on cache hits. The
-			// warmed value is bit-identical to what a miss would install,
-			// and the warm itself is uncounted, so only the hit/miss split
-			// shifts versus Workers=0 — never a result.
-			pool.Range(nServers, func(sp par.Span) {
-				d.WarmSpan(sp.Lo, sp.Hi, now)
-			})
+		at = now
+		if warmSpan != nil {
+			pool.Range(nServers, warmSpan)
 		}
 		policy.OnControl(Env{Now: now, DC: d, Rec: rec})
 		if d.Checked() {
 			// Structural invariants are verified per mutation in checked
-			// mode; the numeric audit is per control tick — sharded across
-			// the pool when one exists, with the first error in server-index
-			// order reported, like the sequential sweep.
-			if pool.Parallel() {
-				spans := par.Shards(nServers)
-				errs := make([]error, len(spans))
-				pool.Range(nServers, func(sp par.Span) {
-					errs[sp.Index] = d.AuditSpan(sp.Lo, sp.Hi, now)
-				})
-				for _, err := range errs {
-					if err != nil {
-						panic(fmt.Sprintf("cluster: control tick at %v: %v", now, err))
-					}
+			// mode; the numeric audit is per control tick, with the first
+			// error in server-index order reported, like a sequential sweep.
+			if auditErrs == nil {
+				auditErrs = make([]error, len(par.Shards(nServers)))
+			}
+			pool.Range(nServers, auditSpan)
+			for _, err := range auditErrs {
+				if err != nil {
+					panic(fmt.Sprintf("cluster: control tick at %v: %v", now, err))
 				}
-			} else if err := d.AuditSpan(0, nServers, now); err != nil {
-				panic(fmt.Sprintf("cluster: control tick at %v: %v", now, err))
 			}
 		}
-		observe(now)
+		pool.Range(nServers, observeSpan)
 		// Warm-up gate: ticks before MeasureFrom feed the windowed series and
 		// the episode tracker (which report over time and can show the
 		// transient honestly) but not the whole-run aggregates.
@@ -584,10 +555,20 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 	// Sample tick: record the reported series.
 	sampleTick := func(e *sim.Engine) {
 		now := e.Now()
+		at = now
 		cfg.obs.SampleMemory()
 		res.ActiveServers.Add(now, float64(d.ActiveCount()))
 		res.PowerW.Add(now, d.PowerAt(now, cfg.PowerModel))
-		res.OverallLoad.Add(now, totalDemandAt(now)/totalCapacity)
+		var demand float64
+		if demandSpan != nil {
+			pool.Range(len(vms), demandSpan)
+			for _, v := range demandScratch {
+				demand += v
+			}
+		} else {
+			demand = cfg.Workload.TotalDemandAt(now)
+		}
+		res.OverallLoad.Add(now, demand/totalCapacity)
 		pct := 0.0
 		if acc.WinVMTicks > 0 {
 			pct = 100 * acc.WinVMOverTicks / acc.WinVMTicks
@@ -601,14 +582,8 @@ func Run(cfg RunConfig, policy Policy, opts ...Option) (*Result, error) {
 		acc.LastActivations, acc.LastHibernations = d.Activations, d.Hibernations
 
 		if cfg.RecordServerUtil {
-			row := make([]float64, nServers)
-			if pool.Parallel() {
-				pool.Range(nServers, func(sp par.Span) {
-					d.UtilSpan(sp.Lo, sp.Hi, now, row[sp.Lo:sp.Hi])
-				})
-			} else {
-				d.UtilSpan(0, nServers, now, row)
-			}
+			row = make([]float64, nServers)
+			pool.Range(nServers, utilSpan)
 			res.SampleTimes = append(res.SampleTimes, now)
 			res.ServerUtil = append(res.ServerUtil, row)
 		}

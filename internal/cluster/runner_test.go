@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -143,15 +144,15 @@ func TestRunOverloadAccounting(t *testing.T) {
 	if res.VMOverloadTimeFrac < 0.99 {
 		t.Fatalf("overload fraction = %v, want ~1", res.VMOverloadTimeFrac)
 	}
-	if res.Episodes.Episodes() != 1 {
-		t.Fatalf("episodes = %d, want 1 continuous episode", res.Episodes.Episodes())
+	if n := len(res.Episodes.State().DurationsNS); n != 1 {
+		t.Fatalf("episodes = %d, want 1 continuous episode", n)
 	}
 	// Granted fraction = capacity/demand = 12/13.
 	if got := res.GrantedFracInOverload; got < 0.92 || got > 0.93 {
 		t.Fatalf("granted fraction = %v, want ~0.923", got)
 	}
-	if res.OverDemandPct.Max() != 100 {
-		t.Fatalf("over-demand pct max = %v, want 100", res.OverDemandPct.Max())
+	if m := slices.Max(res.OverDemandPct.V); m != 100 {
+		t.Fatalf("over-demand pct max = %v, want 100", m)
 	}
 }
 
@@ -219,7 +220,7 @@ func TestRunNoOverloadZeroMetrics(t *testing.T) {
 	if res.GrantedFracInOverload != 1 {
 		t.Fatalf("granted fraction = %v, want 1 (no overload)", res.GrantedFracInOverload)
 	}
-	if res.Episodes.Episodes() != 0 {
+	if len(res.Episodes.State().DurationsNS) != 0 {
 		t.Fatal("phantom overload episodes")
 	}
 }
@@ -439,6 +440,10 @@ func TestRunEcoCloudEndToEnd(t *testing.T) {
 	}
 }
 
+// Two runs of one configuration agree in every field. Workers 0 and 1 are
+// one configuration: both run every per-server phase inline through the
+// same spans and neither prewarms, so even the demand cache's hit and miss
+// counts, which a parallel pool's prewarm shifts, are equal.
 func TestRunEcoCloudDeterministic(t *testing.T) {
 	gcfg := trace.DefaultGenConfig()
 	gcfg.NumVMs = 80
@@ -447,7 +452,7 @@ func TestRunEcoCloudDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() *cluster.Result {
+	run := func(workers int) *cluster.Result {
 		pol, err := ecocloud.New(ecocloud.DefaultConfig(), 11)
 		if err != nil {
 			t.Fatal(err)
@@ -459,6 +464,7 @@ func TestRunEcoCloudDeterministic(t *testing.T) {
 			ControlInterval: 5 * time.Minute,
 			SampleInterval:  30 * time.Minute,
 			PowerModel:      dc.DefaultPowerModel(),
+			Workers:         workers,
 		}
 		res, err := cluster.Run(cfg, pol)
 		if err != nil {
@@ -466,7 +472,7 @@ func TestRunEcoCloudDeterministic(t *testing.T) {
 		}
 		return res
 	}
-	a, b := run(), run()
+	a, b := run(0), run(1)
 	if err := cluster.SameResult(a, b); err != nil {
 		t.Fatalf("identical runs diverged: %v", err)
 	}

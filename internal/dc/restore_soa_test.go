@@ -1,8 +1,6 @@
 package dc
 
 import (
-	"bytes"
-	"encoding/json"
 	"testing"
 	"time"
 
@@ -194,91 +192,4 @@ func TestRestoreMidBlockStartsEmpty(t *testing.T) {
 			}
 		}
 	}
-}
-
-// Pre-extension snapshots (no kernel or RAM fields) must still restore:
-// placements exact, cache cold, counters zero. So must files that carry the
-// per-VM "cursors" key snapshots held before the kernel became stateless;
-// decoding ignores it.
-func TestRestoreLegacySnapshotColdCache(t *testing.T) {
-	orig, ws := soaFixture(t)
-	legacy := orig.Snapshot()
-	for i := range legacy.Servers {
-		legacy.Servers[i].Kernel = nil
-		legacy.Servers[i].UsedRAMMB = 0
-	}
-	for _, c := range []struct {
-		name string
-		snap Snapshot
-	}{
-		{"pre-extension", legacy},
-		{"cursors key", withCursorsKey(t, legacy)},
-	} {
-		restored, err := Restore(WithRAM(UniformFleet(4, 4, 2000), 512), ws, c.snap)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if got := restored.DemandCacheStats(); got != (DemandCacheStats{}) {
-			t.Fatalf("%s: legacy restore has nonzero cache stats: %+v", c.name, got)
-		}
-		for i := range restored.hot.kValid {
-			if restored.hot.kValid[i] {
-				t.Fatalf("%s: legacy restore left server %d kernel warm", c.name, i)
-			}
-		}
-		// Values (not counters) still match the original exactly: cold cache
-		// is bit-identical to naive recomputation.
-		for _, at := range []time.Duration{55 * time.Minute, 95 * time.Minute} {
-			for i, s := range restored.Servers {
-				if s.State() != Active {
-					continue
-				}
-				if got, want := s.DemandAt(at), orig.Servers[i].recomputeDemandAt(at); got != want {
-					t.Fatalf("%s: server %d demand at %v: %x, want %x", c.name, i, at, got, want)
-				}
-			}
-		}
-		if err := restored.CheckInvariants(); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-	}
-}
-
-// withCursorsKey round-trips snap through JSON with a "cursors" array on
-// every server, one memo per hosted VM, in the shape older snapshots wrote.
-func withCursorsKey(t *testing.T, snap Snapshot) Snapshot {
-	t.Helper()
-	type memo struct {
-		Valid   bool  `json:"valid"`
-		Idx     int   `json:"idx"`
-		FromNS  int64 `json:"from_ns"`
-		UntilNS int64 `json:"until_ns"`
-	}
-	type server struct {
-		ServerSnapshot
-		Cursors []memo `json:"cursors"`
-	}
-	old := struct {
-		Snapshot
-		Servers []server `json:"servers"`
-	}{Snapshot: snap}
-	for _, ss := range snap.Servers {
-		srv := server{ServerSnapshot: ss}
-		for range ss.VMs {
-			srv.Cursors = append(srv.Cursors, memo{true, 1, int64(30 * time.Minute), int64(time.Hour)})
-		}
-		old.Servers = append(old.Servers, srv)
-	}
-	raw, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(raw, []byte(`"cursors":[{`)) {
-		t.Fatal("fixture carries no cursor memo")
-	}
-	var out Snapshot
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }

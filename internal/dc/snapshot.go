@@ -22,11 +22,7 @@ type Snapshot struct {
 }
 
 // ServerSnapshot is one server's mutable state. Active and Failed are
-// mutually exclusive; both false means Hibernated. Older files stay
-// readable: pre-fault snapshots never set Failed; snapshots written before
-// the hot-state extension leave Kernel/UsedRAMMB empty, which restores a
-// cold cache (correct values, shifted hit/miss split); and decoding ignores
-// the per-VM "cursors" key written while the demand kernel kept per-VM state.
+// mutually exclusive; both false means Hibernated.
 type ServerSnapshot struct {
 	ID          int   `json:"id"`
 	Active      bool  `json:"active"`
@@ -37,13 +33,11 @@ type ServerSnapshot struct {
 	// UsedRAMMB is the server's historical RAM accumulator. It is captured —
 	// not recomputed from the placed VMs — because the accumulator is the
 	// running sum over the server's whole placement history and
-	// floating-point addition does not commute with replay order. Zero (or
-	// absent) means "trust the replayed sum" for pre-extension snapshots and
-	// CPU-only fleets.
+	// floating-point addition does not commute with replay order.
 	UsedRAMMB float64 `json:"used_ram_mb,omitempty"`
 
 	// Kernel is the demand-kernel aggregate and its access counters.
-	Kernel *KernelSnapshot `json:"kernel,omitempty"`
+	Kernel KernelSnapshot `json:"kernel"`
 }
 
 // KernelSnapshot is one server's demand-kernel state (see demandkernel.go):
@@ -76,7 +70,7 @@ func (d *DataCenter) Snapshot() Snapshot {
 			Failed:      s.State() == Failed,
 			ActivatedNS: int64(s.ActivatedAt()),
 			UsedRAMMB:   h.usedRAMMB[s.ID],
-			Kernel: &KernelSnapshot{
+			Kernel: KernelSnapshot{
 				Valid:   h.kValid[s.ID],
 				FromNS:  int64(h.kFrom[s.ID]),
 				UntilNS: int64(h.kUntil[s.ID]),
@@ -139,21 +133,16 @@ func Restore(specs []Spec, ws *trace.Set, snap Snapshot) (*DataCenter, error) {
 		// Reinstate the hot state the replay above cannot reproduce: the
 		// historical RAM accumulator, the activation timestamp of non-active
 		// servers, and the kernel aggregate the placements just invalidated.
-		// Pre-extension snapshots carry none of these and restore a cold (but
-		// correct) cache.
-		if ss.UsedRAMMB != 0 {
-			d.hot.usedRAMMB[s.ID] = ss.UsedRAMMB
-		}
+		d.hot.usedRAMMB[s.ID] = ss.UsedRAMMB
 		d.hot.activatedAt[s.ID] = time.Duration(ss.ActivatedNS)
-		if k := ss.Kernel; k != nil {
-			d.hot.kValid[s.ID] = k.Valid
-			d.hot.kFrom[s.ID] = time.Duration(k.FromNS)
-			d.hot.kUntil[s.ID] = time.Duration(k.UntilNS)
-			d.hot.kSum[s.ID] = k.Sum
-			d.hot.kHits[s.ID] = k.Hits
-			d.hot.kMisses[s.ID] = k.Misses
-			d.hot.kInval[s.ID] = k.Inval
-		}
+		k := ss.Kernel
+		d.hot.kValid[s.ID] = k.Valid
+		d.hot.kFrom[s.ID] = time.Duration(k.FromNS)
+		d.hot.kUntil[s.ID] = time.Duration(k.UntilNS)
+		d.hot.kSum[s.ID] = k.Sum
+		d.hot.kHits[s.ID] = k.Hits
+		d.hot.kMisses[s.ID] = k.Misses
+		d.hot.kInval[s.ID] = k.Inval
 	}
 	// The snapshot's counters override the ones the replay just produced.
 	d.Activations = snap.Activations

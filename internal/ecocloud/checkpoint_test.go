@@ -1,9 +1,7 @@
 package ecocloud
 
 import (
-	"crypto/sha256"
 	"encoding/json"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -27,35 +25,64 @@ func newCheckpointFixture(t *testing.T) *Policy {
 			src.Float64()
 		}
 	}
-	p.mgr.Float64()
+	p.mgr.NormFloat64() // leave a spare cached
 	p.nextGroup = 5
 	return p
 }
 
+// fixtureState returns the fixture's checkpoint state decoded into its
+// parts, for a test to corrupt.
+func fixtureState(t *testing.T) policyState {
+	t.Helper()
+	raw, err := newCheckpointFixture(t).MarshalCheckpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st policyState
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// mustRestoreFails restores raw on a fresh policy, wants an error naming
+// want, and wants the policy left as New built it.
+func mustRestoreFails(t *testing.T, raw []byte, want string) {
+	t.Helper()
+	q := mustPolicy(t, DefaultConfig(), 99)
+	err := q.UnmarshalCheckpoint(raw)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("restore of %s: err = %v, want one naming %q", raw, err, want)
+		return
+	}
+	fresh := mustPolicy(t, DefaultConfig(), 99)
+	if q.master.State() != fresh.master.State() || q.mgr.State() != fresh.mgr.State() || len(q.servers.srcs) != 0 || q.nextGroup != 0 {
+		t.Errorf("restore of %s failed but installed state", raw)
+	}
+}
+
+func marshalState(t *testing.T, st any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	p := newCheckpointFixture(t)
-
-	reg := rng.NewRegistry()
-	p.RegisterStreams(reg)
-	states := reg.States()
 	raw, err := p.MarshalCheckpoint()
 	if err != nil {
 		t.Fatalf("marshal: %v", err)
 	}
 
 	// A fresh policy from the same config+seed, with the captured state
-	// adopted on top, must behave identically from here on.
-	q, err := New(DefaultConfig(), 99)
-	if err != nil {
-		t.Fatalf("policy: %v", err)
-	}
+	// restored on top, must behave identically from here on.
+	q := mustPolicy(t, DefaultConfig(), 99)
 	if err := q.UnmarshalCheckpoint(raw); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	if err := q.AdoptStreams(states); err != nil {
-		t.Fatalf("adopt: %v", err)
-	}
-
 	if q.nextGroup != p.nextGroup {
 		t.Fatalf("nextGroup %d want %d", q.nextGroup, p.nextGroup)
 	}
@@ -66,7 +93,7 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 			t.Fatalf("server %d stream diverged: %v vs %v", id, a, b)
 		}
 	}
-	if a, b := p.mgr.Float64(), q.mgr.Float64(); a != b {
+	if a, b := p.mgr.NormFloat64(), q.mgr.NormFloat64(); a != b {
 		t.Fatalf("manager stream diverged: %v vs %v", a, b)
 	}
 	if a, b := p.master.Float64(), q.master.Float64(); a != b {
@@ -75,59 +102,66 @@ func TestPolicyCheckpointRoundTrip(t *testing.T) {
 	// A lazily derived stream NOT in the checkpoint still derives
 	// identically on both sides (Split is draw-order independent).
 	if a, b := p.serverSrc(30).Float64(), q.serverSrc(30).Float64(); a != b {
-		t.Fatalf("post-adopt derivation diverged: %v vs %v", a, b)
-	}
-
-	// A checkpoint from before the consolidation cooldown was deleted still
-	// carries its per-server clocks; they are ignored.
-	old := mustPolicy(t, DefaultConfig(), 99)
-	if err := old.UnmarshalCheckpoint(json.RawMessage(`{"last_mig_ns":[{"server":1,"at_ns":0}],"next_group":5}`)); err != nil {
-		t.Fatalf("earlier checkpoint state: %v", err)
-	}
-	if old.nextGroup != 5 {
-		t.Fatalf("earlier checkpoint state: nextGroup %d, want 5", old.nextGroup)
+		t.Fatalf("post-restore derivation diverged: %v vs %v", a, b)
 	}
 }
 
-func TestAdoptStreamsRejectsUnknownLabel(t *testing.T) {
-	p := newCheckpointFixture(t)
-	reg := rng.NewRegistry()
-	p.RegisterStreams(reg)
-	states := reg.States()
-	states["protocol/bogus"] = rng.New(1).State()
-
-	q, err := New(DefaultConfig(), 99)
-	if err != nil {
-		t.Fatalf("policy: %v", err)
-	}
-	if err := q.AdoptStreams(states); err == nil {
-		t.Fatal("unknown stream label accepted")
+// TestPolicyCheckpointRejectsZeroStream: a stream in the all-zero state
+// draws 0 forever and would hang a resumed run, so each of the master, the
+// manager and a server stream fails the restore, naming the stream.
+func TestPolicyCheckpointRejectsZeroStream(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		zero func(*policyState)
+	}{
+		{"master stream", func(st *policyState) { st.Master = &rng.State{Base: 1} }},
+		{"manager stream", func(st *policyState) { st.Manager = &rng.State{} }},
+		{"server 4 stream", func(st *policyState) { st.Servers[1].State = rng.State{} }},
+	} {
+		st := fixtureState(t)
+		c.zero(&st)
+		mustRestoreFails(t, marshalState(t, st), c.name)
 	}
 }
 
-// TestPolicyCheckpointRejectsBadServerID adds to a valid checkpoint one
-// stream label naming a server ID outside [0, 2^24), which must fail rather
-// than size a per-server table to it, or a label writing ID 4 in a form
-// RegisterStreams never writes, which would restore one stream twice in
-// map order.
+// TestPolicyCheckpointRejectsUnknownKey: the state holds only the keys the
+// policy writes, so a key it does not own, such as the separate stream
+// section of format 1 or a clock an older policy kept, fails the restore,
+// and so does a state without the master or manager stream.
+func TestPolicyCheckpointRejectsUnknownKey(t *testing.T) {
+	raw := marshalState(t, fixtureState(t))
+	for _, key := range []string{"rng", "last_mig_ns"} {
+		mustRestoreFails(t, append([]byte(`{"`+key+`":{},`), raw[1:]...), key)
+	}
+	st := fixtureState(t)
+	st.Master = nil
+	mustRestoreFails(t, marshalState(t, st), "master")
+	st = fixtureState(t)
+	st.Manager = nil
+	mustRestoreFails(t, marshalState(t, st), "manager")
+}
+
+// TestPolicyCheckpointRejectsBadServerID: server IDs must rise strictly and
+// stay in [0, 2^24), so a corrupt file can neither size a per-server table
+// past any fleet nor restore one stream twice.
 func TestPolicyCheckpointRejectsBadServerID(t *testing.T) {
-	reg := rng.NewRegistry()
-	newCheckpointFixture(t).RegisterStreams(reg)
-	for _, label := range []string{"ecocloud/server/-1", "ecocloud/server/16777216", "ecocloud/server/04", "ecocloud/server/+4"} {
-		states := reg.States()
-		states[label] = states["ecocloud/server/1"]
-		q := mustPolicy(t, DefaultConfig(), 99)
-		if err := q.AdoptStreams(states); err == nil {
-			t.Errorf("stream label %q accepted", label)
+	// The fixture's three server IDs, rewritten: negative, too large,
+	// repeated and falling.
+	for _, ids := range [][]int{{-1, 4, 7}, {1, 4, 1 << 24}, {1, 4, 4}, {1, 7, 4}} {
+		st := fixtureState(t)
+		for i, id := range ids {
+			st.Servers[i].ID = id
 		}
+		mustRestoreFails(t, marshalState(t, st), "IDs must rise strictly")
 	}
 }
 
-// TestPolicyCheckpointEncodingPinned pins the policy's checkpoint bytes and
-// stream labels on state built through the control path: server 1 makes a
-// consolidation migration at t = 0 and server 4 one at 10 min, both onto
-// server 7, which stays in its grace period; the scans derive streams 1, 4
-// and 7. Without invitation groups the policy has no non-rng state.
+// TestPolicyCheckpointEncodingPinned pins the policy's checkpoint bytes on
+// state built through the control path: server 1 makes a consolidation
+// migration at t = 0 and server 4 one at 10 min, both onto server 7, which
+// stays in its grace period; the scans derive streams 1, 4 and 7. Without
+// invitation groups the cursor is 0 and omitted. The stream states are the
+// ones format 1 wrote for the same run under its stream labels.
 func TestPolicyCheckpointEncodingPinned(t *testing.T) {
 	d := dc.New(dc.UniformFleet(8, 6, 2000)) // 12,000 MHz each
 	for _, c := range []struct {
@@ -156,29 +190,13 @@ func TestPolicyCheckpointEncodingPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const wantState = `{}`
-	if string(raw) != wantState {
-		t.Fatalf("checkpoint state\n got %s\nwant %s", raw, wantState)
+	const want = `{"master":{"s":[4824385676517010403,583982616703494564,15398599001720869627,1887459716761070807],"base":4824385676517010403},` +
+		`"manager":{"s":[8821440611544763941,13948602688831090191,9968429346796798998,6975400733260627616],"base":12755916654718394324},` +
+		`"servers":[` +
+		`{"id":1,"s":[9861651609460494974,13018938265730919556,5033775179760586600,17682655502009204003],"base":6546708071462170675},` +
+		`{"id":4,"s":[2675700722892512026,9198704915371165056,12251650731775883392,1533669696722048116],"base":5799055357905706838},` +
+		`{"id":7,"s":[4239872842346804664,13766792129259066729,11603030865598993620,14944751806052459756],"base":4239872842346804664}]}`
+	if string(raw) != want {
+		t.Fatalf("checkpoint state\n got %s\nwant %s", raw, want)
 	}
-	reg := rng.NewRegistry()
-	p.RegisterStreams(reg)
-	const wantLabels = "ecocloud/manager ecocloud/master ecocloud/server/1 ecocloud/server/4 ecocloud/server/7"
-	if got := strings.Join(reg.Labels(), " "); got != wantLabels {
-		t.Fatalf("stream labels\n got %s\nwant %s", got, wantLabels)
-	}
-	const wantStates = "0aa62e370a574003d66a9b18618d57481ea6f5ecdf198dbd688ccc28d61a94b7"
-	if got := statesDigest(t, reg); got != wantStates {
-		t.Fatalf("stream states digest %s, want %s", got, wantStates)
-	}
-}
-
-// statesDigest is the SHA-256 of reg's captured stream states as JSON
-// (keys sorted by label).
-func statesDigest(t *testing.T, reg *rng.Registry) string {
-	t.Helper()
-	raw, err := json.Marshal(reg.States())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return fmt.Sprintf("%x", sha256.Sum256(raw))
 }

@@ -61,9 +61,6 @@ func New(cfg Config, seed uint64) (*Policy, error) {
 // Name implements cluster.Policy.
 func (p *Policy) Name() string { return "ecocloud" }
 
-// Config returns the policy's configuration.
-func (p *Policy) Config() Config { return p.core.Config }
-
 // serverSrc returns server id's private stream, creating it on first use.
 func (p *Policy) serverSrc(id int) *rng.Source { return p.servers.Get(id) }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -174,9 +175,9 @@ func TestDailySmallScale(t *testing.T) {
 		}
 	}
 	// Consolidation sanity: number of active servers roughly tracks load.
-	active := res.Run.ActiveServers
-	if active.Max() > float64(30) || active.Min() < 1 {
-		t.Fatalf("active servers out of range: [%v, %v]", active.Min(), active.Max())
+	lo, hi := slices.Min(res.Run.ActiveServers.V), slices.Max(res.Run.ActiveServers.V)
+	if hi > float64(30) || lo < 1 {
+		t.Fatalf("active servers out of range: [%v, %v]", lo, hi)
 	}
 	// QoS: overload stays small even at reduced scale.
 	if res.Run.VMOverloadTimeFrac > 0.01 {

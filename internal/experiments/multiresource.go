@@ -74,7 +74,7 @@ func MultiResource(opts MultiResourceOptions) (*MultiResourceResult, error) {
 		ram  *ecocloud.RAMConfig
 	}{
 		{"cpu-only", nil},
-		{"all-trials", &ecocloud.RAMConfig{Ta: 0.90, P: 3, Strategy: ecocloud.AllTrials}},
+		{"all-trials", ecocloud.DefaultRAMConfig()},
 		{"critical", &ecocloud.RAMConfig{Ta: 0.90, P: 3, Strategy: ecocloud.CriticalPlusConstraints}},
 	}
 	out := &MultiResourceResult{Results: map[string]*cluster.Result{}}

@@ -156,7 +156,7 @@ func ParScale(opts ParScaleOptions) ([]ParScalePoint, error) {
 			}
 			if baseline == nil {
 				// The first configured count anchors parity; the default
-				// sweep puts 0 (the pristine sequential engine) first.
+				// sweep puts 0 (the inline pool, no goroutines) first.
 				baseline = res
 			} else if err := cluster.SameResult(baseline, res); err != nil {
 				return nil, fmt.Errorf("experiments: parscale %d servers: Workers=%d diverged from Workers=%d: %v",

@@ -29,8 +29,8 @@ import (
 var updateSoAGolden = flag.Bool("update-soa-golden", false, "rewrite the SoA differential goldens")
 
 // soaGoldenSeeds and soaGoldenWorkers span the differential matrix. Workers
-// 0 (pristine sequential), 1 (pool code path, inline) and 8 (real fan-out)
-// must all reproduce the same bytes.
+// 0 and 1 (the inline pool) and 8 (real fan-out) must all reproduce the
+// same bytes.
 var (
 	soaGoldenSeeds   = []uint64{42, 43, 44}
 	soaGoldenWorkers = []int{0, 1, 8}

@@ -156,48 +156,6 @@ func (s *Series) Add(t time.Duration, v float64) {
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.T) }
 
-// Max returns the largest sample value (0 for an empty series).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for i, v := range s.V {
-		if i == 0 || v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Min returns the smallest sample value (0 for an empty series).
-func (s *Series) Min() float64 {
-	m := 0.0
-	for i, v := range s.V {
-		if i == 0 || v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Mean returns the mean sample value (0 for an empty series).
-func (s *Series) Mean() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.V {
-		sum += v
-	}
-	return sum / float64(len(s.V))
-}
-
-// Last returns the final sample value (0 for an empty series).
-func (s *Series) Last() float64 {
-	if len(s.V) == 0 {
-		return 0
-	}
-	return s.V[len(s.V)-1]
-}
-
 // RateCounter converts discrete events into an events-per-hour series
 // bucketed on a fixed interval, which is how the paper reports migration and
 // switch frequencies (Figs. 9–10, computed every 30 minutes).
@@ -292,9 +250,6 @@ func (e *EpisodeTracker) Flush() {
 	}
 	slices.Sort(e.durations[n:])
 }
-
-// Episodes returns the number of completed episodes.
-func (e *EpisodeTracker) Episodes() int { return len(e.durations) }
 
 // FractionShorterThan returns the fraction of completed episodes strictly
 // shorter than or equal to d (0 when there are none).

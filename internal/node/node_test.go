@@ -91,7 +91,7 @@ func runCluster(t *testing.T, cfg *ClusterConfig, listeners []net.Listener) (*ex
 func replicaState(n *Node) dc.Snapshot {
 	snap := n.cluster.DC().Snapshot()
 	for i := range snap.Servers {
-		snap.Servers[i].Kernel = nil
+		snap.Servers[i].Kernel = dc.KernelSnapshot{}
 	}
 	return snap
 }

@@ -28,9 +28,9 @@
 // Per-item streams make the draw sequence independent of both the worker
 // count and the shard layout.
 //
-// A nil *Pool is valid and means "sequential": Range and For run inline on
-// the calling goroutine. New(0) and New(1) also run inline, so Workers=1
-// exercises the same code path as Workers=8 without any goroutines.
+// New(0) and New(1) return an inline pool: Range and For run every shard
+// on the calling goroutine, in shard-index order, through the same spans a
+// parallel pool hands its workers.
 package par
 
 import (
@@ -111,9 +111,6 @@ type Pool struct {
 
 // shards returns the static layout for n, cached across calls.
 func (p *Pool) shards(n int) []Span {
-	if p == nil {
-		return Shards(n)
-	}
 	if n != p.lastN || p.lastSpans == nil {
 		p.lastN, p.lastSpans = n, Shards(n)
 	}
@@ -162,23 +159,15 @@ func New(workers int) *Pool {
 	return p
 }
 
-// Workers reports the configured worker count; 0 for a nil pool.
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 0
-	}
-	return p.workers
-}
-
 // Parallel reports whether Range actually fans out to worker goroutines.
 func (p *Pool) Parallel() bool {
-	return p != nil && p.workers >= 2
+	return p.workers >= 2
 }
 
-// Close shuts the workers down and waits for them to exit. Safe on a nil
-// or inline pool, and safe to call more than once.
+// Close shuts the workers down and waits for them to exit. Safe on an
+// inline pool, and safe to call more than once.
 func (p *Pool) Close() {
-	if p == nil || p.tasks == nil {
+	if p.tasks == nil {
 		return
 	}
 	p.close.Do(func() {

@@ -48,14 +48,11 @@ func TestShardsStatic(t *testing.T) {
 }
 
 // TestRangeCoversEveryIndex checks that every item is visited exactly once
-// at several worker counts, including the nil pool.
+// at several worker counts, including the inline ones.
 func TestRangeCoversEveryIndex(t *testing.T) {
 	const n = 10_000
 	for _, workers := range []int{0, 1, 2, 3, 8} {
-		var p *Pool
-		if workers > 0 {
-			p = New(workers)
-		}
+		p := New(workers)
 		visits := make([]int32, n)
 		For(p, n, func(i int) { atomic.AddInt32(&visits[i], 1) })
 		p.Close()
@@ -73,11 +70,8 @@ func TestRangeCoversEveryIndex(t *testing.T) {
 func TestForBitIdentical(t *testing.T) {
 	const n = 5000
 	compute := func(workers int) (float64, []float64) {
-		var p *Pool
-		if workers > 0 {
-			p = New(workers)
-			defer p.Close()
-		}
+		p := New(workers)
+		defer p.Close()
 		master := rng.New(42)
 		out := make([]float64, n)
 		For(p, n, func(i int) {
@@ -144,11 +138,6 @@ func TestInlinePoolRunsInOrder(t *testing.T) {
 		}
 		p.Close() // must be a no-op
 	}
-	var nilPool *Pool
-	if nilPool.Workers() != 0 || nilPool.Parallel() {
-		t.Fatal("nil pool must report 0 sequential workers")
-	}
-	nilPool.Close()
 }
 
 func TestCloseIdempotent(t *testing.T) {

@@ -92,7 +92,7 @@ type Config struct {
 
 	// Workers shards the migration scan's per-server decision phase (demand
 	// read + Bernoulli trial on the server's private stream) across an
-	// internal/par pool (0 = no pool: the same two phases run inline). The
+	// internal/par pool; below 2 the pool runs the same spans inline. The
 	// hibernations and MIGREQ sends those decisions trigger are applied
 	// afterwards in server-index order, so message traffic — and therefore
 	// every downstream draw and event — is bit-identical at every worker
@@ -346,9 +346,9 @@ type Cluster struct {
 	gate     WakeGate
 	onPlaced func(vmID int, now time.Duration)
 
-	// pool shards the migration scan's decision phase when cfg.Workers > 0
-	// (nil runs it inline); scan is its per-tick decision buffer,
-	// index-parallel to dc.Servers.
+	// pool shards the migration scan's decision phase (inline below two
+	// workers); scan is its per-tick decision buffer, index-parallel to
+	// dc.Servers.
 	pool *par.Pool
 	scan []scanDecision
 	// vms is scratch for a server's VM list when it picks what to migrate
@@ -412,8 +412,8 @@ func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr 
 		c.net.Register(serverNode(s.ID), func(m netsim.Message) { c.onServerMessage(s, m) })
 	}
 	c.scan = make([]scanDecision, len(c.dc.Servers))
-	if cfg.Workers > 0 {
-		c.pool = par.New(cfg.Workers)
+	c.pool = par.New(cfg.Workers)
+	if c.pool.Parallel() {
 		// Pre-derive every server's private stream: the streams are keyed by
 		// label and ID (creation order never matters), and filling the
 		// fleet-sized table up front means the parallel scan phase only ever
@@ -436,7 +436,7 @@ func newOn(cfg Config, specs []dc.Spec, master *rng.Source, eng *sim.Engine, tr 
 // Engine exposes the simulation engine so callers can schedule arrivals.
 func (c *Cluster) Engine() *sim.Engine { return c.eng }
 
-// Close releases the scan worker pool (a no-op when Workers was 0). Callers
+// Close releases the scan worker pool (a no-op below two workers). Callers
 // that set Config.Workers must Close the cluster when the run is over.
 func (c *Cluster) Close() { c.pool.Close() }
 
@@ -970,7 +970,7 @@ func (c *Cluster) RunDay(ws *trace.Set, horizon time.Duration) error {
 }
 
 // scanTick is one migration scan, split into a fork-join decision phase and
-// a sequential apply phase. Without a pool (Workers 0) both run inline.
+// a sequential apply phase. Below two workers both run inline.
 //
 //   - Phase A (workers): each active server reads its own utilization (a
 //     per-server demand-kernel mutation; no server is handed to two
@@ -1003,7 +1003,7 @@ func (c *Cluster) scanSpan(lo, hi int, now time.Duration) {
 		if s.State() == dc.Active {
 			var src *rng.Source
 			if s.NumVMs() > 0 {
-				// Streams are pre-derived when a pool exists, so parallel
+				// Streams are pre-derived when the pool is parallel, so
 				// workers only read the table; inline, the first use derives.
 				d.u, src = s.UtilizationAt(now), c.serverSrc(s.ID)
 			}

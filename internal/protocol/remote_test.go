@@ -15,7 +15,7 @@ import (
 func replicaState(d *dc.DataCenter) dc.Snapshot {
 	snap := d.Snapshot()
 	for i := range snap.Servers {
-		snap.Servers[i].Kernel = nil
+		snap.Servers[i].Kernel = dc.KernelSnapshot{}
 	}
 	return snap
 }

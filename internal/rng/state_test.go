@@ -69,9 +69,12 @@ func TestBernoulliPanicsOnNaN(t *testing.T) {
 }
 
 // restored returns a new Source set to st by Source.Restore.
-func restored(st State) *Source {
+func restored(t *testing.T, st State) *Source {
+	t.Helper()
 	s := new(Source)
-	s.Restore(st)
+	if err := s.Restore(st); err != nil {
+		t.Fatal(err)
+	}
 	return s
 }
 
@@ -86,7 +89,7 @@ func TestStateRoundTrip(t *testing.T) {
 	}
 
 	st := s.State()
-	clone := restored(st)
+	clone := restored(t, st)
 	for i := 0; i < 500; i++ {
 		if s.NormFloat64() != clone.NormFloat64() {
 			t.Fatalf("restored source diverged at draw %d", i)
@@ -96,13 +99,13 @@ func TestStateRoundTrip(t *testing.T) {
 		}
 	}
 	// Derived streams must round-trip too.
-	a := restored(st).Split("x")
-	b := restored(st).Split("x")
+	a := restored(t, st).Split("x")
+	b := restored(t, st).Split("x")
 	if a.Uint64() != b.Uint64() {
 		t.Fatal("restored sources derive different children")
 	}
 	fresh := New(77).Split("x")
-	if restored(st).Split("x").Uint64() != fresh.Uint64() {
+	if restored(t, st).Split("x").Uint64() != fresh.Uint64() {
 		t.Fatal("restored source derives different children than the original lineage")
 	}
 }
@@ -127,102 +130,17 @@ func TestStateJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRegistryRoundTrip(t *testing.T) {
-	master := New(21)
-	reg := NewRegistry()
-	srcs := map[string]*Source{
-		"manager":  master.Split("manager"),
-		"server/0": master.SplitIndex("server", 0),
-		"server/1": master.SplitIndex("server", 1),
-	}
-	for label, src := range srcs {
-		reg.Add(label, src)
-	}
-	srcs["manager"].Uint64()
-	srcs["server/1"].NormFloat64()
-
-	states := reg.States()
-	want := map[string]uint64{}
-	for label, src := range srcs {
-		want[label] = restored(src.State()).Uint64()
-	}
-
-	// Trash every source, then restore.
-	for _, src := range srcs {
-		src.Restore(New(999).State())
-	}
-	if err := reg.Restore(states); err != nil {
-		t.Fatal(err)
-	}
-	for label, src := range srcs {
-		if got := src.Uint64(); got != want[label] {
-			t.Fatalf("stream %q not restored: draw %d, want %d", label, got, want[label])
-		}
-	}
-
-	if got, want := len(reg.Labels()), 3; got != want {
-		t.Fatalf("Labels() returned %d labels, want %d", got, want)
-	}
-
-	// Mismatched label sets are errors, not silent divergence.
-	delete(states, "server/0")
-	if err := reg.Restore(states); err == nil {
-		t.Fatal("restore with a missing stream did not error")
-	}
-	states["server/2"] = New(1).State()
-	if err := reg.Restore(states); err == nil {
-		t.Fatal("restore with an unknown stream did not error")
-	}
-	// A mismatch installs nothing, even when the counts agree.
-	states["server/0"] = New(2).State()
-	delete(states, "server/1")
-	before := srcs["manager"].State()
-	states["manager"] = New(3).State()
-	if err := reg.Restore(states); err == nil || !strings.Contains(err.Error(), `"server/2"`) {
-		t.Fatalf("restore with an unknown stream: %v", err)
-	}
-	if srcs["manager"].State() != before {
-		t.Fatal("a failed restore installed a state")
-	}
-}
-
 // The all-zero xoshiro state draws 0 forever, so a corrupt checkpoint that
 // carried it would hang any rejection loop that draws from the stream.
-func TestRegistryRestoreRejectsZeroState(t *testing.T) {
-	reg := NewRegistry()
-	a, b := New(1), New(2)
-	reg.Add("a", a)
-	reg.Add("b", b)
-	states := reg.States()
-	before := a.State()
-	states["a"] = New(3).State()
-	states["b"] = State{Base: 7}
-	err := reg.Restore(states)
-	if err == nil || !strings.Contains(err.Error(), `"b"`) {
+// Restore refuses it and leaves the source as it was.
+func TestRestoreRejectsZeroState(t *testing.T) {
+	s := New(1)
+	before := s.State()
+	err := s.Restore(State{Base: 7, Spare: 0.5, HaveSpare: true})
+	if err == nil || !strings.Contains(err.Error(), "all-zero state") {
 		t.Fatalf("restore of a zero state: %v", err)
 	}
-	if a.State() != before {
-		t.Fatal("a failed restore installed a state")
-	}
-}
-
-func TestRegistryAddPanics(t *testing.T) {
-	cases := []struct {
-		name string
-		do   func(r *Registry)
-	}{
-		{"nil source", func(r *Registry) { r.Add("x", nil) }},
-		{"empty label", func(r *Registry) { r.Add("", New(1)) }},
-		{"duplicate", func(r *Registry) { r.Add("x", New(1)); r.Add("x", New(2)) }},
-	}
-	for _, c := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: Add did not panic", c.name)
-				}
-			}()
-			c.do(NewRegistry())
-		}()
+	if s.State() != before {
+		t.Fatal("a failed restore changed the source")
 	}
 }

@@ -246,11 +246,16 @@ func (v *VM) Avg() float64 {
 // Set is a collection of VM traces plus the reference capacity that
 // utilization percentages are measured against.
 //
+// A valid Set lists its VMs in strictly rising (Start, ID) order, so no ID
+// repeats: that is the order VMs arrive in, in cluster.Run and in
+// protocol.Cluster.RunDay alike.
+//
 // A Set is read-only once built: simulation runs, the demand kernel and
 // concurrent runs of one workload share its VMs without copying them. The
 // constructors of this package (Synthesize, Generate, GenerateChurn,
-// ReadPlanetLabDir and ConcatDays) validate every VM where they build it and mark the Set checked before returning it, so
-// the mark is written before the Set is shared.
+// ReadPlanetLabDir and ConcatDays) build their VMs in that order, validate
+// every VM where they build it and mark the Set checked before returning
+// it, so the mark is written before the Set is shared.
 type Set struct {
 	VMs []*VM
 	// RefCapacityMHz is the host capacity that per-VM utilization
@@ -261,7 +266,8 @@ type Set struct {
 	checked bool
 }
 
-// Validate reports the first invalid VM in the set, if any. Simulation
+// Validate reports the first invalid VM in the set, if any, and then the
+// first VM out of (Start, ID) order or with a repeated ID. Simulation
 // drivers call it up front so a malformed trace (e.g. a multi-sample VM with
 // a non-positive epoch) fails loudly instead of mid-run. A Set from one of
 // this package's constructors was checked where it was built and returns
@@ -274,6 +280,34 @@ func (s *Set) Validate() error {
 		if err := vm.Validate(); err != nil {
 			return err
 		}
+	}
+	return checkOrder(s.VMs)
+}
+
+// checkOrder reports the first VM that breaks strictly rising (Start, ID)
+// order or repeats an earlier VM's ID. IDs that rise through the whole
+// slice, as every constructor's do, are distinct without a lookup; the
+// first ID that does not rise starts a set of the IDs seen.
+func checkOrder(vms []*VM) error {
+	var seen map[int]bool
+	for i := 1; i < len(vms); i++ {
+		prev, vm := vms[i-1], vms[i]
+		if vm.Start < prev.Start || vm.Start == prev.Start && vm.ID <= prev.ID {
+			return fmt.Errorf("trace: VM %d (start %v) follows VM %d (start %v), out of (Start, ID) order", vm.ID, vm.Start, prev.ID, prev.Start)
+		}
+		if seen == nil && vm.ID > prev.ID {
+			continue
+		}
+		if seen == nil {
+			seen = make(map[int]bool, len(vms))
+			for _, v := range vms[:i] {
+				seen[v.ID] = true
+			}
+		}
+		if seen[vm.ID] {
+			return fmt.Errorf("trace: VM ID %d repeats", vm.ID)
+		}
+		seen[vm.ID] = true
 	}
 	return nil
 }
@@ -424,8 +458,9 @@ func dailyFactor(t time.Duration, amplitude, peakHour float64) float64 {
 // capped at its length so that an append on one VM reallocates instead of
 // writing into the next. vm(i, demand) fills the window and returns VM i,
 // which is validated on the same worker while its window is still in cache;
-// the error is that of the lowest-index invalid VM. It runs for every i on a
-// pool of GOMAXPROCS workers, so vm must draw only from VM i's own stream
+// the error is that of the lowest-index invalid VM. The VMs must then be in
+// a Set's (Start, ID) order. It runs for every i on a pool of GOMAXPROCS
+// workers, so vm must draw only from VM i's own stream
 // (rng.Source.SplitIndex) and write only its window and its VM; the set is
 // then the same at every GOMAXPROCS. The caller sets RefCapacityMHz.
 func Synthesize(n, samples int, vm func(i int, demand []float64) *VM) (*Set, error) {
@@ -450,6 +485,9 @@ func Synthesize(n, samples int, vm func(i int, demand []float64) *VM) (*Set, err
 		if err != nil {
 			return nil, err
 		}
+	}
+	if err := checkOrder(vms); err != nil {
+		return nil, err
 	}
 	return &Set{VMs: vms, checked: true}, nil
 }

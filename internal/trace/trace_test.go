@@ -1002,3 +1002,131 @@ func TestConstructorsReturnCheckedSets(t *testing.T) {
 		t.Fatal("Validate marked a hand-built Set")
 	}
 }
+
+// inSetOrder is the test's own statement of a Set's order: strictly rising
+// (Start, ID), so no ID repeats.
+func inSetOrder(t *testing.T, name string, set *Set) {
+	t.Helper()
+	seen := map[int]bool{}
+	for i, vm := range set.VMs {
+		if seen[vm.ID] {
+			t.Fatalf("%s: VM ID %d repeats", name, vm.ID)
+		}
+		seen[vm.ID] = true
+		if i == 0 {
+			continue
+		}
+		prev := set.VMs[i-1]
+		if vm.Start < prev.Start || vm.Start == prev.Start && vm.ID < prev.ID {
+			t.Fatalf("%s: VM %d (start %v) follows VM %d (start %v)", name, vm.ID, vm.Start, prev.ID, prev.Start)
+		}
+	}
+}
+
+func TestGenerateEmitsSetOrder(t *testing.T) {
+	set, err := Generate(smallGenConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSetOrder(t, "Generate", set)
+}
+
+// The churn day starts VMs at t = 0 and after it, so its order has both
+// keys to get right.
+func TestGenerateChurnEmitsSetOrder(t *testing.T) {
+	set, err := GenerateChurn(DefaultChurnConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set.VMs[len(set.VMs)-1].Start == 0 {
+		t.Fatal("test setup: no VM arrives after t = 0")
+	}
+	inSetOrder(t, "GenerateChurn", set)
+}
+
+// Synthesize accepts VMs its callback builds in (Start, ID) order and
+// refuses a callback's VMs out of that order or with a repeated ID.
+func TestSynthesizeChecksSetOrder(t *testing.T) {
+	build := func(start func(i int) time.Duration, id func(i int) int) (*Set, error) {
+		return Synthesize(40, 1, func(i int, demand []float64) *VM {
+			demand[0] = 100
+			return &VM{ID: id(i), Start: start(i), End: 2 * time.Hour, Demand: demand}
+		})
+	}
+	rising := func(i int) time.Duration { return time.Duration(i/3) * time.Minute }
+	same := func(i int) int { return i }
+	set, err := build(rising, same)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSetOrder(t, "Synthesize", set)
+	for _, c := range []struct {
+		name  string
+		start func(int) time.Duration
+		id    func(int) int
+		want  string
+	}{
+		{"falling start", func(i int) time.Duration { return time.Duration(40-i) * time.Minute }, same, "out of (Start, ID) order"},
+		{"falling ID", rising, func(i int) int { return 40 - i }, "out of (Start, ID) order"},
+		{"repeated ID", rising, func(i int) int { return i % 3 }, "VM ID 0 repeats"},
+	} {
+		if set, err := build(c.start, c.id); err == nil || !strings.Contains(err.Error(), c.want) || set != nil {
+			t.Errorf("%s: set %v, error %v, want %q", c.name, set, err, c.want)
+		}
+	}
+}
+
+// The files' names sort otherwise than they were written; the IDs follow
+// the sorted names.
+func TestReadPlanetLabDirEmitsSetOrder(t *testing.T) {
+	fsys := fstest.MapFS{}
+	for _, name := range []string{"vm_c", "vm_a", "vm_b", "vm_10", "vm_2"} {
+		fsys["day/"+name] = &fstest.MapFile{Data: []byte("30\n40\n")}
+	}
+	set, err := ReadPlanetLabDir(fsys, "day", 2400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSetOrder(t, "ReadPlanetLabDir", set)
+}
+
+func TestConcatDaysEmitsSetOrder(t *testing.T) {
+	vm := func(id int) *VM {
+		return &VM{ID: id, End: PlanetLabEpoch, Epoch: PlanetLabEpoch, Demand: []float64{1}}
+	}
+	day1 := &Set{RefCapacityMHz: 2400, VMs: []*VM{vm(0), vm(1), vm(2)}}
+	day2 := &Set{RefCapacityMHz: 2400, VMs: []*VM{vm(0), vm(1)}}
+	set, err := ConcatDays(day1, day2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inSetOrder(t, "ConcatDays", set)
+}
+
+// A hand-built Set out of (Start, ID) order, or with an ID twice, fails
+// Validate, whether the repeat shares its twin's Start or not.
+func TestValidateRejectsSetOrder(t *testing.T) {
+	vm := func(id int, start time.Duration) *VM {
+		return &VM{ID: id, Start: start, End: 2 * time.Hour, Demand: []float64{1}}
+	}
+	for _, c := range []struct {
+		name string
+		vms  []*VM
+		want string
+	}{
+		{"falling start", []*VM{vm(0, time.Hour), vm(1, 0)}, "VM 1 (start 0s) follows VM 0 (start 1h0m0s)"},
+		{"falling ID", []*VM{vm(1, 0), vm(0, 0)}, "VM 0 (start 0s) follows VM 1"},
+		{"same ID and start", []*VM{vm(0, 0), vm(0, 0)}, "out of (Start, ID) order"},
+		{"ID again later", []*VM{vm(0, 0), vm(5, 0), vm(3, time.Hour), vm(5, 2*time.Hour)}, "VM ID 5 repeats"},
+		{"first ID again", []*VM{vm(2, 0), vm(3, 0), vm(2, time.Hour)}, "VM ID 2 repeats"},
+	} {
+		set := &Set{RefCapacityMHz: 2400, VMs: c.vms}
+		if err := set.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %v, want %q", c.name, err, c.want)
+		}
+	}
+	ok := &Set{RefCapacityMHz: 2400, VMs: []*VM{vm(3, 0), vm(7, 0), vm(1, time.Hour), vm(4, time.Hour)}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("a Set in (Start, ID) order: %v", err)
+	}
+}
